@@ -1,9 +1,9 @@
 //! E19/E20: live-fleet tick throughput at different shard counts and
 //! fidelity tiers.
 //!
-//! The headline number is vehicle-ticks per second — the scaling
-//! record in `BENCH_fleet.json`. Graph and outcome-table calibration
-//! (and engine construction generally, ~0.7 s of scenario-model
+//! The headline number is vehicle-ticks per second, the metric the
+//! fleet workloads of `benchmark/` report. Graph and outcome-table
+//! calibration (and engine construction generally, ~0.7 s of scenario-model
 //! Monte-Carlo) happen **outside** the timed region: each iteration
 //! clones a pre-built engine and runs it, so the figure measures the
 //! tick loop + snapshots — the part that scales with

@@ -305,7 +305,7 @@ fn fleet_usage() -> ! {
   --shards defaults to the available parallelism (capped by the
   vehicle count); pass it explicitly to override. On a single-core
   machine extra shards cost thread overhead instead of buying
-  wall-clock time (see BENCH_fleet.json) — results are bit-identical
+  wall-clock time (see benchmark/README.md) — results are bit-identical
   for any --shards value either way; --json writes the canonical-keyed
   fleet.json artifact (with --canonical the volatile throughput keys
   are stripped so artifacts from different shard counts diff

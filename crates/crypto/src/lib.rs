@@ -31,6 +31,12 @@
 //! preserve every property the experiments rely on (unforgeability,
 //! multiple trust anchors, offline verification).
 //!
+//! SHA-256 compression dispatches at run time: on x86-64 CPUs with the
+//! SHA extensions it uses them, elsewhere it runs a portable scalar
+//! kernel. Both give the same digests (the `sha256` tests cross-check
+//! them block by block), so every signature, DID and MAC is identical on
+//! any machine; only the hashing speed differs.
+//!
 //! ## Example
 //!
 //! ```

@@ -1,4 +1,10 @@
 //! SHA-256 (FIPS 180-4), streaming and one-shot.
+//!
+//! The compression function is chosen at run time. On x86-64 CPUs with
+//! the SHA extensions (plus SSSE3 and SSE4.1) it runs on
+//! `sha256rnds2`/`sha256msg1`/`sha256msg2`; everywhere else it runs the
+//! portable scalar rounds. Both kernels produce the same digests, which
+//! the tests below check block by block.
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
@@ -58,19 +64,35 @@ impl Sha256 {
 
     /// One-shot convenience: digest of `data`.
     pub fn digest(data: &[u8]) -> Digest {
-        let mut h = Self::new();
-        h.update(data);
-        h.finalize()
+        Self::digest_parts(&[data])
     }
 
     /// One-shot digest of the concatenation of several parts, without
     /// allocating a joined buffer.
+    ///
+    /// Inputs shorter than 56 bytes (every WOTS chain step, leaf seed
+    /// and Merkle node hash) are padded into a single block on the stack
+    /// and compressed once.
     pub fn digest_parts(parts: &[&[u8]]) -> Digest {
-        let mut h = Self::new();
-        for p in parts {
-            h.update(p);
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        if total >= 56 {
+            let mut h = Self::new();
+            for p in parts {
+                h.update(p);
+            }
+            return h.finalize();
         }
-        h.finalize()
+        let mut block = [0u8; 64];
+        let mut at = 0;
+        for p in parts {
+            block[at..at + p.len()].copy_from_slice(p);
+            at += p.len();
+        }
+        block[at] = 0x80;
+        block[56..].copy_from_slice(&(total as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, &[block]);
+        to_digest(&state)
     }
 
     /// Absorbs more input.
@@ -80,70 +102,64 @@ impl Sha256 {
             .checked_add(data.len() as u64)
             .expect("SHA-256 input exceeds 2^64 bytes");
         if self.buffered > 0 {
-            let need = 64 - self.buffered;
-            let take = need.min(data.len());
+            let take = (64 - self.buffered).min(data.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finishes and returns the digest, consuming the hasher state.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.length_bytes.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let rem = (self.length_bytes % 64) as usize;
-        let pad_len = if rem < 56 { 56 - rem } else { 120 - rem };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        // Bypass length accounting for the padding itself.
-        let mut data: &[u8] = &tail;
-        if self.buffered > 0 {
-            let need = 64 - self.buffered;
-            self.buffer[self.buffered..64].copy_from_slice(&data[..need]);
-            let block = self.buffer;
-            self.compress(&block);
-            data = &data[need..];
+        // Padding, in place: 0x80, zeros, 64-bit big-endian bit length.
+        // `update` never leaves a full buffer, so the 0x80 always fits.
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer = [0u8; 64];
         }
-        for chunk in data.chunks(64) {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
-        }
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+        self.buffer[56..].copy_from_slice(&self.length_bytes.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, std::slice::from_ref(&self.buffer));
+        to_digest(&self.state)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+fn to_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (chunk, w) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&w.to_be_bytes());
+    }
+    out
+}
+
+/// Compresses `blocks` into `state` with the fastest kernel this CPU has.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::try_compress(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The scalar FIPS 180-4 compression, one block after another.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (wi, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wi = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -153,7 +169,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -174,14 +190,125 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// Compression on the x86-64 SHA extensions. Every `unsafe` block of
+/// this crate's SHA-256 lives in this module.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+    use std::sync::OnceLock;
+
+    use super::K;
+
+    /// Compresses `blocks` into `state` and returns `true` if this CPU
+    /// has the SHA extensions, SSSE3 and SSE4.1; otherwise leaves
+    /// `state` untouched and returns `false`. Detection runs once per
+    /// process.
+    pub(super) fn try_compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        let detected = *DETECTED.get_or_init(|| {
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1")
+        });
+        if detected {
+            // SAFETY: `compress` is compiled for sha, ssse3 and sse4.1,
+            // and `is_x86_feature_detected!` has just confirmed all three
+            // on this CPU.
+            unsafe { compress(state, blocks) };
+        }
+        detected
+    }
+
+    /// The state lives in two registers as ABEF and CDGH, the operand
+    /// layout `sha256rnds2` expects; each block runs 16 four-round groups.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let st = state.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: `state` is 32 bytes, so both unaligned 16-byte loads
+        // stay inside it. The SSE intrinsics themselves rely on the
+        // detection in `try_compress`, the only caller.
+        let (dcba, hgfe) = unsafe { (_mm_loadu_si128(st), _mm_loadu_si128(st.add(1))) };
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `block` is 64 bytes, so the four unaligned 16-byte
+            // loads stay inside it; the intrinsics rely on the detection
+            // in `try_compress`, the only caller.
+            let [mut w0, mut w1, mut w2, mut w3] =
+                unsafe { [0, 1, 2, 3].map(|i| _mm_loadu_si128(p.add(i))) };
+            w0 = _mm_shuffle_epi8(w0, bswap);
+            w1 = _mm_shuffle_epi8(w1, bswap);
+            w2 = _mm_shuffle_epi8(w2, bswap);
+            w3 = _mm_shuffle_epi8(w3, bswap);
+            rounds4(&mut abef, &mut cdgh, w0, 0);
+            rounds4(&mut abef, &mut cdgh, w1, 1);
+            rounds4(&mut abef, &mut cdgh, w2, 2);
+            rounds4(&mut abef, &mut cdgh, w3, 3);
+            // Words 16..64, four at a time, rotating through w0..w3.
+            for g in [4, 8, 12] {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, g);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, g + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, g + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, g + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: as for the loads above, both stores stay inside the
+        // 32-byte `state`.
+        unsafe {
+            _mm_storeu_si128(st, dcba);
+            _mm_storeu_si128(st.add(1), hgef);
+        }
+    }
+
+    /// Rounds `4g..4g+4`, with `w` holding message words `4g..4g+4`.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, g: usize) {
+        let k = _mm_set_epi32(
+            K[4 * g + 3] as i32,
+            K[4 * g + 2] as i32,
+            K[4 * g + 1] as i32,
+            K[4 * g] as i32,
+        );
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// Message words `t..t+4` from words `t-16..t` held in `w0..w3`.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
     }
 }
 
@@ -190,30 +317,88 @@ mod tests {
     use super::*;
     use crate::util::to_hex;
 
-    #[test]
-    fn nist_empty() {
-        assert_eq!(
-            to_hex(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    const FIPS_VECTORS: [(&[u8], &str); 3] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+    ];
+
+    /// Hashes `msg` with one kernel, padding it by hand, so each kernel
+    /// is checked on its own whichever one `compress` dispatches to.
+    fn digest_with(kernel: impl Fn(&mut [u32; 8], &[[u8; 64]]), msg: &[u8]) -> String {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        kernel(&mut state, padded.as_chunks::<64>().0);
+        to_hex(&to_digest(&state))
+    }
+
+    /// The SHA-extension kernel's output, or `None` on a CPU without
+    /// the extensions.
+    #[cfg(target_arch = "x86_64")]
+    fn hardware(state: &[u32; 8], blocks: &[[u8; 64]]) -> Option<[u32; 8]> {
+        let mut out = *state;
+        x86::try_compress(&mut out, blocks).then_some(out)
     }
 
     #[test]
-    fn nist_abc() {
-        assert_eq!(
-            to_hex(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+    fn fips_vectors_through_every_kernel() {
+        for (msg, want) in FIPS_VECTORS {
+            assert_eq!(to_hex(&Sha256::digest(msg)), want);
+            assert_eq!(digest_with(compress_portable, msg), want);
+            #[cfg(target_arch = "x86_64")]
+            if hardware(&H0, &[]).is_some() {
+                let hw = |state: &mut [u32; 8], blocks: &[[u8; 64]]| {
+                    *state = hardware(state, blocks).expect("SHA extensions detected");
+                };
+                assert_eq!(digest_with(hw, msg), want);
+            }
+        }
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn nist_two_block() {
-        assert_eq!(
-            to_hex(&Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    fn hardware_kernel_matches_portable_on_random_blocks_and_states() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
+        if hardware(&H0, &[]).is_none() {
+            eprintln!("no SHA extensions on this CPU: only the portable kernel runs");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x5A25_6000);
+        let mut blocks = vec![[0u8; 64]; 10_240];
+        for block in &mut blocks {
+            rng.fill_bytes(block);
+        }
+        // One block at a time, each from its own random chaining state...
+        for block in &blocks {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+            let mut want = state;
+            compress_portable(&mut want, std::slice::from_ref(block));
+            assert_eq!(hardware(&state, std::slice::from_ref(block)), Some(want));
+        }
+        // ...and in runs, where the hardware kernel carries its state in
+        // registers from one block to the next.
+        for run in blocks.chunks(97) {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+            let mut want = state;
+            compress_portable(&mut want, run);
+            assert_eq!(hardware(&state, run), Some(want));
+        }
     }
 
     #[test]
@@ -250,16 +435,28 @@ mod tests {
     }
 
     #[test]
-    fn padding_boundary_lengths() {
-        // Lengths around the 56-byte padding boundary must all work.
-        for len in 50..70usize {
-            let data = vec![0x5a; len];
-            let d1 = Sha256::digest(&data);
-            let mut h = Sha256::new();
-            for b in &data {
-                h.update(std::slice::from_ref(b));
+    fn digest_parts_matches_streaming_for_every_length_and_split() {
+        // Covers the single-block fast path (< 56 bytes), the padding
+        // spill into a second block (56..64) and multi-block inputs.
+        let data: Vec<u8> = (0u8..=130).map(|b| b.wrapping_mul(37) ^ 0xa5).collect();
+        let cuts = [0, 1, 54, 55, 56, 57, 62, 63, 64, 65, 127, 128];
+        for len in 0..=130usize {
+            let msg = &data[..len];
+            let mut bytewise = Sha256::new();
+            for b in msg {
+                bytewise.update(std::slice::from_ref(b));
             }
-            assert_eq!(h.finalize(), d1, "len {len}");
+            let want = bytewise.finalize();
+            assert_eq!(Sha256::digest(msg), want, "len {len}");
+            for &a in cuts.iter().filter(|&&a| a <= len) {
+                for &b in cuts.iter().filter(|&&b| a <= b && b <= len) {
+                    let parts: [&[u8]; 3] = [&msg[..a], &msg[a..b], &msg[b..]];
+                    assert_eq!(Sha256::digest_parts(&parts), want, "len {len} cuts {a},{b}");
+                    let mut h = Sha256::new();
+                    parts.iter().for_each(|p| h.update(p));
+                    assert_eq!(h.finalize(), want, "streamed len {len} cuts {a},{b}");
+                }
+            }
         }
     }
 }

@@ -1143,7 +1143,8 @@ impl FleetReport {
         self.config.vehicles as u64 * self.config.ticks
     }
 
-    /// Vehicle-ticks per wall-clock second (the BENCH_fleet metric).
+    /// Vehicle-ticks per wall-clock second (the benchmark's
+    /// `vehicle_ticks_per_s`, see `benchmark/README.md`).
     pub fn throughput(&self) -> f64 {
         self.vehicle_ticks() as f64 / self.wall.as_secs_f64().max(1e-9)
     }

@@ -177,6 +177,18 @@ mod tests {
     }
 
     #[test]
+    fn create_derives_a_pinned_did_at_a_fixed_seed() {
+        // Golden value: MSS key generation and DID derivation are pure
+        // functions of the seed, so any hashing change shows up here.
+        let reg = Registry::new();
+        let w = Wallet::create(&mut SimRng::seed(42), "vehicle", &reg);
+        assert_eq!(
+            w.did().as_str(),
+            "did:vreg:8b96b752ec8154dc8ebf5e5bcb72ff39"
+        );
+    }
+
+    #[test]
     fn signing_consumes_capacity() {
         let reg = Registry::new();
         let mut rng = SimRng::seed(11);
