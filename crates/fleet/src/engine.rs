@@ -12,10 +12,17 @@
 //!    proportional to the previous tick's compromised fraction,
 //!    resolved against the calibrated ghost-object edge of the attack
 //!    graph.
-//! 2. **Serial response phase** — alerts (merged in vehicle order) feed
-//!    one shared [`ResponseEngine`]; containment actions are applied
-//!    back to the vehicles (filter/rekey relief, isolation,
-//!    limp-home), and verified repairs clear escalation state.
+//!
+//!    Once its vehicles have all stepped, each shard answers their
+//!    alerts in the order they were raised: each is one more strike in
+//!    the alerting vehicle's own escalation column, the response
+//!    [playbook](autosec_ids::response::ResponseEngine::playbook) picks
+//!    the action, and the action is applied back (filter/rekey relief,
+//!    isolation, limp-home). A verified repair clears the strikes after
+//!    that tick's responses.
+//! 2. **Merge** — the shards' outputs are additive: totals, drift
+//!    counters and the answered alerts, tallied per layer for the
+//!    closed-loop defender.
 //! 3. **Backend phase** — the Fig. 8 kill chain runs as a live breach
 //!    process on its own fleet-level RNG stream: while the backend is
 //!    breached, infection pressure doubles (bulk telemetry access).
@@ -44,7 +51,8 @@
 //!
 //! Vehicle `i` draws only from `root.fork("fleet/vehicles").fork_idx(i)`;
 //! tick inputs are pure functions of the *previous* tick's census;
-//! alerts are processed in vehicle order; the backend stream is
+//! a vehicle's alerts are answered in order against its own strikes
+//! only; shard outputs merge by addition; the backend stream is
 //! engine-level; drift probes draw from their own `fork_idx(id)` /
 //! `fork_idx(tick)` substreams and are triggered by `(id, tick)`
 //! arithmetic, not by any global counter. Therefore a run is
@@ -58,9 +66,7 @@ use autosec_adversary::{calibrated_graph, AttackGraph, CalibrationConfig, EdgeSo
 use autosec_core::campaign::DefensePosture;
 use autosec_core::engine::{LiveScenarioEngine, ScenarioEngine, StepOutcomeTable};
 use autosec_core::scenario::PostureCtx;
-use autosec_faults::{detector_for, target_for, FaultPlan};
-use autosec_ids::response::{ResponseAction, ResponseEngine};
-use autosec_ids::Alert;
+use autosec_faults::{target_for, FaultPlan};
 use autosec_runner::{silence_panics, strip_volatile};
 use autosec_scengen::{generate, GenConfig, GeneratedCampaign};
 use autosec_sim::{ArchLayer, FaultEffect, SimDuration, SimRng, SimTime};
@@ -71,11 +77,8 @@ use crate::defender::{DefenderMode, FleetDefender, TickObservation};
 use crate::shard::{run_tick_sharded, ShardOutput};
 use crate::snapshot::{Census, FleetSnapshot, FleetTotals};
 use crate::state::{FleetColumns, FleetState};
-use crate::vehicle::{AlertKind, PendingAlert, VehicleStatus, ISOLATED_HEALTH, LIMP_HOME_HEALTH};
+use crate::vehicle::VehicleStatus;
 
-/// Fraction of a degraded vehicle's health deficit removed by a
-/// filter/rekey containment action.
-const CONTAINMENT_RELIEF: f64 = 0.5;
 /// Per-tick probability an isolated vehicle's repair verifies.
 const VERIFY_P: f64 = 0.35;
 /// Per-tick probability a flagged degraded vehicle self-repairs.
@@ -86,8 +89,6 @@ const REALERT_P: f64 = 0.3;
 /// Infection-pressure multiplier while the backend is breached (bulk
 /// telemetry access lets the attacker target V2X sessions).
 const BREACH_PRESSURE_MULT: f64 = 2.0;
-/// Response-history cap for the long-running engine.
-const HISTORY_CAP: usize = 4_096;
 
 /// Which tier of the two-tier scenario engine resolves direct attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -518,12 +519,7 @@ fn step_vehicle(
                 }
                 if cols.rng[i].chance(onset.detect_p) {
                     cols.flagged[i] = true;
-                    out.alerts.push(PendingAlert {
-                        vehicle: cols.id(i),
-                        detector: detector_for(onset.layer),
-                        layer: onset.layer,
-                        kind: AlertKind::Fault,
-                    });
+                    out.alerts.push((i, onset.layer));
                 }
             }
             // Rare direct attack. Generated-campaign mode walks one
@@ -552,12 +548,7 @@ fn step_vehicle(
                         }
                         if attempted && detected {
                             alerted = true;
-                            out.alerts.push(PendingAlert {
-                                vehicle: cols.id(i),
-                                detector: detector_for(edge.layer),
-                                layer: edge.layer,
-                                kind: AlertKind::Attack,
-                            });
+                            out.alerts.push((i, edge.layer));
                         }
                     }
                     if owned.contains(goal) {
@@ -596,12 +587,7 @@ fn step_vehicle(
                         cols.flagged[i] = outcome.detected;
                     }
                     if outcome.detected {
-                        out.alerts.push(PendingAlert {
-                            vehicle: cols.id(i),
-                            detector: detector_for(layer),
-                            layer,
-                            kind: AlertKind::Attack,
-                        });
+                        out.alerts.push((i, layer));
                     }
                 }
             }
@@ -617,12 +603,7 @@ fn step_vehicle(
                 cols.compromise(i, inputs.tick, ArchLayer::Collaboration);
                 if cols.rng[i].chance(env.epi.detect) {
                     cols.flagged[i] = true;
-                    out.alerts.push(PendingAlert {
-                        vehicle: cols.id(i),
-                        detector: detector_for(ArchLayer::Collaboration),
-                        layer: ArchLayer::Collaboration,
-                        kind: AlertKind::Attack,
-                    });
+                    out.alerts.push((i, ArchLayer::Collaboration));
                 }
             }
             // Flagged degraded vehicles self-repair (reconfigure +
@@ -643,22 +624,12 @@ fn step_vehicle(
                 // eventually, faster under deeper postures.
                 if cols.rng[i].chance(env.late_detect_p) {
                     cols.flagged[i] = true;
-                    out.alerts.push(PendingAlert {
-                        vehicle: cols.id(i),
-                        detector: detector_for(cols.incident_layer[i]),
-                        layer: cols.incident_layer[i],
-                        kind: AlertKind::LateDetect,
-                    });
+                    out.alerts.push((i, cols.incident_layer[i]));
                 }
             } else if cols.rng[i].chance(REALERT_P) {
                 // Known-compromised vehicles keep alerting until the
                 // playbook escalates to isolation.
-                out.alerts.push(PendingAlert {
-                    vehicle: cols.id(i),
-                    detector: detector_for(cols.incident_layer[i]),
-                    layer: cols.incident_layer[i],
-                    kind: AlertKind::LateDetect,
-                });
+                out.alerts.push((i, cols.incident_layer[i]));
             }
         }
         VehicleStatus::Isolated => {
@@ -879,7 +850,6 @@ impl FleetEngine {
         let (mut epi, mut late_detect_p, mut kc_success, mut kc_detect) =
             derived_rates(&graph, &posture);
 
-        let mut responder = ResponseEngine::with_history_cap(HISTORY_CAP);
         let mut backend_rng = SimRng::seed(cfg.seed).fork("fleet/backend");
         let mut breached = false;
         let mut totals = FleetTotals::default();
@@ -911,32 +881,13 @@ impl FleetEngine {
                 step_vehicle(cols, i, &env, &inputs, out)
             });
 
-            // Phase 2: serial response phase, in vehicle order.
-            let at = SimTime::from_ms(tick * cfg.tick_ms);
-            let mut cols = state.columns();
+            // Phase 2: additive merge of the shard outputs.
             let mut layer_alerts = [0u32; 6];
-            for out in outs {
+            for out in &outs {
                 totals.absorb(&out.counters);
                 drift.absorb(&out.drift);
-                for pending in out.alerts {
-                    totals.alerts += 1;
-                    layer_alerts[pending.layer as usize] += 1;
-                    let response = responder.handle(&Alert {
-                        detector: pending.detector,
-                        subject: pending.vehicle,
-                        at,
-                        detail: String::new(),
-                    });
-                    apply_response(
-                        &mut cols,
-                        pending.vehicle as usize,
-                        response.action,
-                        tick,
-                        &mut totals,
-                    );
-                }
-                for id in out.recovered {
-                    responder.clear_subject(id);
+                for &(_, layer) in &out.alerts {
+                    layer_alerts[layer as usize] += 1;
                 }
             }
 
@@ -1053,52 +1004,6 @@ fn tick_inputs(
         infection_pressure: cfg.infection_beta * compromised_frac * mult,
         fault_onsets,
         active_faults,
-    }
-}
-
-/// Applies one containment action back to vehicle `idx` of the fleet.
-fn apply_response(
-    cols: &mut FleetColumns<'_>,
-    idx: usize,
-    action: ResponseAction,
-    tick: u64,
-    totals: &mut FleetTotals,
-) {
-    match action {
-        ResponseAction::Notify => totals.responses_notify += 1,
-        ResponseAction::FilterId | ResponseAction::Rekey => {
-            if action == ResponseAction::FilterId {
-                totals.responses_filter += 1;
-            } else {
-                totals.responses_rekey += 1;
-            }
-            // Filter/rekey relieve fault degradation; they cannot evict
-            // an attacker (escalation handles that).
-            if cols.status[idx] == VehicleStatus::Degraded {
-                cols.health[idx] = 1.0 - (1.0 - cols.health[idx]) * (1.0 - CONTAINMENT_RELIEF);
-            }
-        }
-        ResponseAction::IsolateNode | ResponseAction::LimpHome => {
-            let health = if action == ResponseAction::IsolateNode {
-                totals.responses_isolate += 1;
-                ISOLATED_HEALTH
-            } else {
-                totals.responses_limp_home += 1;
-                LIMP_HOME_HEALTH
-            };
-            if matches!(
-                cols.status[idx],
-                VehicleStatus::Healthy | VehicleStatus::Degraded | VehicleStatus::Compromised
-            ) {
-                if cols.status[idx] == VehicleStatus::Healthy {
-                    // Isolating a healthy vehicle (false-positive
-                    // escalation) still opens an incident window.
-                    cols.since[idx] = tick;
-                }
-                cols.status[idx] = VehicleStatus::Isolated;
-                cols.health[idx] = health;
-            }
-        }
     }
 }
 

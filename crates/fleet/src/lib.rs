@@ -23,10 +23,11 @@
 //! - cross-layer faults from a horizon-scaled
 //!   [`FaultPlan`](autosec_faults::FaultPlan) strike exposed subsets
 //!   through the real per-layer injection adapters;
-//! - detections feed one shared
-//!   [`ResponseEngine`](autosec_ids::response::ResponseEngine) whose
-//!   playbook escalates to isolation and limp-home, and verified
-//!   repairs close the MTTR loop;
+//! - each vehicle's detections are answered inside its shard by the
+//!   [`ResponseEngine`](autosec_ids::response::ResponseEngine)
+//!   playbook, escalating on the vehicle's own strike count to
+//!   isolation and limp-home, and verified repairs close the MTTR
+//!   loop;
 //! - the backend kill chain runs as a live breach process that, while
 //!   open, doubles infection pressure.
 //!
@@ -36,11 +37,12 @@
 //! ([`FleetState`]: one dense column per field) split into contiguous
 //! windows across worker threads, but vehicle `i` draws only from the
 //! `fork_idx(i)` substream of the fleet RNG, tick inputs are pure
-//! functions of the previous tick, and shard outputs merge back in
-//! vehicle order. A run is therefore **bit-identical at any
-//! `--shards`, in every fidelity mode** — `--shards` buys wall-clock
-//! time and nothing else, a property the integration tests and the CI
-//! smoke job verify byte-for-byte on canonical snapshots. Mixed
+//! functions of the previous tick, a vehicle's responses touch only
+//! its own columns, and shard outputs merge by addition. A run is
+//! therefore **bit-identical at any `--shards`, in every fidelity
+//! mode** — `--shards` buys wall-clock time and nothing else, a
+//! property the integration tests and the CI smoke job verify
+//! byte-for-byte on canonical snapshots. Mixed
 //! fidelity keeps the contract because drift probes trigger on
 //! `(vehicle_id + tick)` arithmetic and draw from their own forked
 //! substream, never from a vehicle's.
@@ -83,4 +85,4 @@ pub use engine::{
 pub use shard::{run_tick_sharded, ShardOutput};
 pub use snapshot::{Census, FleetSnapshot, FleetTotals};
 pub use state::{FleetColumns, FleetState};
-pub use vehicle::{AlertKind, PendingAlert, VehicleStatus};
+pub use vehicle::VehicleStatus;

@@ -3,11 +3,16 @@
 //! The fleet columns are split into contiguous windows — one per shard
 //! ([`FleetState::shard_views`]) — and each shard walks its vehicles
 //! in order. A vehicle's step only touches its own column entries plus
-//! the shard's private [`ShardOutput`], so shards never contend;
-//! outputs are merged back in shard order, which *is* vehicle order
-//! because windows are contiguous. That merge discipline, together
-//! with per-vehicle RNG substreams, is the whole shard-invariance
-//! contract: `--shards N` changes wall-clock time and nothing else.
+//! the shard's private [`ShardOutput`], so shards never contend.
+//!
+//! Once its window has stepped, the shard answers the alerts its
+//! vehicles raised (see [`run_tick_sharded`]). Escalation state is
+//! each vehicle's own [`FleetColumns::strikes`] entry, so no response
+//! ever reads or writes another vehicle. What a shard hands back is
+//! additive (counters, drift, the alerts it answered), so the merge
+//! order never matters. That, together with per-vehicle RNG
+//! substreams, is the whole shard-invariance contract: `--shards N`
+//! changes wall-clock time and nothing else.
 //!
 //! A vehicle whose step panics is quarantined on the spot
 //! ([`FleetColumns::quarantine`]) and the shard moves on — one bad
@@ -15,18 +20,21 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use autosec_sim::ArchLayer;
+
 use crate::engine::DriftStats;
 use crate::snapshot::FleetTotals;
 use crate::state::{FleetColumns, FleetState};
-use crate::vehicle::PendingAlert;
 
-/// Everything a shard hands back to the serial phase.
+/// Everything a shard hands back to the engine's merge phase.
 #[derive(Debug, Clone, Default)]
 pub struct ShardOutput {
-    /// Alerts raised this tick, in vehicle order within the shard.
-    pub alerts: Vec<PendingAlert>,
-    /// Vehicles whose repair verified this tick (their escalation
-    /// state is cleared serially).
+    /// Alerts raised this tick, in the order raised: the alerting
+    /// vehicle's window index and the layer it alerted on. Answered
+    /// once the whole window has stepped.
+    pub alerts: Vec<(usize, ArchLayer)>,
+    /// Vehicles whose repair verified this tick (clears escalation
+    /// state after the answers).
     pub recovered: Vec<u32>,
     /// The shard's counter deltas (additive — merge order never
     /// matters).
@@ -40,12 +48,17 @@ pub struct ShardOutput {
 /// `per_vehicle` is handed the shard's columnar window and the window
 /// index of the vehicle to step; it must only read/write that
 /// vehicle's column entries plus the shard output — the engine upholds
-/// that by construction. Returns one [`ShardOutput`] per window, in
-/// window (= vehicle) order.
+/// that by construction. Once every vehicle of a window has stepped,
+/// its shard answers the window's alerts in the order they were raised
+/// (one more strike each, the playbook's action applied back), then
+/// clears the strikes of the vehicles listed in `recovered`. Returns
+/// one [`ShardOutput`] per window, in window (= vehicle) order.
 ///
 /// Panics inside `per_vehicle` are caught per vehicle: the vehicle is
 /// quarantined (status `Lost`, RNG retired) and `counters.lost` is
-/// incremented, leaving the rest of the shard untouched.
+/// incremented, leaving the rest of the shard untouched. Alerts it
+/// raised before panicking are still answered, against the `Lost`
+/// vehicle: they count, but change nothing.
 pub fn run_tick_sharded<F>(
     state: &mut FleetState,
     shards: usize,
@@ -73,6 +86,15 @@ where
                 cols.quarantine(i, tick);
                 out.counters.lost += 1;
             }
+        }
+        // Answering per window, not per vehicle, keeps the step loop
+        // free of per-vehicle checks; it is the same computation, since
+        // only a vehicle's own alerts touch its strikes.
+        for &(i, layer) in &out.alerts {
+            cols.respond(i, layer, tick, &mut out.counters);
+        }
+        for &id in &out.recovered {
+            cols.strikes[(id - cols.id(0)) as usize] = 0;
         }
         out
     };
@@ -116,6 +138,44 @@ mod tests {
     }
 
     #[test]
+    fn alerts_escalate_per_vehicle_and_recovery_resets_after_responding() {
+        let mut f = fleet(4);
+        // Vehicle 1 raises three network alerts a tick: filter, filter,
+        // then the third strike isolates it.
+        let raise = |cols: &mut FleetColumns<'_>, i: usize, out: &mut ShardOutput| {
+            if cols.id(i) == 1 {
+                out.alerts.extend([(i, ArchLayer::Network); 3]);
+            }
+        };
+        let outs = run_tick_sharded(&mut f, 2, 1, raise);
+        let t = &outs[0].counters;
+        assert_eq!(
+            (t.alerts, t.responses_filter, t.responses_isolate),
+            (3, 2, 1)
+        );
+        assert_eq!(
+            (f.status[1], f.since[1], f.strikes[1]),
+            (VehicleStatus::Isolated, 1, 3)
+        );
+        // Alert, then recover in the same step: the alerts are answered
+        // against the restored vehicle at strikes 4-6 (isolate, then
+        // limp-home twice), and only then do the strikes reset.
+        let outs = run_tick_sharded(&mut f, 2, 2, |cols, i, out| {
+            raise(cols, i, out);
+            if cols.id(i) == 1 {
+                cols.restore(i);
+                out.recovered.push(cols.id(i));
+            }
+        });
+        let t = &outs[0].counters;
+        assert_eq!((t.responses_isolate, t.responses_limp_home), (1, 2));
+        assert_eq!(
+            (f.status[1], f.since[1], f.strikes[1]),
+            (VehicleStatus::Isolated, 2, 0)
+        );
+    }
+
+    #[test]
     fn shard_count_caps_at_fleet_size() {
         let mut f = fleet(2);
         let outs = run_tick_sharded(&mut f, 64, 1, |_, _, out| {
@@ -131,6 +191,8 @@ mod tests {
         let _quiet = silence_panics();
         let mut f = fleet(8);
         let outs = run_tick_sharded(&mut f, 2, 3, |cols, i, out| {
+            // Vehicle 2 raises its alert before it panics.
+            out.alerts.push((i, ArchLayer::SoftwarePlatform));
             if cols.id(i) == 2 {
                 panic!("vehicle 2 state machine corrupted");
             }
@@ -138,9 +200,15 @@ mod tests {
         });
         let merged: u64 = outs.iter().map(|o| o.counters.telemetry_frames).sum();
         let lost: u64 = outs.iter().map(|o| o.counters.lost).sum();
+        let isolations: u64 = outs.iter().map(|o| o.counters.responses_isolate).sum();
         assert_eq!(merged, 7, "the other seven vehicles all stepped");
         assert_eq!(lost, 1);
-        assert_eq!(f.status[2], VehicleStatus::Lost);
+        assert_eq!(
+            isolations, 8,
+            "the panicked vehicle's alert is answered too"
+        );
+        assert_eq!(f.strikes, vec![1; 8]);
+        assert_eq!((f.status[2], f.health[2]), (VehicleStatus::Lost, 0.0));
         assert_eq!(f.since[2], 3);
         // Lost vehicles are skipped on subsequent ticks.
         let outs = run_tick_sharded(&mut f, 2, 4, |_, _, out| {

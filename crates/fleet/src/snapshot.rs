@@ -197,7 +197,7 @@ mod tests {
     fn census_counts_and_averages() {
         let base = SimRng::seed(1).fork("fleet/vehicles");
         let mut fleet = FleetState::new(4, &base);
-        let mut cols = fleet.columns();
+        let mut cols = fleet.shard_views(4).remove(0);
         cols.quarantine(1, 1);
         cols.compromise(2, 1, autosec_sim::ArchLayer::Network);
         let c = Census::take(&fleet);

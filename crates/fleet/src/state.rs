@@ -16,9 +16,16 @@
 //! *is* vehicle order and the shard-invariance contract carries over
 //! unchanged.
 
+use autosec_faults::detector_for;
+use autosec_ids::response::{ResponseAction, ResponseEngine};
 use autosec_sim::{ArchLayer, SimRng};
 
-use crate::vehicle::{VehicleStatus, COMPROMISED_HEALTH};
+use crate::snapshot::FleetTotals;
+use crate::vehicle::{VehicleStatus, COMPROMISED_HEALTH, ISOLATED_HEALTH, LIMP_HOME_HEALTH};
+
+/// Fraction of a degraded vehicle's health deficit removed by a
+/// filter/rekey containment action.
+const CONTAINMENT_RELIEF: f64 = 0.5;
 
 /// The whole fleet, one column per per-vehicle field.
 ///
@@ -37,6 +44,10 @@ pub struct FleetState {
     pub flagged: Vec<bool>,
     /// Layer of the current incident; meaningless while `Healthy`.
     pub incident_layer: Vec<ArchLayer>,
+    /// Alerts answered since the last verified repair — the response
+    /// playbook's escalation state. Saturates: the ladder is flat from
+    /// five strikes on.
+    pub strikes: Vec<u8>,
     /// Private RNG substream per vehicle
     /// (`root.fork("fleet/vehicles").fork_idx(i)`).
     pub rng: Vec<SimRng>,
@@ -52,6 +63,7 @@ impl FleetState {
             since: vec![0; n],
             flagged: vec![false; n],
             incident_layer: vec![ArchLayer::Physical; n],
+            strikes: vec![0; n],
             rng: (0..n).map(|i| fleet_base.fork_idx(i as u64)).collect(),
         }
     }
@@ -64,19 +76,6 @@ impl FleetState {
     /// Whether the fleet is empty.
     pub fn is_empty(&self) -> bool {
         self.status.is_empty()
-    }
-
-    /// The whole fleet as one columnar window (ids `0..len`).
-    pub fn columns(&mut self) -> FleetColumns<'_> {
-        FleetColumns {
-            base: 0,
-            status: &mut self.status,
-            health: &mut self.health,
-            since: &mut self.since,
-            flagged: &mut self.flagged,
-            incident_layer: &mut self.incident_layer,
-            rng: &mut self.rng,
-        }
     }
 
     /// Splits the fleet into contiguous windows of at most `chunk`
@@ -94,6 +93,7 @@ impl FleetState {
         let mut since = self.since.as_mut_slice();
         let mut flagged = self.flagged.as_mut_slice();
         let mut incident_layer = self.incident_layer.as_mut_slice();
+        let mut strikes = self.strikes.as_mut_slice();
         let mut rng = self.rng.as_mut_slice();
         while !status.is_empty() {
             let take = chunk.min(status.len());
@@ -102,12 +102,14 @@ impl FleetState {
             let (t, t_rest) = std::mem::take(&mut since).split_at_mut(take);
             let (f, f_rest) = std::mem::take(&mut flagged).split_at_mut(take);
             let (l, l_rest) = std::mem::take(&mut incident_layer).split_at_mut(take);
+            let (k, k_rest) = std::mem::take(&mut strikes).split_at_mut(take);
             let (r, r_rest) = std::mem::take(&mut rng).split_at_mut(take);
             status = s_rest;
             health = h_rest;
             since = t_rest;
             flagged = f_rest;
             incident_layer = l_rest;
+            strikes = k_rest;
             rng = r_rest;
             views.push(FleetColumns {
                 base,
@@ -116,6 +118,7 @@ impl FleetState {
                 since: t,
                 flagged: f,
                 incident_layer: l,
+                strikes: k,
                 rng: r,
             });
             base += take as u32;
@@ -140,6 +143,8 @@ pub struct FleetColumns<'a> {
     pub flagged: &'a mut [bool],
     /// Incident layer column.
     pub incident_layer: &'a mut [ArchLayer],
+    /// Response strike column.
+    pub strikes: &'a mut [u8],
     /// Private RNG column.
     pub rng: &'a mut [SimRng],
 }
@@ -198,6 +203,59 @@ impl FleetColumns<'_> {
         self.health[i] = 1.0;
         self.flagged[i] = false;
     }
+
+    /// Answers one alert vehicle `i` raised on `layer` at `tick`: one
+    /// more strike, the playbook's action for that strike, and the
+    /// action applied back to the vehicle (filter/rekey relief,
+    /// isolation, limp-home). The alert and the response are counted
+    /// in `totals`.
+    pub(crate) fn respond(
+        &mut self,
+        i: usize,
+        layer: ArchLayer,
+        tick: u64,
+        totals: &mut FleetTotals,
+    ) {
+        self.strikes[i] = self.strikes[i].saturating_add(1);
+        let action = ResponseEngine::playbook(detector_for(layer), u32::from(self.strikes[i]));
+        totals.alerts += 1;
+        match action {
+            ResponseAction::Notify => totals.responses_notify += 1,
+            ResponseAction::FilterId | ResponseAction::Rekey => {
+                if action == ResponseAction::FilterId {
+                    totals.responses_filter += 1;
+                } else {
+                    totals.responses_rekey += 1;
+                }
+                // Filter/rekey relieve fault degradation; they cannot
+                // evict an attacker (escalation handles that).
+                if self.status[i] == VehicleStatus::Degraded {
+                    self.health[i] = 1.0 - (1.0 - self.health[i]) * (1.0 - CONTAINMENT_RELIEF);
+                }
+            }
+            ResponseAction::IsolateNode | ResponseAction::LimpHome => {
+                let health = if action == ResponseAction::IsolateNode {
+                    totals.responses_isolate += 1;
+                    ISOLATED_HEALTH
+                } else {
+                    totals.responses_limp_home += 1;
+                    LIMP_HOME_HEALTH
+                };
+                if matches!(
+                    self.status[i],
+                    VehicleStatus::Healthy | VehicleStatus::Degraded | VehicleStatus::Compromised
+                ) {
+                    if self.status[i] == VehicleStatus::Healthy {
+                        // Isolating a healthy vehicle (false-positive
+                        // escalation) still opens an incident window.
+                        self.since[i] = tick;
+                    }
+                    self.status[i] = VehicleStatus::Isolated;
+                    self.health[i] = health;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -221,7 +279,7 @@ mod tests {
     fn lifecycle_transitions() {
         let base = SimRng::seed(2).fork("fleet/vehicles");
         let mut state = FleetState::new(5, &base);
-        let mut cols = state.columns();
+        let mut cols = state.shard_views(5).remove(0);
         assert!(cols.alive(3));
         cols.compromise(3, 7, ArchLayer::Collaboration);
         assert_eq!(cols.status[3], VehicleStatus::Compromised);

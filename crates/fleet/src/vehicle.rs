@@ -1,5 +1,4 @@
-//! Per-vehicle vocabulary: lifecycle states, service levels, and the
-//! alert records the parallel phase hands to the serial responder.
+//! Per-vehicle vocabulary: lifecycle states and service levels.
 //!
 //! The per-vehicle *state* itself lives columnar in
 //! [`FleetState`](crate::state::FleetState) — a struct-of-arrays
@@ -48,35 +47,6 @@ pub const COMPROMISED_HEALTH: f64 = 0.25;
 pub const ISOLATED_HEALTH: f64 = 0.45;
 /// Service level in limp-home mode.
 pub const LIMP_HOME_HEALTH: f64 = 0.3;
-
-/// What a vehicle asks the (serial) response pipeline to do — the only
-/// channel from the parallel phase back to shared state. Collected per
-/// shard in vehicle order, merged in shard order, so the response
-/// engine sees an identical alert sequence at any shard count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingAlert {
-    /// Alerting vehicle (the response subject).
-    pub vehicle: u32,
-    /// Detector identity (drives the playbook choice).
-    pub detector: &'static str,
-    /// Layer the incident hit (drives the fleet defender's
-    /// harden-the-loudest-layer rule).
-    pub layer: autosec_sim::ArchLayer,
-    /// What kind of event raised it.
-    pub kind: AlertKind,
-}
-
-/// Alert provenance, for the totals census.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertKind {
-    /// A live attack (scenario step or V2X infection) was seen as it
-    /// happened.
-    Attack,
-    /// A fault injection was noticed by the layer's defenses.
-    Fault,
-    /// An already-compromised vehicle was flagged after the fact.
-    LateDetect,
-}
 
 #[cfg(test)]
 mod tests {

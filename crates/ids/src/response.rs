@@ -91,15 +91,12 @@ impl ResponseEngine {
         }
     }
 
-    /// Clears escalation state for one subject — called when a
-    /// subject's repair has been verified, so a later unrelated alert
-    /// starts from the cheapest playbook again.
-    pub fn clear_subject(&mut self, subject: u32) {
-        self.strikes.remove(&subject);
-    }
-
-    /// Default playbook for a detector type.
-    fn playbook(detector: &str, strikes: u32) -> ResponseAction {
+    /// The playbook ladder: the action for the `strikes`-th alert from
+    /// `detector` against one subject. Every `strikes >= 5` maps to
+    /// limp-home, so a counter that saturates at 5 or above loses
+    /// nothing. The fleet calls this directly with per-vehicle strike
+    /// counts kept in its own state columns.
+    pub fn playbook(detector: &str, strikes: u32) -> ResponseAction {
         let base = match detector {
             "specification" => ResponseAction::FilterId,
             "frequency" => ResponseAction::FilterId,
@@ -247,21 +244,21 @@ mod tests {
     }
 
     #[test]
-    fn clear_subject_resets_escalation() {
-        let mut e = ResponseEngine::new();
-        for i in 0..5 {
-            e.handle(&alert("frequency", 7, i));
+    fn the_ladder_is_flat_from_five_strikes() {
+        for d in [
+            "specification",
+            "frequency",
+            "interval",
+            "fingerprint",
+            "ptpsec",
+            "misbehavior",
+        ] {
+            let top = ResponseEngine::playbook(d, 5);
+            assert_eq!(top, ResponseAction::LimpHome, "{d}");
+            for s in (5..=1_000).chain([u32::from(u8::MAX), u32::MAX]) {
+                assert_eq!(ResponseEngine::playbook(d, s), top, "{d} at {s} strikes");
+            }
         }
-        assert_eq!(
-            e.handle(&alert("frequency", 7, 50)).action,
-            ResponseAction::LimpHome
-        );
-        e.clear_subject(7);
-        assert_eq!(
-            e.handle(&alert("frequency", 7, 60)).action,
-            ResponseAction::FilterId,
-            "verified recovery starts the playbook ladder over"
-        );
     }
 
     #[test]
