@@ -15,7 +15,7 @@
 use rand::RngCore;
 
 use crate::merkle::{MerkleProof, MerkleTree};
-use crate::ots::{WotsKeyPair, WotsPublicKey, WotsSignature};
+use crate::ots::{self, WotsKeyPair, WotsPublicKey, WotsSignature};
 use crate::sha256::{Digest, Sha256};
 use crate::CryptoError;
 
@@ -71,6 +71,11 @@ impl MssSignature {
     }
 }
 
+/// Leaf keys whose chains run in one batched call. Sixteen keys of 67
+/// chains fill the 16-lane chain kernel exactly, and the batch stays
+/// small (34 KiB) even at height 16.
+const LEAVES_PER_BATCH: usize = 16;
+
 /// A stateful MSS key pair with `2^height` one-time leaves.
 ///
 /// # Example
@@ -102,30 +107,39 @@ impl std::fmt::Debug for MssKeyPair {
 }
 
 impl MssKeyPair {
-    /// Generates a key pair with `2^height` leaves.
-    ///
-    /// Leaf WOTS keys are derived from a master seed, so key generation
-    /// costs `2^height` WOTS expansions but storage stays O(tree).
+    /// Generates a key pair with `2^height` leaves from a master seed
+    /// drawn from `rng`; see [`MssKeyPair::from_seed`].
     ///
     /// # Panics
     ///
-    /// Panics if `height > 16` (65k signatures is plenty for simulation;
-    /// larger trees take noticeable time to build).
+    /// Panics if `height > 16`, as [`MssKeyPair::from_seed`] does.
     pub fn generate(rng: &mut dyn RngCore, height: u8) -> Self {
-        assert!(height <= 16, "MSS height {height} too large");
         let mut master_seed = [0u8; 32];
         rng.fill_bytes(&mut master_seed);
         Self::from_seed(master_seed, height)
     }
 
-    /// Deterministic construction from a master seed.
+    /// Deterministic construction of a key pair with `2^height` leaves
+    /// from a master seed.
+    ///
+    /// Leaf WOTS keys are derived from the master seed, so key generation
+    /// costs `2^height` WOTS expansions but storage stays O(tree). The
+    /// leaves' chains run in batches of 16 keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `height > 16` (65k signatures is plenty for simulation;
+    /// larger trees take noticeable time to build).
     pub fn from_seed(master_seed: Digest, height: u8) -> Self {
+        assert!(height <= 16, "MSS height {height} too large");
         let capacity = 1usize << height;
-        let leaf_hashes: Vec<Digest> = (0..capacity)
-            .map(|i| {
-                let kp = WotsKeyPair::from_seed(&Self::leaf_seed(&master_seed, i));
-                leaf_hash_of(&kp.public_key().digest())
-            })
+        let leaf_seeds: Vec<Digest> = (0..capacity)
+            .map(|i| Self::leaf_seed(&master_seed, i))
+            .collect();
+        let leaf_hashes: Vec<Digest> = leaf_seeds
+            .chunks(LEAVES_PER_BATCH)
+            .flat_map(ots::public_key_digests)
+            .map(|pk_digest| leaf_hash_of(&pk_digest))
             .collect();
         let tree = MerkleTree::from_leaf_hashes(leaf_hashes);
         Self {
@@ -239,6 +253,43 @@ mod tests {
         let a = MssKeyPair::from_seed([7u8; 32], 2);
         let b = MssKeyPair::from_seed([7u8; 32], 2);
         assert_eq!(a.public_key(), b.public_key());
+    }
+
+    /// The root built leaf by leaf from the one-chain function, apart
+    /// from the batched path `from_seed` takes.
+    fn reference_root(master_seed: Digest, height: u8) -> Digest {
+        let leaf_hashes = (0..1usize << height)
+            .map(|leaf| {
+                let seed = MssKeyPair::leaf_seed(&master_seed, leaf);
+                let mut pk = Sha256::new();
+                for i in 0..ots::WOTS_CHAINS {
+                    let secret = Sha256::digest_parts(&[&[0x03], &seed, &(i as u16).to_be_bytes()]);
+                    pk.update(&ots::chain(&secret, i, 0, 15));
+                }
+                leaf_hash_of(&pk.finalize())
+            })
+            .collect();
+        MerkleTree::from_leaf_hashes(leaf_hashes).root()
+    }
+
+    #[test]
+    fn batched_roots_match_the_leaf_by_leaf_reference() {
+        for height in 0..=6 {
+            for seed in [[0u8; 32], [7u8; 32], [0xa5; 32]] {
+                assert_eq!(
+                    *MssKeyPair::from_seed(seed, height).public_key().as_bytes(),
+                    reference_root(seed, height),
+                    "height {height}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MSS height 64 too large")]
+    fn from_seed_rejects_heights_above_16() {
+        // `1usize << 64` would wrap to a one-leaf key in a release build.
+        MssKeyPair::from_seed([0u8; 32], 64);
     }
 
     #[test]
