@@ -27,11 +27,15 @@ use autosec_ivn::can::{CanFrame, CanId};
 use autosec_phy::attacks::{OvershadowAttack, RelayAttack};
 use autosec_phy::collision::{CollisionAvoidance, CollisionScenario, VehicleAction};
 use autosec_phy::pkes::{Pkes, PkesState, ProximityBackend};
+use autosec_sdv::component::{Asil, HardwareNode, SoftwareComponent};
+use autosec_sdv::platform::SdvPlatform;
+use autosec_sdv::SdvError;
 use autosec_secproto::secoc::{SecOcAuthenticator, SecOcConfig, SecOcPdu};
 use autosec_sim::inject::ChannelFault;
 use autosec_sim::{ArchLayer, FaultEffect, SimDuration, SimRng, SimTime, Stride};
 use autosec_sos::cascade::{cascade_trial, with_coupling_scale};
 use autosec_sos::reference::maas_reference;
+use autosec_ssi::wallet::Wallet;
 
 use crate::campaign::DefensePosture;
 
@@ -439,6 +443,61 @@ impl ScenarioStep for PduForgeryStep {
 /// Step 5 (Platform): rogue software placement vs zero-trust SDV.
 pub struct RogueSoftwareStep;
 
+/// Signatures each wallet of one defended rogue-placement trial makes:
+/// the OEM signs the node's credential, the rogue vendor the implant's,
+/// and the implant and the node one presentation each (the node only if
+/// the implant's side passes).
+const ROGUE_TRIAL_SIGNATURES: usize = 1;
+
+/// The one-node platform a rogue placement targets, and the wallet of a
+/// vendor with no trust path to its OEM anchor.
+fn rogue_target(rng: &mut SimRng) -> (SdvPlatform, Wallet) {
+    let (mut platform, mut oem) = SdvPlatform::with_capacity(rng, ROGUE_TRIAL_SIGNATURES);
+    platform
+        .register_node(
+            rng,
+            HardwareNode {
+                id: "hpc-0".into(),
+                provides: vec!["can-if".into()],
+                compute_capacity: 100,
+                max_asil: Asil::D,
+            },
+            &mut oem,
+        )
+        .expect("node registration");
+    let rogue = Wallet::with_capacity(
+        rng,
+        "rogue-vendor",
+        platform.registry(),
+        ROGUE_TRIAL_SIGNATURES,
+    );
+    (platform, rogue)
+}
+
+/// Registers the implant under `vendor`'s credential and tries to place
+/// it on the target node.
+fn place_implant(
+    platform: &mut SdvPlatform,
+    vendor: &mut Wallet,
+    rng: &mut SimRng,
+) -> Result<(), SdvError> {
+    platform
+        .register_component(
+            rng,
+            SoftwareComponent {
+                id: "implant".into(),
+                vendor: "rogue".into(),
+                version: (1, 0, 0),
+                requires: vec!["can-if".into()],
+                compute_cost: 1,
+                asil: Asil::Qm,
+            },
+            vendor,
+        )
+        .expect("registration itself is open");
+    platform.place("implant", "hpc-0")
+}
+
 impl ScenarioStep for RogueSoftwareStep {
     fn name(&self) -> &'static str {
         "rogue-software-placement"
@@ -461,39 +520,8 @@ impl ScenarioStep for RogueSoftwareStep {
                 detail: "",
             };
         }
-        use autosec_sdv::component::{Asil, HardwareNode, SoftwareComponent};
-        use autosec_sdv::platform::SdvPlatform;
-        use autosec_sdv::SdvError;
-        let (mut platform, mut oem) = SdvPlatform::new(rng);
-        platform
-            .register_node(
-                rng,
-                HardwareNode {
-                    id: "hpc-0".into(),
-                    provides: vec!["can-if".into()],
-                    compute_capacity: 100,
-                    max_asil: Asil::D,
-                },
-                &mut oem,
-            )
-            .expect("node registration");
-        let mut rogue =
-            autosec_ssi::wallet::Wallet::create(rng, "rogue-vendor", platform.registry());
-        platform
-            .register_component(
-                rng,
-                SoftwareComponent {
-                    id: "implant".into(),
-                    vendor: "rogue".into(),
-                    version: (1, 0, 0),
-                    requires: vec!["can-if".into()],
-                    compute_cost: 1,
-                    asil: Asil::Qm,
-                },
-                &mut rogue,
-            )
-            .expect("registration itself is open");
-        let result = platform.place("implant", "hpc-0");
+        let (mut platform, mut rogue) = rogue_target(rng);
+        let result = place_implant(&mut platform, &mut rogue, rng);
         let prevented = matches!(result, Err(SdvError::AuthFailed(_)));
         StepOutcome {
             succeeded: !prevented,
@@ -716,6 +744,36 @@ mod tests {
             let b = step.execute(&ctx, &mut root.fork(step.rng_label()));
             assert_eq!(a, b, "{} not deterministic", step.name());
         }
+    }
+
+    #[test]
+    fn rogue_placement_fails_on_trust_not_on_key_exhaustion() {
+        // Every wallet of the trial holds one leaf. The defence must
+        // still be the trust check, never a spent key.
+        for seed in 0..4 {
+            let mut rng = SimRng::seed(seed).fork("sdv");
+            let (mut platform, mut rogue) = rogue_target(&mut rng);
+            assert_eq!(
+                place_implant(&mut platform, &mut rogue, &mut rng),
+                Err(SdvError::AuthFailed(
+                    "component side: no trust path to an accepted anchor".into()
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn rogue_target_places_an_endorsed_component() {
+        // The same one-leaf wallets complete the whole ceremony once the
+        // vendor is trusted: the node side has its leaf too.
+        let mut rng = SimRng::seed(7).fork("sdv");
+        let (mut platform, mut vendor) = rogue_target(&mut rng);
+        platform
+            .registry()
+            .add_trust_anchor(vendor.did().clone(), "endorsed vendor");
+        assert_eq!(place_implant(&mut platform, &mut vendor, &mut rng), Ok(()));
+        assert_eq!(platform.host_of("implant"), Some("hpc-0"));
+        assert_eq!(platform.auth_operations, 2);
     }
 
     #[test]

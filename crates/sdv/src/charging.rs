@@ -73,12 +73,13 @@ pub fn iso15118_flow(rng: &mut SimRng, n_emsp_roots: usize) -> Result<FlowReport
 
 /// Runs the SSI plug-and-charge flow (paper ref \[32\]): the vehicle
 /// presents a contract credential; the station verifies it offline
-/// against its pinned anchors.
+/// against its pinned anchors. The eMSP signs the contract and the
+/// vehicle the presentation, once each, so each wallet holds one leaf.
 pub fn ssi_flow(rng: &mut SimRng, offline: bool) -> Result<FlowReport, SdvError> {
     let registry = Registry::new();
-    let mut emsp = Wallet::create(rng, "emsp", &registry);
+    let mut emsp = Wallet::with_capacity(rng, "emsp", &registry, 1);
     registry.add_trust_anchor(emsp.did().clone(), "eMSP root");
-    let mut vehicle = Wallet::create(rng, "vehicle", &registry);
+    let mut vehicle = Wallet::with_capacity(rng, "vehicle", &registry, 1);
 
     let contract = emsp
         .issue(
@@ -131,6 +132,8 @@ mod tests {
 
     #[test]
     fn ssi_authorizes_online_and_offline() {
+        // Both wallets hold one leaf; a second signature anywhere in
+        // either flow would fail it with `KeyExhausted`.
         let mut rng = SimRng::seed(2);
         let online = ssi_flow(&mut rng, false).unwrap();
         assert!(online.authorized);

@@ -25,6 +25,27 @@ use crate::update::{UpdateManager, UpdatePackage};
 const NODES: usize = 3;
 const COMPONENTS: usize = 4;
 
+/// Signatures each wallet of the reference platform can make. After
+/// set-up only placement attempts sign, one presentation from the
+/// component and one from the node each; crashes and rollbacks sign
+/// nothing on the platform. Per wallet, at most:
+///
+/// - the OEM: one credential per node and component,
+///   `NODES + COMPONENTS`;
+/// - a component: its first placement, then one attempt per surviving
+///   node each time its host restarts, `1 + NODES * (NODES - 1) / 2`;
+/// - a node: one attempt per component for the first placement and per
+///   restart of each of the other nodes, `COMPONENTS * NODES`, the
+///   largest of the three.
+///
+/// 12 rounds up to 16 leaves, one 16-lane lockstep batch.
+const PLATFORM_SIGNATURES: usize = COMPONENTS * NODES;
+const _: () = assert!(
+    NODES + COMPONENTS <= PLATFORM_SIGNATURES
+        && NODES * (NODES - 1) / 2 < PLATFORM_SIGNATURES
+        && PLATFORM_SIGNATURES <= 16
+);
+
 /// A small SDV platform under node-crash / restart / rollback faults.
 #[derive(Debug, Clone, Default)]
 pub struct PlatformFaultTarget;
@@ -51,8 +72,8 @@ fn hw_node(i: usize) -> HardwareNode {
 
 /// Builds the reference platform with components placed round-robin on
 /// the first two nodes (the third is failover headroom).
-fn build_platform(rng: &mut SimRng) -> SdvPlatform {
-    let (mut platform, mut oem) = SdvPlatform::new(rng);
+fn build_platform(rng: &mut SimRng, signatures: usize) -> SdvPlatform {
+    let (mut platform, mut oem) = SdvPlatform::with_capacity(rng, signatures);
     for i in 0..NODES {
         platform
             .register_node(rng, hw_node(i), &mut oem)
@@ -70,11 +91,12 @@ fn build_platform(rng: &mut SimRng) -> SdvPlatform {
 }
 
 /// Applies a downgrade OTA push; returns (health multiplier, rejected).
+/// The vendor signs the package once; the target never signs.
 fn rollback_round(defended: bool, rng: &mut SimRng) -> (f64, bool) {
     let registry = Registry::new();
-    let mut vendor = Wallet::create(rng, "tier1", &registry);
+    let mut vendor = Wallet::with_capacity(rng, "tier1", &registry, 1);
     registry.add_trust_anchor(vendor.did().clone(), "vendor-root");
-    let target = Wallet::create(rng, "svc-0", &registry);
+    let target = Wallet::with_capacity(rng, "svc-0", &registry, 1);
     let mut comp = component(0);
     let pkg = UpdatePackage::build(
         &mut vendor,
@@ -110,6 +132,20 @@ impl FaultTarget for PlatformFaultTarget {
         defended: bool,
         rng: &mut SimRng,
     ) -> InjectionRecord {
+        self.apply_sized(effects, defended, rng, PLATFORM_SIGNATURES)
+    }
+}
+
+impl PlatformFaultTarget {
+    /// [`FaultTarget::apply`] on a platform whose wallets hold
+    /// `signatures` leaves each.
+    fn apply_sized(
+        &self,
+        effects: &[FaultEffect],
+        defended: bool,
+        rng: &mut SimRng,
+        signatures: usize,
+    ) -> InjectionRecord {
         let active: Vec<&FaultEffect> = effects
             .iter()
             .filter(|e| e.layer() == ArchLayer::SoftwarePlatform && !e.is_noop())
@@ -118,7 +154,7 @@ impl FaultTarget for PlatformFaultTarget {
             return InjectionRecord::clean(self.layer(), self.name());
         }
 
-        let mut platform = build_platform(rng);
+        let mut platform = build_platform(rng, signatures);
         let mut health = 1.0f64;
         let mut detected = false;
         let mut notes = Vec::new();
@@ -208,6 +244,30 @@ mod tests {
         let undef = apply(&[FaultEffect::RollbackUpdate], false);
         assert_eq!(undef.health, 0.5);
         assert!(!undef.detected);
+    }
+
+    #[test]
+    fn sized_platform_matches_the_default_under_the_worst_case() {
+        // Every node restarts (each restart re-places through the full
+        // ceremony), then a crash and a rollback: the most signatures one
+        // `apply` can make. The record must equal a 64-leaf platform's.
+        let mut worst: Vec<FaultEffect> = (0..NODES)
+            .map(|node| FaultEffect::RestartNode { node })
+            .collect();
+        worst.extend([
+            FaultEffect::CrashNode { node: 0 },
+            FaultEffect::RollbackUpdate,
+        ]);
+        for defended in [true, false] {
+            let sized = apply(&worst, defended);
+            let full = PlatformFaultTarget.apply_sized(
+                &worst,
+                defended,
+                &mut SimRng::seed(2025).fork("sdv-fault"),
+                64,
+            );
+            assert_eq!(sized, full);
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::collections::HashMap;
 
 use autosec_sim::SimRng;
 use autosec_ssi::prelude::*;
+use autosec_ssi::wallet::DEFAULT_KEY_HEIGHT;
 
 use crate::component::{compatibility, HardwareNode, SoftwareComponent};
 use crate::SdvError;
@@ -43,6 +44,8 @@ pub struct SdvPlatform {
     nodes: HashMap<String, HardwareNode>,
     placements: Vec<Placement>,
     used_capacity: HashMap<String, u32>,
+    /// Signatures each wallet the platform creates can make.
+    wallet_capacity: usize,
     /// Count of signature verifications performed (for E8 accounting).
     pub auth_operations: usize,
 }
@@ -60,10 +63,21 @@ impl std::fmt::Debug for SdvPlatform {
 impl SdvPlatform {
     /// Creates a platform whose trust registry has one OEM anchor.
     /// Returns the platform and the OEM wallet (the integrator who signs
-    /// node and vendor credentials).
+    /// node and vendor credentials). Every wallet it creates holds the
+    /// default 64 leaves.
     pub fn new(rng: &mut SimRng) -> (Self, Wallet) {
+        Self::with_capacity(rng, 1 << DEFAULT_KEY_HEIGHT)
+    }
+
+    /// [`SdvPlatform::new`] for a short-lived platform: the OEM wallet,
+    /// and every node and component wallet registered later, can make
+    /// `signatures` signatures (rounded up as [`Wallet::with_capacity`]
+    /// does). The OEM signs one credential per registration; a node or
+    /// component signs one presentation per placement attempt that
+    /// reaches its side of the ceremony.
+    pub fn with_capacity(rng: &mut SimRng, signatures: usize) -> (Self, Wallet) {
         let registry = Registry::new();
-        let oem = Wallet::create(rng, "oem-integrator", &registry);
+        let oem = Wallet::with_capacity(rng, "oem-integrator", &registry, signatures);
         registry.add_trust_anchor(oem.did().clone(), "OEM");
         (
             Self {
@@ -76,6 +90,7 @@ impl SdvPlatform {
                 nodes: HashMap::new(),
                 placements: Vec::new(),
                 used_capacity: HashMap::new(),
+                wallet_capacity: signatures,
                 auth_operations: 0,
             },
             oem,
@@ -99,7 +114,7 @@ impl SdvPlatform {
         node: HardwareNode,
         issuer: &mut Wallet,
     ) -> Result<(), SdvError> {
-        let wallet = Wallet::create(rng, &node.id, &self.registry);
+        let wallet = Wallet::with_capacity(rng, &node.id, &self.registry, self.wallet_capacity);
         let cred = issuer
             .issue(
                 wallet.did().clone(),
@@ -125,7 +140,8 @@ impl SdvPlatform {
         component: SoftwareComponent,
         vendor_issuer: &mut Wallet,
     ) -> Result<(), SdvError> {
-        let wallet = Wallet::create(rng, &component.id, &self.registry);
+        let wallet =
+            Wallet::with_capacity(rng, &component.id, &self.registry, self.wallet_capacity);
         let cred = vendor_issuer
             .issue(
                 wallet.did().clone(),
@@ -249,8 +265,9 @@ impl SdvPlatform {
     }
 
     /// Fails a node: every component it hosted is re-placed onto the
-    /// first compatible node with capacity (full ceremony each time).
-    /// Returns components that could not be re-placed.
+    /// first compatible node with capacity, trying nodes in id order
+    /// (full ceremony each time). Returns components that could not be
+    /// re-placed.
     ///
     /// # Errors
     ///
@@ -272,7 +289,10 @@ impl SdvPlatform {
         self.used_capacity.remove(node);
 
         let mut stranded = Vec::new();
-        let candidate_nodes: Vec<String> = self.nodes.keys().cloned().collect();
+        // Sorted, so the placements and the signatures each node wallet
+        // spends do not depend on this process's hash seed.
+        let mut candidate_nodes: Vec<String> = self.nodes.keys().cloned().collect();
+        candidate_nodes.sort_unstable();
         for comp in displaced {
             let mut placed = false;
             for n in &candidate_nodes {
@@ -409,6 +429,46 @@ mod tests {
         assert!(stranded.is_empty());
         assert_eq!(p.host_of("brake"), Some("hpc-1"));
         assert_eq!(p.host_of("adas"), Some("hpc-1"));
+    }
+
+    #[test]
+    fn failover_tries_nodes_in_id_order() {
+        // Each platform has its own hash seed; the re-placement must not
+        // follow it.
+        for seed in 0..8 {
+            let mut rng = SimRng::seed(seed);
+            let (mut p, mut oem) = SdvPlatform::new(&mut rng);
+            for id in ["hpc-0", "hpc-3", "hpc-1", "hpc-2"] {
+                p.register_node(&mut rng, node(id, 100, Asil::D), &mut oem)
+                    .unwrap();
+            }
+            p.register_component(&mut rng, component("brake", 10, Asil::D), &mut oem)
+                .unwrap();
+            p.place("brake", "hpc-0").unwrap();
+            assert!(p.fail_node("hpc-0").unwrap().is_empty());
+            assert_eq!(p.host_of("brake"), Some("hpc-1"), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn capacity_one_platform_places_a_trusted_component() {
+        // Every wallet signs once: the OEM the node credential, the
+        // component and the node one presentation each. The node side
+        // has its leaf, so the ceremony completes.
+        let mut rng = SimRng::seed(2026);
+        let (mut p, mut oem) = SdvPlatform::with_capacity(&mut rng, 1);
+        p.register_node(&mut rng, node("hpc-0", 100, Asil::D), &mut oem)
+            .unwrap();
+        let mut vendor = Wallet::with_capacity(&mut rng, "tier1", p.registry(), 1);
+        p.registry().add_trust_anchor(vendor.did().clone(), "tier1");
+        p.register_component(&mut rng, component("adas", 10, Asil::B), &mut vendor)
+            .unwrap();
+        p.place("adas", "hpc-0").unwrap();
+        assert_eq!(p.host_of("adas"), Some("hpc-0"));
+        assert_eq!(p.auth_operations, 2);
+        // A second placement attempt runs out of leaves and says so.
+        let err = p.place("adas", "hpc-0").unwrap_err();
+        assert_eq!(err, SdvError::AuthFailed("signing key exhausted".into()));
     }
 
     #[test]

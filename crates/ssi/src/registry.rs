@@ -3,12 +3,11 @@
 //!
 //! Append-only versioned DID documents plus a list of trust anchors and
 //! recorded endorsements (authority credentials), from which trust paths
-//! are computed. Thread-safe via `parking_lot` so vehicle, cloud, and
+//! are computed. Thread-safe behind one `RwLock` so vehicle, cloud, and
 //! charging-station actors can share one registry instance.
 
 use std::collections::HashMap;
-
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::credential::VerifiableCredential;
 use crate::did::{Did, DidDocument};
@@ -36,6 +35,17 @@ impl Registry {
         Self::default()
     }
 
+    // No writer can panic part-way through a mutation (the asserts in
+    // `publish` run before it touches `docs`), so a lock poisoned by a
+    // panicking writer still guards consistent state: recover it.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publishes the *initial* DID document.
     ///
     /// # Panics
@@ -44,17 +54,16 @@ impl Registry {
     /// exists — the registry is the trust root and refuses inconsistent
     /// writes. Rotations go through [`Registry::publish_rotation`].
     pub fn publish(&self, doc: DidDocument) {
-        let mut inner = self.inner.write();
-        let versions = inner.docs.entry(doc.id.clone()).or_default();
+        let mut inner = self.write();
         assert!(
-            versions.is_empty(),
+            !inner.docs.contains_key(&doc.id),
             "DID already registered; use publish_rotation"
         );
         assert!(
             doc.is_self_certifying(),
             "initial DID document must be self-certifying"
         );
-        versions.push(doc);
+        inner.docs.entry(doc.id.clone()).or_default().push(doc);
     }
 
     /// Publishes a key-rotation document. The new document must be
@@ -71,7 +80,7 @@ impl Registry {
         doc: DidDocument,
         prev_key_sig: &autosec_crypto::MssSignature,
     ) -> Result<(), SsiError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let versions = inner
             .docs
             .get_mut(&doc.id)
@@ -93,8 +102,7 @@ impl Registry {
     /// Only used by offline-bundle reconstruction, where credentials pin
     /// their signing key version (see `offline.rs` for the argument).
     pub(crate) fn force_publish_version(&self, doc: DidDocument) {
-        self.inner
-            .write()
+        self.write()
             .docs
             .entry(doc.id.clone())
             .or_default()
@@ -107,8 +115,7 @@ impl Registry {
     ///
     /// [`SsiError::UnknownDid`] if never published.
     pub fn resolve(&self, did: &Did) -> Result<DidDocument, SsiError> {
-        self.inner
-            .read()
+        self.read()
             .docs
             .get(did)
             .and_then(|v| v.last().cloned())
@@ -117,22 +124,22 @@ impl Registry {
 
     /// Full version history (the "immutable" property: old versions stay).
     pub fn history(&self, did: &Did) -> Vec<DidDocument> {
-        self.inner.read().docs.get(did).cloned().unwrap_or_default()
+        self.read().docs.get(did).cloned().unwrap_or_default()
     }
 
     /// Registers `did` as a trust anchor.
     pub fn add_trust_anchor(&self, did: Did, label: &str) {
-        self.inner.write().anchors.push((did, label.to_owned()));
+        self.write().anchors.push((did, label.to_owned()));
     }
 
     /// All trust anchors.
     pub fn trust_anchors(&self) -> Vec<(Did, String)> {
-        self.inner.read().anchors.clone()
+        self.read().anchors.clone()
     }
 
     /// Whether `did` is an anchor.
     pub fn is_anchor(&self, did: &Did) -> bool {
-        self.inner.read().anchors.iter().any(|(d, _)| d == did)
+        self.read().anchors.iter().any(|(d, _)| d == did)
     }
 
     /// Records an endorsement edge after verifying the authority
@@ -144,8 +151,7 @@ impl Registry {
     /// valid credentials.
     pub fn record_endorsement(&self, cred: &VerifiableCredential) -> Result<(), SsiError> {
         cred.verify(self)?;
-        self.inner
-            .write()
+        self.write()
             .endorsements
             .insert(cred.subject.clone(), cred.issuer.clone());
         Ok(())
@@ -155,7 +161,7 @@ impl Registry {
     /// issuer (directly, or through recorded endorsements; depth ≤ 8,
     /// cycle-safe).
     pub fn trust_path_ok(&self, cred: &VerifiableCredential) -> bool {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut current = cred.issuer.clone();
         for _ in 0..8 {
             if inner.anchors.iter().any(|(d, _)| *d == current) {
@@ -171,7 +177,7 @@ impl Registry {
 
     /// Number of published DIDs.
     pub fn did_count(&self) -> usize {
-        self.inner.read().docs.len()
+        self.read().docs.len()
     }
 }
 
@@ -246,6 +252,27 @@ mod tests {
             service: None,
         };
         reg.publish(doc);
+    }
+
+    #[test]
+    fn registry_survives_a_writer_that_panicked_holding_the_lock() {
+        let reg = Registry::new();
+        let forged = DidDocument {
+            id: Did::from_public_key(&[1u8; 32]),
+            name: "mallory".into(),
+            public_key: [2u8; 32],
+            version: 1,
+            service: None,
+        };
+        let panicked = std::thread::scope(|s| s.spawn(|| reg.publish(forged)).join());
+        assert!(panicked.is_err());
+        assert!(reg.inner.is_poisoned());
+        // The rejected write left nothing behind, and the registry
+        // keeps serving.
+        assert_eq!(reg.did_count(), 0);
+        let w = Wallet::create(&mut SimRng::seed(6), "ecu", &reg);
+        assert_eq!(reg.resolve(w.did()).unwrap().name, "ecu");
+        assert_eq!(reg.did_count(), 1);
     }
 
     #[test]

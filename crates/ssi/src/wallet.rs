@@ -5,6 +5,19 @@
 //! keys real SSI stacks use (see `DESIGN.md`). Key rotation publishes a
 //! new DID-document version, exactly the flow a software-defined vehicle
 //! needs when a component is replaced.
+//!
+//! # Sizing
+//!
+//! Key generation costs one WOTS expansion per leaf, so a wallet is sized
+//! to the signatures it will make:
+//!
+//! - long-lived wallets use [`Wallet::create`], `2^DEFAULT_KEY_HEIGHT`
+//!   = 64 leaves;
+//! - a short-lived wallet built inside a replayed trial uses
+//!   [`Wallet::with_capacity`] with the number of signatures its call
+//!   site makes, stated (and bounded) there;
+//! - running out of leaves is an [`SsiError::KeyExhausted`] error. No
+//!   wallet rotates silently.
 
 use autosec_crypto::{MssKeyPair, MssSignature};
 use autosec_sim::SimRng;
@@ -31,17 +44,24 @@ impl Wallet {
     /// Generates a key pair, derives the DID, and publishes the initial
     /// DID document to `registry`.
     pub fn create(rng: &mut SimRng, name: &str, registry: &Registry) -> Self {
-        Self::create_with_height(rng, name, registry, DEFAULT_KEY_HEIGHT)
+        Self::with_capacity(rng, name, registry, 1 << DEFAULT_KEY_HEIGHT)
     }
 
-    /// [`Wallet::create`] with an explicit key capacity (`2^height`
-    /// signatures).
-    pub fn create_with_height(
+    /// [`Wallet::create`] with a key that makes at least `signatures`
+    /// signatures: the count is rounded up to the next power of two.
+    /// The RNG draw is the same at any capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signatures` is 0 or above `2^16`.
+    pub fn with_capacity(
         rng: &mut SimRng,
         name: &str,
         registry: &Registry,
-        height: u8,
+        signatures: usize,
     ) -> Self {
+        assert!(signatures >= 1, "a wallet must be able to sign once");
+        let height = signatures.next_power_of_two().trailing_zeros() as u8;
         let keypair = MssKeyPair::generate(rng, height);
         let pk = *keypair.public_key().as_bytes();
         let did = Did::from_public_key(&pk);
@@ -166,6 +186,7 @@ impl Wallet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn wallet_publishes_on_create() {
@@ -189,10 +210,45 @@ mod tests {
     }
 
     #[test]
+    fn with_capacity_rounds_up_to_a_power_of_two() {
+        let reg = Registry::new();
+        let mut rng = SimRng::seed(15);
+        for (asked, leaves) in [
+            (1, 1),
+            (2, 2),
+            (3, 4),
+            (12, 16),
+            (16, 16),
+            (17, 32),
+            (64, 64),
+        ] {
+            let w = Wallet::with_capacity(&mut rng, "ecu", &reg, asked);
+            assert_eq!(w.signatures_remaining(), leaves, "asked for {asked}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be able to sign once")]
+    fn with_capacity_rejects_zero() {
+        Wallet::with_capacity(&mut SimRng::seed(17), "ecu", &Registry::new(), 0);
+    }
+
+    #[test]
+    fn capacity_moves_no_rng_draw() {
+        // Every capacity draws the same 32-byte seed, so the stream
+        // after a sized wallet is the stream after a default one.
+        let reg = Registry::new();
+        let (mut a, mut b) = (SimRng::seed(18), SimRng::seed(18));
+        Wallet::with_capacity(&mut a, "small", &reg, 1);
+        Wallet::create(&mut b, "default", &reg);
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
     fn signing_consumes_capacity() {
         let reg = Registry::new();
         let mut rng = SimRng::seed(11);
-        let mut w = Wallet::create_with_height(&mut rng, "ecu", &reg, 2);
+        let mut w = Wallet::with_capacity(&mut rng, "ecu", &reg, 4);
         assert_eq!(w.signatures_remaining(), 4);
         w.sign(b"m").unwrap();
         assert_eq!(w.signatures_remaining(), 3);
@@ -202,7 +258,7 @@ mod tests {
     fn rotation_before_exhaustion_recovers_capacity() {
         let reg = Registry::new();
         let mut rng = SimRng::seed(12);
-        let mut w = Wallet::create_with_height(&mut rng, "ecu", &reg, 2);
+        let mut w = Wallet::with_capacity(&mut rng, "ecu", &reg, 4);
         w.sign(b"1").unwrap();
         w.sign(b"2").unwrap();
         w.sign(b"3").unwrap();
@@ -216,7 +272,7 @@ mod tests {
     fn fully_exhausted_key_cannot_rotate() {
         let reg = Registry::new();
         let mut rng = SimRng::seed(14);
-        let mut w = Wallet::create_with_height(&mut rng, "ecu", &reg, 1);
+        let mut w = Wallet::with_capacity(&mut rng, "ecu", &reg, 2);
         w.sign(b"1").unwrap();
         w.sign(b"2").unwrap();
         assert_eq!(

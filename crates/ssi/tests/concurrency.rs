@@ -33,12 +33,8 @@ fn concurrent_publish_resolve_and_verify() {
             scope.spawn(move || {
                 let mut rng = SimRng::seed(1000 + t);
                 for i in 0..3 {
-                    let _ = Wallet::create_with_height(
-                        &mut rng,
-                        &format!("writer-{t}-{i}"),
-                        &registry,
-                        2,
-                    );
+                    let _ =
+                        Wallet::with_capacity(&mut rng, &format!("writer-{t}-{i}"), &registry, 4);
                 }
             });
         }
