@@ -3,13 +3,13 @@
 //!
 //! The collaboration layer is inherently concurrent — every vehicle
 //! senses, signs, and broadcasts independently. This module runs one
-//! perception round with real threads (crossbeam channels as the V2X
-//! medium) and deterministic per-vehicle RNG streams, so results are
+//! perception round with real threads (`std::sync::mpsc` channels as
+//! the V2X medium) and deterministic per-vehicle RNG streams, so results are
 //! identical to the sequential [`crate::perception::perception_round`]
 //! modulo message arrival order (which the fusion step normalizes by
 //! sorting on sender id).
 
-use crossbeam::channel;
+use std::sync::mpsc;
 
 use autosec_sim::SimRng;
 
@@ -43,7 +43,7 @@ pub fn concurrent_round(
     master_seed: u64,
 ) -> FleetRound {
     let vehicles = world.vehicles();
-    let (tx, rx) = channel::unbounded::<V2xMessage>();
+    let (tx, rx) = mpsc::channel::<V2xMessage>();
 
     std::thread::scope(|scope| {
         for v in &vehicles {

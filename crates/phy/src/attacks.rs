@@ -172,11 +172,8 @@ impl OvershadowAttack {
             }
         }
         // Strong delayed replay.
-        let mut copy = legit.clone();
-        for s in copy.samples_mut() {
-            *s *= self.power;
-        }
-        rx.superimpose(&copy, (true_delay + self.delay_samples()) as isize);
+        let offset = (true_delay + self.delay_samples()) as isize;
+        rx.superimpose_scaled(legit, offset, self.power);
     }
 }
 

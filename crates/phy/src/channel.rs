@@ -106,18 +106,11 @@ impl Channel {
         let mut rx = Waveform::zeros(window_len);
         let delay = self.delay_samples() as isize;
         // Direct path.
-        let mut direct = tx.clone();
-        for s in direct.samples_mut() {
-            *s *= self.direct_gain;
-        }
-        rx.superimpose(&direct, delay);
+        rx.superimpose_scaled(tx, delay, self.direct_gain);
         // Echoes.
         for tap in &self.taps {
-            let mut echo = tx.clone();
-            for s in echo.samples_mut() {
-                *s *= tap.gain * self.direct_gain;
-            }
-            rx.superimpose(&echo, delay + tap.excess_delay_samples as isize);
+            let offset = delay + tap.excess_delay_samples as isize;
+            rx.superimpose_scaled(tx, offset, tap.gain * self.direct_gain);
         }
         // Noise.
         let sigma = self.noise_sigma();

@@ -123,12 +123,7 @@ impl HrpRanging {
 
     /// Builds the transmitted STS waveform for `counter`.
     pub fn sts_waveform(&self, counter: u64) -> Waveform {
-        let polarities = self.sts_polarities(counter);
-        let mut w = Waveform::zeros(self.cfg.n_pulses * PULSE_SPREAD);
-        for (i, &p) in polarities.iter().enumerate() {
-            w.add_impulse(i * PULSE_SPREAD, p);
-        }
-        w
+        pulse_train(&self.sts_polarities(counter))
     }
 
     /// Runs one measurement over a line-of-sight channel of `distance_m`,
@@ -140,17 +135,18 @@ impl HrpRanging {
         rng: &mut SimRng,
     ) -> HrpOutcome {
         let counter = rng.next_u64_counter();
-        let template = self.sts_waveform(counter);
+        let polarities = self.sts_polarities(counter);
+        let template = pulse_train(&polarities);
         let channel = Channel::line_of_sight(distance_m, self.cfg.snr_db);
         let true_delay = channel.delay_samples();
         let window = true_delay + template.len() + self.cfg.window_margin;
         let mut rx = channel.propagate(&template, window, rng);
 
         if let Some(atk) = attack {
-            atk.apply(&mut rx, true_delay, &self.sts_polarities(counter), rng);
+            atk.apply(&mut rx, true_delay, &polarities, rng);
         }
 
-        let toa = self.estimate_toa(&rx, &template, counter);
+        let toa = self.estimate_toa(&rx, &template, &polarities);
         match toa {
             Some(delay_samples) => {
                 let est_m = delay_samples as f64 / SAMPLES_PER_METER;
@@ -172,7 +168,12 @@ impl HrpRanging {
 
     /// Estimates the time of arrival (in samples) from a received
     /// waveform. `None` means the receiver rejected every candidate.
-    fn estimate_toa(&self, rx: &Waveform, template: &Waveform, counter: u64) -> Option<usize> {
+    fn estimate_toa(
+        &self,
+        rx: &Waveform,
+        template: &Waveform,
+        polarities: &[f64],
+    ) -> Option<usize> {
         if template.len() > rx.len() {
             return None;
         }
@@ -184,15 +185,12 @@ impl HrpRanging {
         let threshold = self.cfg.threshold_frac * max;
         match self.receiver {
             ReceiverKind::NaiveLeadingEdge => profile.iter().position(|&c| c >= threshold),
-            ReceiverKind::IntegrityChecked => {
-                let polarities = self.sts_polarities(counter);
-                profile
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c >= threshold)
-                    .find(|&(off, _)| self.consistency_ok(rx, &polarities, off))
-                    .map(|(off, _)| off)
-            }
+            ReceiverKind::IntegrityChecked => profile
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c >= threshold)
+                .find(|&(off, _)| self.consistency_ok(rx, polarities, off))
+                .map(|(off, _)| off),
         }
     }
 
@@ -208,6 +206,16 @@ impl HrpRanging {
         }
         agree as f64 / polarities.len() as f64 >= self.cfg.consistency_min
     }
+}
+
+/// The STS pulse train: one impulse of each polarity, [`PULSE_SPREAD`]
+/// samples apart.
+fn pulse_train(polarities: &[f64]) -> Waveform {
+    let mut w = Waveform::zeros(polarities.len() * PULSE_SPREAD);
+    for (i, &p) in polarities.iter().enumerate() {
+        w.add_impulse(i * PULSE_SPREAD, p);
+    }
+    w
 }
 
 /// Extension trait-ish helper: deterministic per-measurement counters.

@@ -73,10 +73,16 @@ impl Waveform {
     /// Superimposes `other` onto this waveform, offset by `offset` samples;
     /// samples falling outside this waveform are dropped.
     pub fn superimpose(&mut self, other: &Waveform, offset: isize) {
+        self.superimpose_scaled(other, offset, 1.0);
+    }
+
+    /// [`Waveform::superimpose`] of `other` with every sample multiplied
+    /// by `gain`, without building the scaled copy.
+    pub(crate) fn superimpose_scaled(&mut self, other: &Waveform, offset: isize, gain: f64) {
         for (i, &v) in other.samples.iter().enumerate() {
             let idx = i as isize + offset;
             if idx >= 0 && (idx as usize) < self.samples.len() {
-                self.samples[idx as usize] += v;
+                self.samples[idx as usize] += v * gain;
             }
         }
     }
@@ -100,6 +106,12 @@ impl Waveform {
     /// `template`, evaluated at every candidate offset
     /// `0 ..= len - template.len()`. Returns the raw correlation profile.
     ///
+    /// Only the template's non-zero taps contribute. Each offset's value
+    /// starts at `0.0` and adds `tap * sample` for those taps in
+    /// ascending tap order, so the profile is bit-for-bit the one an
+    /// offset-by-offset dot product gives; the work is done tap by tap
+    /// across all offsets, which skips the zero gaps of a pulse train.
+    ///
     /// # Panics
     ///
     /// Panics if the template is longer than the waveform or empty.
@@ -110,15 +122,13 @@ impl Waveform {
             "template longer than waveform"
         );
         let n = self.len() - template.len() + 1;
-        let mut out = Vec::with_capacity(n);
-        for off in 0..n {
-            let mut acc = 0.0;
-            for (j, &t) in template.samples.iter().enumerate() {
-                if t != 0.0 {
-                    acc += t * self.samples[off + j];
+        let mut out = vec![0.0; n];
+        for (j, &t) in template.samples.iter().enumerate() {
+            if t != 0.0 {
+                for (acc, &x) in out.iter_mut().zip(&self.samples[j..j + n]) {
+                    *acc += t * x;
                 }
             }
-            out.push(acc);
         }
         out
     }
@@ -168,6 +178,79 @@ mod tests {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .unwrap();
         assert_eq!(best, 7);
+    }
+
+    /// The dense offset-by-offset loop, kept as the bit-exact reference
+    /// for [`Waveform::correlate`]: each offset starts at `0.0` and adds
+    /// `t * x` for every non-zero tap in ascending tap order.
+    fn dense_correlate(rx: &Waveform, template: &Waveform) -> Vec<f64> {
+        let n = rx.len() - template.len() + 1;
+        (0..n)
+            .map(|off| {
+                let mut acc = 0.0;
+                for (j, &t) in template.samples().iter().enumerate() {
+                    if t != 0.0 {
+                        acc += t * rx.samples()[off + j];
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(rx: &Waveform, template: &Waveform) {
+        let got = rx.correlate(template);
+        let want = dense_correlate(rx, template);
+        assert_eq!(got.len(), want.len());
+        for (off, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "offset {off} of {}-tap template over {} samples: {g} vs {w}",
+                template.len(),
+                rx.len()
+            );
+        }
+    }
+
+    #[test]
+    fn correlate_matches_dense_reference_bit_for_bit() {
+        use autosec_sim::SimRng;
+        use rand::Rng;
+
+        let mut rng = SimRng::seed(0x5EED_C0DE);
+        let noise = |rng: &mut SimRng, len: usize| -> Vec<f64> {
+            (0..len).map(|_| rng.normal_with(0.0, 3.0)).collect()
+        };
+        for _ in 0..48 {
+            let len = rng.gen_range(1..=400usize);
+            let rx = Waveform::from_samples(noise(&mut rng, len));
+            let short = rng.gen_range(1..=len);
+
+            // Length 1 and the full waveform length.
+            assert_matches_reference(&rx, &Waveform::from_samples(noise(&mut rng, 1)));
+            assert_matches_reference(&rx, &Waveform::from_samples(noise(&mut rng, len)));
+            // All zeros, of both signs: no tap contributes.
+            assert_matches_reference(&rx, &Waveform::zeros(short));
+            assert_matches_reference(&rx, &Waveform::from_samples(vec![-0.0; short]));
+            // Dense: every tap non-zero.
+            assert_matches_reference(&rx, &Waveform::from_samples(noise(&mut rng, short)));
+            // Sparse STS-style: a ±1 pulse every 4th sample.
+            let mut sts = Waveform::zeros(short);
+            for i in (0..short).step_by(4) {
+                sts.add_impulse(i, if rng.chance(0.5) { 1.0 } else { -1.0 });
+            }
+            assert_matches_reference(&rx, &sts);
+            // Mixed: `-0.0` and `0.0` taps among random ones.
+            let mixed = (0..short)
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => rng.normal(),
+                })
+                .collect();
+            assert_matches_reference(&rx, &Waveform::from_samples(mixed));
+        }
     }
 
     #[test]
