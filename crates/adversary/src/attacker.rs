@@ -6,9 +6,9 @@
 //! intelligence. The **replay** attacker fires the campaign's fixed
 //! order (the repo's pre-existing behaviour: eight scenario attacks,
 //! then the kill chain, then cascades) without reacting to anything.
-//! The **adaptive** attacker calls [`best_path`] before every step and
-//! re-plans whenever a step fails, is detected, or its tooling gets
-//! isolated by the response engine.
+//! The **adaptive** attacker calls [`best_path`](crate::best_path)
+//! before every step and re-plans whenever a step fails, is detected,
+//! or its tooling gets isolated by the response engine.
 //!
 //! Defender runtime knobs (beyond the per-layer posture):
 //!

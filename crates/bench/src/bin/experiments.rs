@@ -75,6 +75,7 @@ use autosec_scengen::{evaluate_campaign, generate, CoverageMatrix, GenConfig};
 use autosec_sim::{ArchLayer, SimRng, Stride};
 use serde_json::{json, Value};
 
+#[derive(Debug)]
 struct Args {
     filters: Vec<String>,
     seed: u64,
@@ -157,7 +158,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+/// Parses the suite argument grammar (everything but the `fleet` and
+/// `generate` subcommands); `Err` carries the exact message the CLI
+/// prints before the usage text (unit-tested below).
+fn parse_suite(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
         filters: Vec::new(),
         seed: autosec_runner::DEFAULT_SEED,
@@ -176,79 +180,57 @@ fn parse_args() -> Args {
         cpu_limit_secs: None,
         worker_one: None,
     };
-    let mut it = std::env::args().skip(1);
+    const POSITIVE: &str = "a positive integer";
+    const UNSIGNED: &str = "an unsigned integer";
+    /// The value after flag `name`, parsed and accepted by `ok`, or the
+    /// message the CLI prints.
+    fn value<T: std::str::FromStr>(
+        it: &mut std::slice::Iter<'_, String>,
+        name: &str,
+        ok: fn(&T) -> bool,
+        expected: &str,
+    ) -> Result<T, String> {
+        let v = it
+            .next()
+            .ok_or_else(|| format!("missing value for {name}"))?;
+        v.parse()
+            .ok()
+            .filter(ok)
+            .ok_or_else(|| format!("invalid {name} {v:?}: expected {expected}"))
+    }
+    fn any<T>(_: &T) -> bool {
+        true
+    }
+    fn positive<T: Default + PartialOrd>(n: &T) -> bool {
+        *n > T::default()
+    }
+
+    let it = &mut raw.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
         match arg.as_str() {
-            "--filter" | "-f" => args.filters.push(value("--filter")),
-            "--seed" | "-s" => {
-                let v = value("--seed");
-                args.seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --seed {v:?}: expected an unsigned integer");
-                    usage()
-                });
-            }
-            "--jobs" | "-j" => {
-                let v = value("--jobs");
-                args.jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --jobs {v:?}: expected a positive integer");
-                    usage()
-                });
-            }
+            "--filter" | "-f" => args.filters.push(value(it, "--filter", any, "")?),
+            "--seed" | "-s" => args.seed = value(it, "--seed", any, UNSIGNED)?,
+            "--jobs" | "-j" => args.jobs = value(it, "--jobs", positive, POSITIVE)?,
             "--trials-scale" | "-t" => {
-                let v = value("--trials-scale");
-                args.trials_scale = v
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("invalid --trials-scale {v:?}: expected a positive number");
-                        usage()
-                    });
+                let ok = |s: &f64| s.is_finite() && *s > 0.0;
+                args.trials_scale = value(it, "--trials-scale", ok, "a positive number")?;
             }
             "--deadline-secs" | "-d" => {
-                let v = value("--deadline-secs");
-                args.deadline_secs = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --deadline-secs {v:?}: expected a positive integer");
-                    usage()
-                }));
+                args.deadline_secs = Some(value(it, "--deadline-secs", positive, POSITIVE)?);
             }
             "--isolate" => {
-                let v = value("--isolate");
-                args.isolate = IsolateMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("invalid --isolate {v:?}: expected on, off or auto");
-                    usage()
-                });
+                let v: String = value(it, "--isolate", any, "")?;
+                args.isolate = IsolateMode::parse(&v)
+                    .ok_or_else(|| format!("invalid --isolate {v:?}: expected on, off or auto"))?;
             }
-            "--retries" => {
-                let v = value("--retries");
-                args.retries = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --retries {v:?}: expected an unsigned integer");
-                    usage()
-                });
-            }
+            "--retries" => args.retries = value(it, "--retries", any, UNSIGNED)?,
             "--rss-limit-mb" => {
-                let v = value("--rss-limit-mb");
-                args.rss_limit_mb =
-                    Some(v.parse().ok().filter(|mb| *mb > 0).unwrap_or_else(|| {
-                        eprintln!("invalid --rss-limit-mb {v:?}: expected a positive integer");
-                        usage()
-                    }));
+                args.rss_limit_mb = Some(value(it, "--rss-limit-mb", positive, POSITIVE)?);
             }
             "--cpu-limit-secs" => {
-                let v = value("--cpu-limit-secs");
-                args.cpu_limit_secs =
-                    Some(v.parse().ok().filter(|s| *s > 0).unwrap_or_else(|| {
-                        eprintln!("invalid --cpu-limit-secs {v:?}: expected a positive integer");
-                        usage()
-                    }));
+                args.cpu_limit_secs = Some(value(it, "--cpu-limit-secs", positive, POSITIVE)?);
             }
-            "--worker-one" => args.worker_one = Some(value("--worker-one")),
+            "--worker-one" => args.worker_one = Some(value(it, "--worker-one", any, "")?),
             "--json" => args.json = true,
             "--canonical" => args.canonical = true,
             "--keep-going" | "-k" => args.keep_going = true,
@@ -257,19 +239,14 @@ fn parse_args() -> Args {
                 args.json = true;
             }
             "--list" | "-l" => args.list = true,
-            "--out" | "-o" => args.out = value("--out"),
-            "--help" | "-h" => usage(),
-            other if !other.starts_with('-') => {
-                // Positional filter(s), compatible with the old runner.
-                args.filters.push(other.to_owned());
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
+            "--out" | "-o" => args.out = value(it, "--out", any, "")?,
+            "--help" | "-h" => return Err("help".to_owned()),
+            // Positional filter(s), compatible with the old runner.
+            other if !other.starts_with('-') => args.filters.push(other.to_owned()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn fleet_usage() -> ! {
@@ -892,7 +869,15 @@ fn main() -> ExitCode {
         return generate_main(&raw[1..]);
     }
 
-    let args = parse_args();
+    let args = match parse_suite(&raw) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            if msg != "help" {
+                eprintln!("{msg}");
+            }
+            usage();
+        }
+    };
     if let Some(slug) = args.worker_one.clone() {
         return worker_main(&slug, &args);
     }
@@ -1305,5 +1290,56 @@ mod tests {
             "--vehicles and --ticks must be positive"
         );
         assert!(fleet(&["--ticks", "-3"]).unwrap_err().contains("--ticks"));
+    }
+
+    fn suite(args: &[&str]) -> Result<Args, String> {
+        let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
+        parse_suite(&owned)
+    }
+
+    #[test]
+    fn suite_defaults_and_positional_filters_parse() {
+        let a = suite(&["E10", "--filter", "tag:fleet", "-j", "2", "-d", "5"]).unwrap();
+        assert_eq!(a.filters, ["E10", "tag:fleet"]);
+        assert_eq!(a.seed, autosec_runner::DEFAULT_SEED);
+        assert_eq!(a.jobs, 2);
+        assert_eq!(a.deadline_secs, Some(5));
+        assert!(
+            suite(&["--resume"]).unwrap().json,
+            "--resume implies --json"
+        );
+        assert_eq!(suite(&["--help"]).unwrap_err(), "help");
+    }
+
+    #[test]
+    fn suite_rejects_one_malformed_value_per_flag() {
+        for (flag, bad, reason) in [
+            ("--seed", "abc", "expected an unsigned integer"),
+            ("--jobs", "0", "expected a positive integer"),
+            ("--jobs", "two", "expected a positive integer"),
+            ("--trials-scale", "0", "expected a positive number"),
+            ("--trials-scale", "NaN", "expected a positive number"),
+            ("--deadline-secs", "0", "expected a positive integer"),
+            ("--deadline-secs", "-1", "expected a positive integer"),
+            ("--isolate", "maybe", "expected on, off or auto"),
+            ("--retries", "-1", "expected an unsigned integer"),
+            ("--rss-limit-mb", "0", "expected a positive integer"),
+            ("--cpu-limit-secs", "0", "expected a positive integer"),
+        ] {
+            let err = suite(&[flag, bad]).unwrap_err();
+            assert_eq!(err, format!("invalid {flag} {bad:?}: {reason}"));
+        }
+        let takes_value = "--filter --seed --jobs --trials-scale --deadline-secs --isolate \
+                           --retries --rss-limit-mb --cpu-limit-secs --worker-one --out";
+        for flag in takes_value.split_whitespace() {
+            assert_eq!(
+                suite(&[flag]).unwrap_err(),
+                format!("missing value for {flag}")
+            );
+        }
+        assert_eq!(
+            suite(&["--warp"]).unwrap_err(),
+            "unknown argument \"--warp\""
+        );
     }
 }

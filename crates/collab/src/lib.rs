@@ -14,8 +14,6 @@
 //! - [`misbehavior`] — redundancy-based misbehaviour detection with
 //!   per-vehicle trust scores: "intrusion detection methods which rely
 //!   on redundant sources of information to validate received data"
-//! - [`fleet`] — concurrent fleet rounds: one thread per vehicle over
-//!   channel-based V2X (the multi-agent execution model)
 //! - [`intersection`] — §VII-A's competing collaborative systems: a
 //!   four-way intersection where self-interest buys individual time at
 //!   the cost of conflicts and deadlocks
@@ -35,7 +33,6 @@
 
 pub mod attacks;
 pub mod faults;
-pub mod fleet;
 pub mod intersection;
 pub mod misbehavior;
 pub mod perception;

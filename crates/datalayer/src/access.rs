@@ -18,15 +18,6 @@ pub enum Scope {
     Identity,
 }
 
-/// A grant: owner allows `party` the listed scopes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Grant {
-    /// The grantee (e.g. `"oem"`, `"insurance"`, `"workshop"`).
-    pub party: String,
-    /// Allowed scopes.
-    pub scopes: BTreeSet<Scope>,
-}
-
 /// Per-owner access policy: deny-by-default, explicit grants, revocable.
 #[derive(Debug, Clone, Default)]
 pub struct OwnerPolicy {

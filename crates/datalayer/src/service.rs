@@ -142,11 +142,6 @@ impl TelemetryBackend {
         &self.routes
     }
 
-    /// Fleet size.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// Serves a memory dump if the route exists. Returns the dump's
     /// embedded secrets: `Some(master_key)` unless secrets are vaulted.
     pub fn heap_dump(&self) -> Option<Option<[u8; 16]>> {

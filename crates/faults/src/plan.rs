@@ -120,7 +120,7 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Adapter for [`autosec_core::campaign::run_campaign_faulted`]-style
+    /// Adapter for `autosec_core::campaign::run_campaign_faulted`-style
     /// runners: campaign step `idx` executes at `idx * 100 ms`.
     pub fn campaign_faults(&self) -> impl Fn(usize, ArchLayer) -> Vec<FaultEffect> + '_ {
         move |idx, layer| self.effects_at(SimTime::from_ms(idx as u64 * 100), layer)

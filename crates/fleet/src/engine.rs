@@ -61,7 +61,6 @@
 
 use std::time::{Duration, Instant};
 
-use autosec_adversary::graph::CapabilitySet;
 use autosec_adversary::{calibrated_graph, AttackGraph, CalibrationConfig, EdgeSource, ProbPoint};
 use autosec_core::campaign::DefensePosture;
 use autosec_core::engine::{LiveScenarioEngine, ScenarioEngine, StepOutcomeTable};
@@ -532,30 +531,14 @@ fn step_vehicle(
                     out.counters.attacks_attempted += 1;
                     let si = (cols.rng[i].next_u64() % pool.len() as u64) as usize;
                     let campaign = &pool[si];
-                    let goal = campaign.goal(graph);
-                    let mut owned = CapabilitySet::start();
-                    let mut alerted = false;
-                    for &ei in &campaign.edges {
-                        let edge = &graph.edges()[ei];
-                        let p = edge.prob(&env.posture);
-                        let attempted = owned.contains(edge.from);
-                        // CRN discipline: both draws always happen, so
-                        // the draw count is posture-independent.
-                        let succeeded = cols.rng[i].chance(p.success);
-                        let detected = cols.rng[i].chance(p.detect);
-                        if attempted && succeeded {
-                            owned.insert(edge.to);
-                        }
-                        if attempted && detected {
-                            alerted = true;
-                            out.alerts.push((i, edge.layer));
-                        }
-                    }
-                    if owned.contains(goal) {
+                    let walk = campaign.walk(graph, &env.posture, &mut cols.rng[i], |layer| {
+                        out.alerts.push((i, layer));
+                    });
+                    if walk.breached {
                         out.counters.attacks_succeeded += 1;
                         let last = *campaign.edges.last().expect("non-empty");
                         cols.compromise(i, inputs.tick, graph.edges()[last].layer);
-                        cols.flagged[i] = alerted;
+                        cols.flagged[i] = walk.alerted;
                     }
                 } else {
                     out.counters.attacks_attempted += 1;

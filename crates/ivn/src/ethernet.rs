@@ -14,9 +14,6 @@ pub const ETH_OVERHEAD_BYTES: usize = 38;
 /// Minimum Ethernet payload.
 pub const ETH_MIN_PAYLOAD: usize = 46;
 
-/// Maximum standard Ethernet payload.
-pub const ETH_MAX_PAYLOAD: usize = 1500;
-
 /// A full-duplex point-to-point automotive Ethernet link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EthLink {

@@ -117,12 +117,6 @@ impl ZonalNetwork {
         }
     }
 
-    /// Overrides the backbone link (e.g. 100BASE-T1).
-    pub fn with_backbone(mut self, link: EthLink) -> Self {
-        self.backbone = link;
-        self
-    }
-
     /// Adds an endpoint to `zone`.
     ///
     /// # Errors

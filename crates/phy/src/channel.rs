@@ -70,12 +70,6 @@ impl Channel {
         self
     }
 
-    /// Overrides the multipath taps.
-    pub fn with_taps(mut self, taps: Vec<Tap>) -> Self {
-        self.taps = taps;
-        self
-    }
-
     /// Overrides the direct-path gain (e.g. 0.5 for obstructed LoS).
     pub fn with_direct_gain(mut self, gain: f64) -> Self {
         self.direct_gain = gain;

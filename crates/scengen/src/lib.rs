@@ -16,7 +16,8 @@
 //! detection rates), with uncovered-but-modeled cells listed as `GAP`.
 //!
 //! Replaying a generated campaign under a posture
-//! ([`evaluate_campaign`]) uses common random numbers: every step
+//! ([`GeneratedCampaign::walk`], averaged over trials by
+//! [`evaluate_campaign`]) uses common random numbers: every step
 //! always consumes exactly two Bernoulli draws (success, then alert),
 //! whether or not its precondition is held, so a trial's breach
 //! indicator is *exactly* weakly decreasing along the nested
@@ -64,18 +65,6 @@ impl GenConfig {
             stride: None,
         }
     }
-
-    /// Restricts the output to campaigns touching `layer`.
-    pub fn with_layer(mut self, layer: ArchLayer) -> Self {
-        self.layer = Some(layer);
-        self
-    }
-
-    /// Restricts the output to campaigns touching `stride`.
-    pub fn with_stride(mut self, stride: Stride) -> Self {
-        self.stride = Some(stride);
-        self
-    }
 }
 
 /// One generated campaign: an ordered, capability-consistent walk over
@@ -114,6 +103,55 @@ impl GeneratedCampaign {
             .iter()
             .any(|&i| graph.edges()[i].stride == stride)
     }
+
+    /// Replays the campaign once under `posture`, drawing from `rng`.
+    ///
+    /// Every step consumes exactly two Bernoulli draws (success, then
+    /// alert) whether or not its precondition is held — the CRN
+    /// discipline that makes the breach indicator exactly monotone
+    /// across nested postures (see the crate docs) and the draw count
+    /// posture-independent. A step only *grants* its capability when
+    /// its precondition is owned and the success draw hits, and only
+    /// *alerts* — calling `on_alert` with the step's layer — when it
+    /// was actually attempted. The campaign breaches when it ends
+    /// holding [`goal`](Self::goal).
+    pub fn walk(
+        &self,
+        graph: &AttackGraph,
+        posture: &DefensePosture,
+        rng: &mut SimRng,
+        mut on_alert: impl FnMut(ArchLayer),
+    ) -> WalkOutcome {
+        let mut owned = CapabilitySet::start();
+        let mut alerted = false;
+        for &ei in &self.edges {
+            let edge = &graph.edges()[ei];
+            let p = edge.prob(posture);
+            let attempted = owned.contains(edge.from);
+            let succeeded = rng.chance(p.success);
+            let detected = rng.chance(p.detect);
+            if attempted && succeeded {
+                owned.insert(edge.to);
+            }
+            if attempted && detected {
+                alerted = true;
+                on_alert(edge.layer);
+            }
+        }
+        WalkOutcome {
+            breached: owned.contains(self.goal(graph)),
+            alerted,
+        }
+    }
+}
+
+/// The result of one [`GeneratedCampaign::walk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkOutcome {
+    /// The walk ended holding the campaign's goal capability.
+    pub breached: bool,
+    /// At least one attempted step raised an alert.
+    pub alerted: bool,
 }
 
 /// How many walk attempts the generator spends per requested campaign
@@ -196,15 +234,8 @@ pub struct CampaignStats {
     pub detect: f64,
 }
 
-/// Replays `campaign` `trials` times under `posture`, trial `i` on
-/// `base.fork_idx(i)`.
-///
-/// Every step consumes exactly two Bernoulli draws regardless of
-/// whether its precondition is held — the CRN discipline that makes a
-/// trial's breach indicator exactly monotone across nested postures
-/// (see the crate docs). A step only *grants* its capability when its
-/// precondition is owned and the success draw hits, and only *counts*
-/// a detection when it was actually attempted.
+/// Replays `campaign` `trials` times under `posture`, trial `i` walking
+/// ([`GeneratedCampaign::walk`]) on `base.fork_idx(i)`.
 ///
 /// Deterministic in `(graph, campaign, posture, base, trials)`; `jobs`
 /// only changes wall-clock time.
@@ -216,29 +247,13 @@ pub fn evaluate_campaign(
     trials: usize,
     jobs: usize,
 ) -> CampaignStats {
-    let goal = campaign.goal(graph);
     let outcomes = par_trials(jobs, trials, base, |_, mut rng| {
-        let mut owned = CapabilitySet::start();
-        let mut alerted = false;
-        for &ei in &campaign.edges {
-            let edge = &graph.edges()[ei];
-            let p = edge.prob(posture);
-            let attempted = owned.contains(edge.from);
-            let succeeded = rng.chance(p.success);
-            let detected = rng.chance(p.detect);
-            if attempted && succeeded {
-                owned.insert(edge.to);
-            }
-            if attempted && detected {
-                alerted = true;
-            }
-        }
-        (owned.contains(goal), alerted)
+        campaign.walk(graph, posture, &mut rng, |_| {})
     });
     let n = trials.max(1) as f64;
     CampaignStats {
-        breach: outcomes.iter().filter(|o| o.0).count() as f64 / n,
-        detect: outcomes.iter().filter(|o| o.1).count() as f64 / n,
+        breach: outcomes.iter().filter(|o| o.breached).count() as f64 / n,
+        detect: outcomes.iter().filter(|o| o.alerted).count() as f64 / n,
     }
 }
 
@@ -454,12 +469,16 @@ mod tests {
     #[test]
     fn acceptance_filters_hold() {
         let g = shared_graph();
-        let by_layer = generate(g, &GenConfig::new(8, 6, 42).with_layer(ArchLayer::Network));
+        let mut cfg = GenConfig::new(8, 6, 42);
+        cfg.layer = Some(ArchLayer::Network);
+        let by_layer = generate(g, &cfg);
         assert!(!by_layer.is_empty());
         for c in &by_layer {
             assert!(c.touches_layer(g, ArchLayer::Network), "{}", c.id);
         }
-        let by_stride = generate(g, &GenConfig::new(8, 6, 42).with_stride(Stride::Spoofing));
+        let mut cfg = GenConfig::new(8, 6, 42);
+        cfg.stride = Some(Stride::Spoofing);
+        let by_stride = generate(g, &cfg);
         assert!(!by_stride.is_empty());
         for c in &by_stride {
             assert!(c.touches_stride(g, Stride::Spoofing), "{}", c.id);
@@ -506,6 +525,38 @@ mod tests {
                     );
                     prev = s.breach;
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_draws_are_posture_independent() {
+        // The draw discipline both drivers rely on (E24/E25 replay and
+        // the fleet's generated-pool vehicles): a walk leaves its rng in
+        // the same state under every posture, and reports an alert
+        // exactly when `on_alert` fired.
+        let g = shared_graph();
+        let set = generate(g, &GenConfig::new(16, 6, 42));
+        assert!(!set.is_empty());
+        for (ci, c) in set.iter().enumerate() {
+            for trial in 0..20 {
+                let rng = SimRng::seed(3).fork_idx(ci as u64).fork_idx(trial);
+                let mut after = Vec::new();
+                for depth in 0..=ArchLayer::ALL.len() {
+                    let mut r = rng.clone();
+                    let mut fired = 0usize;
+                    let out = c.walk(g, &DefensePosture::depth(depth), &mut r, |layer| {
+                        assert!(c.touches_layer(g, layer), "{}: alien layer {layer:?}", c.id);
+                        fired += 1;
+                    });
+                    assert_eq!(out.alerted, fired > 0, "{} depth {depth}", c.id);
+                    after.push(r.next_u64());
+                }
+                assert!(
+                    after.windows(2).all(|w| w[0] == w[1]),
+                    "{} trial {trial}: draw count depends on the posture",
+                    c.id
+                );
             }
         }
     }

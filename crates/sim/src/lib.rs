@@ -1,9 +1,10 @@
 //! # autosec-sim
 //!
-//! Discrete-event simulation kernel shared by every layer of the `autosec`
-//! workbench: a virtual clock with picosecond resolution, an event
-//! scheduler, deterministic RNG plumbing, metric recorders and a lightweight
-//! trace facility.
+//! Simulation kernel shared by every layer of the `autosec` workbench:
+//! a virtual clock with picosecond resolution, deterministic RNG
+//! plumbing, small statistics helpers, the workspace-wide layer and
+//! STRIDE vocabularies, and the fault-injection vocabulary the layer
+//! crates adapt.
 //!
 //! The paper's experiments (E2–E13, see `DESIGN.md`) all run on top of this
 //! kernel so that results are reproducible from a seed and independent of
@@ -12,32 +13,28 @@
 //! ## Example
 //!
 //! ```
-//! use autosec_sim::{Scheduler, SimTime};
+//! use autosec_sim::{SimDuration, SimRng, SimTime};
 //!
-//! let mut sched: Scheduler<&'static str> = Scheduler::new();
-//! sched.schedule_at(SimTime::from_us(5), "late");
-//! sched.schedule_at(SimTime::from_us(1), "early");
-//! let (t, ev) = sched.pop().unwrap();
-//! assert_eq!(ev, "early");
-//! assert_eq!(t, SimTime::from_us(1));
+//! // Forks are pure functions of (seed, label): the same substream
+//! // comes back on every run, whatever else drew from the parent.
+//! let a = SimRng::seed(42).fork("phy").normal();
+//! let b = SimRng::seed(42).fork("phy").normal();
+//! assert_eq!(a, b);
+//!
+//! let t = SimTime::from_us(1) + SimDuration::from_ns(500);
+//! assert_eq!(t.as_ps(), 1_500_000);
 //! ```
 
 pub mod inject;
 pub mod layer;
-pub mod metrics;
 pub mod rng;
-pub mod scheduler;
 pub mod stats;
 pub mod stride;
 pub mod time;
-pub mod trace;
 
 pub use inject::{ChannelFault, FaultEffect, FaultTarget, FrameAction, InjectionRecord};
 pub use layer::ArchLayer;
-pub use metrics::{Counter, Histogram, MetricSet, TimeSeries};
 pub use rng::SimRng;
-pub use scheduler::Scheduler;
-pub use stats::{ci95_halfwidth, mean, percentile, stddev, RunningStats, Summary};
+pub use stats::{mean, percentile, stddev, RunningStats, Summary};
 pub use stride::Stride;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLevel, Tracer};

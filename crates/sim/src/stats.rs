@@ -43,15 +43,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Half-width of the normal-approximation 95% confidence interval of the
-/// mean: `1.96 * s / sqrt(n)`.
-pub fn ci95_halfwidth(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    1.96 * stddev(xs) / (xs.len() as f64).sqrt()
-}
-
 /// A five-number-plus summary of a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
@@ -229,7 +220,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(stddev(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(ci95_halfwidth(&[]), 0.0);
         assert_eq!(Summary::of(&[]), Summary::default());
     }
 
@@ -305,12 +295,5 @@ mod tests {
         let mut empty = RunningStats::new();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let a: Vec<f64> = (0..10).map(|x| x as f64).collect();
-        let b: Vec<f64> = (0..1000).map(|x| (x % 10) as f64).collect();
-        assert!(ci95_halfwidth(&b) < ci95_halfwidth(&a));
     }
 }

@@ -4,37 +4,10 @@
 //! streams (the hermetic build has no proptest), with one forked
 //! substream per case so failures reproduce exactly.
 
-use autosec_sim::{percentile, Scheduler, SimDuration, SimRng, SimTime, Summary};
+use autosec_sim::{percentile, SimDuration, SimRng, SimTime, Summary};
 use rand::{Rng, RngCore};
 
 const CASES: u64 = 64;
-
-/// Events pop in nondecreasing time order; ties preserve insertion
-/// order.
-#[test]
-fn scheduler_orders_any_schedule() {
-    let root = SimRng::seed(0x5C_4ED);
-    for case in 0..CASES {
-        let mut rng = root.fork_idx(case);
-        let n = rng.gen_range(1usize..200);
-        let times: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..1_000)).collect();
-        let mut s = Scheduler::new();
-        for (i, &t) in times.iter().enumerate() {
-            s.schedule_at(SimTime::from_ns(t), i);
-        }
-        let mut popped = Vec::new();
-        while let Some((t, i)) = s.pop() {
-            popped.push((t, i));
-        }
-        assert_eq!(popped.len(), times.len());
-        for w in popped.windows(2) {
-            assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                assert!(w[0].1 < w[1].1, "FIFO violated for ties");
-            }
-        }
-    }
-}
 
 /// Time arithmetic round-trips.
 #[test]

@@ -3,7 +3,7 @@
 //! Facade crate re-exporting every layer of the workbench. See the
 //! individual crates for the substance:
 //!
-//! - [`sim`] — discrete-event kernel, time, RNG, metrics
+//! - [`sim`] — simulation kernel: time, RNG, statistics
 //! - [`crypto`] — from-scratch primitives (hash, MAC, AEAD, signatures)
 //! - [`phy`] — §II physical layer: UWB ranging, PKES, collision avoidance
 //! - [`ivn`] — §III in-vehicle networks: CAN/CAN FD/CAN XL, 10BASE-T1S, AE
