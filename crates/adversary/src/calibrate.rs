@@ -6,12 +6,12 @@
 //! running the model behind it:
 //!
 //! * **Scenario edges** — each
-//!   [`ScenarioStep`](autosec_core::scenario::ScenarioStep) from
+//!   [`ScenarioStep`] from
 //!   [`scenario_registry`] is executed `trials` times under
 //!   [`DefensePosture::none`] and [`DefensePosture::full`]; the
 //!   success/detection rates become the edge's two probability points.
 //! * **Kill-chain edges** — the Fig. 8
-//!   [`Attacker`](autosec_data::killchain::Attacker) runs end-to-end
+//!   [`Attacker`] runs end-to-end
 //!   against a fresh [`TelemetryBackend`] per trial (undefended vs.
 //!   hardened); each stage's edge gets its success rate *conditional on
 //!   the previous stage*, and its detection rate.

@@ -11,7 +11,7 @@
 //!
 //! Learning is two-pass rather than online: a training batch of duels
 //! runs under the default weights via
-//! [`par_trials`](autosec_runner::par_trials), per-rule outcome credit
+//! [`par_trials`], per-rule outcome credit
 //! is folded **in trial order**, and the reweighted table is then
 //! evaluated on fresh substreams. Online per-trial mutation would make
 //! trial `i` depend on which worker ran trial `i − 1`; the two-pass

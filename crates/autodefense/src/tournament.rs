@@ -3,7 +3,7 @@
 //!
 //! One **cell** of the tournament matrix is `trials` independent duels
 //! of a fixed [`DuelConfig`], run via
-//! [`par_trials`](autosec_runner::par_trials) so trial `i` always sits
+//! [`par_trials`] so trial `i` always sits
 //! on `base.fork_idx(i)` — cells are bit-identical for every `--jobs`
 //! value, and two cells sharing a base stream are compared under
 //! common random numbers.

@@ -333,7 +333,13 @@ fn parse_fleet(args: &[String]) -> Result<FleetArgs, String> {
             "--vehicles" | "-n" => cfg.vehicles = parsed("--vehicles", &value("--vehicles")?)?,
             "--ticks" => cfg.ticks = parsed("--ticks", &value("--ticks")?)?,
             "--shards" => {
-                cfg.shards = parsed("--shards", &value("--shards")?)?;
+                let v = value("--shards")?;
+                cfg.shards = parsed::<usize>("--shards", &v)
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| {
+                        format!("invalid --shards {v:?}: expected a positive integer")
+                    })?;
                 shards_given = true;
             }
             "--seed" | "-s" => cfg.seed = parsed("--seed", &value("--seed")?)?,
@@ -446,9 +452,6 @@ fn fleet_main(args: &[String]) -> ExitCode {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
             .min(cfg.vehicles);
-    }
-    if cfg.shards == 0 {
-        cfg.shards = 1;
     }
 
     eprintln!(
@@ -1168,6 +1171,19 @@ mod tests {
         assert_eq!(fleet(&["--attack-rate", "0"]).unwrap().cfg.attack_rate, 0.0);
         let ok = fleet(&["--attack-rate", "2.5e-3"]).unwrap();
         assert!((ok.cfg.attack_rate - 2.5e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fleet_shards_must_be_positive() {
+        for bad in ["0", "-1", "many"] {
+            assert_eq!(
+                fleet(&["--shards", bad]).unwrap_err(),
+                format!("invalid --shards {bad:?}: expected a positive integer")
+            );
+        }
+        let ok = fleet(&["--shards", "3"]).unwrap();
+        assert_eq!(ok.cfg.shards, 3);
+        assert!(ok.shards_given);
     }
 
     #[test]

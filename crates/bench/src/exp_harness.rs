@@ -246,11 +246,32 @@ pub fn e26_isolation_table(ctx: &RunCtx) -> Table {
     t
 }
 
+/// Sleeps `total` in slices of at most 100 ms, and ends the process
+/// once its parent has changed: a worker whose supervisor was killed
+/// mid-run is reparented, and must not sleep out the rest of `total`.
+fn chaos_sleep(total: std::time::Duration) {
+    #[cfg(unix)]
+    let parent = std::os::unix::process::parent_id();
+    let end = std::time::Instant::now() + total;
+    loop {
+        let left = end.saturating_duration_since(std::time::Instant::now());
+        if left.is_zero() {
+            return;
+        }
+        #[cfg(unix)]
+        if std::os::unix::process::parent_id() != parent {
+            std::process::exit(1);
+        }
+        std::thread::sleep(left.min(std::time::Duration::from_millis(100)));
+    }
+}
+
 /// The hidden chaos probe (id `X0`, slug `x0-chaos`), registered only
 /// when `AUTOSEC_CHAOS` is set:
 ///
 /// - `panic` — panics with a fixed message;
 /// - `sleep:<ms>` — sleeps that long, then succeeds (deadline fodder);
+///   a process whose parent dies mid-sleep exits instead;
 /// - `alloc:<mb>` — leaks that many MiB of touched pages, then idles
 ///   (RSS-budget fodder: under `--rss-limit-mb` below the target the
 ///   supervisor kills it mid-leak);
@@ -272,8 +293,7 @@ pub fn x0_chaos_table(_ctx: &RunCtx) -> Table {
         panic!("chaos probe: injected panic (AUTOSEC_CHAOS=panic)");
     }
     if let Some(ms) = mode.strip_prefix("sleep:") {
-        let ms: u64 = ms.parse().unwrap_or(0);
-        std::thread::sleep(std::time::Duration::from_millis(ms));
+        chaos_sleep(std::time::Duration::from_millis(ms.parse().unwrap_or(0)));
     }
     if let Some(mb) = mode.strip_prefix("alloc:") {
         let mb: usize = mb.parse().unwrap_or(0);

@@ -41,6 +41,14 @@ fn fleet_rejects_a_nan_attack_rate() {
 }
 
 #[test]
+fn fleet_rejects_zero_shards() {
+    rejects(
+        &["fleet", "--shards", "0"],
+        "invalid --shards \"0\": expected a positive integer",
+    );
+}
+
+#[test]
 fn generate_rejects_zero_jobs() {
     rejects(
         &["generate", "--jobs", "0"],

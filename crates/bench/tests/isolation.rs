@@ -51,6 +51,24 @@ fn entry<'a>(m: &'a Value, slug: &str) -> &'a Value {
         .unwrap_or_else(|| panic!("no manifest entry for {slug}"))
 }
 
+/// Pids of the live processes whose command line contains `needle`
+/// (zombies have an empty command line, so they never match).
+fn processes_naming(needle: &str) -> Vec<u32> {
+    let Ok(entries) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter_map(|e| {
+            let pid: u32 = e.file_name().to_str()?.parse().ok()?;
+            let cmdline = std::fs::read(e.path().join("cmdline")).ok()?;
+            String::from_utf8_lossy(&cmdline)
+                .contains(needle)
+                .then_some(pid)
+        })
+        .collect()
+}
+
 #[test]
 fn isolated_deadline_kills_the_sleeper_with_bounded_wall_time() {
     let out = tmp("deadline");
@@ -244,6 +262,22 @@ fn a_suite_killed_mid_child_resumes_to_green() {
     }
     suite.kill().expect("kill the parent");
     suite.wait().expect("reap the parent");
+
+    // The orphaned sleeper notices its parent is gone and exits rather
+    // than sleeping out its 60 s.
+    let needle = out.display().to_string();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let alive = processes_naming(&needle);
+        if alive.is_empty() {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "processes naming {needle} outlived their parent: {alive:?}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
 
     // The interrupted manifest parses and already carries the healthy
     // entries.

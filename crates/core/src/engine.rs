@@ -12,7 +12,7 @@
 //!
 //! - [`measure_step`] is the shared calibration primitive: it runs one
 //!   step `trials` times under a posture through
-//!   [`par_trials`](autosec_runner::par_trials) and distills an
+//!   [`par_trials`] and distills an
 //!   [`OutcomeStats`]. The adversary crate's edge calibration and the
 //!   outcome tables here both ride on it, so every probability in the
 //!   workspace traces back to the same machinery (and is bit-identical

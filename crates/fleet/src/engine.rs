@@ -13,6 +13,18 @@
 //!    resolved against the calibrated ghost-object edge of the attack
 //!    graph.
 //!
+//!    Almost every vehicle-tick of a calm fleet changes nothing: a
+//!    `Healthy` vehicle draws for a direct attack and for infection,
+//!    and both miss. On a tick with no chaos draw and no fault onset
+//!    (both draw per vehicle first), such a vehicle is finished inline:
+//!    it draws on a copy of its RNG against integer thresholds
+//!    ([`SimRng::chance_threshold`], one draw each, exactly as
+//!    `chance` would) and, when neither hits, the copy is committed and
+//!    the telemetry frame counted. A hit discards the copy and runs
+//!    the one full per-vehicle step, which redraws from the untouched
+//!    stream. The inline path only ever commits "nothing happened", so
+//!    its outputs are the full step's, bit for bit.
+//!
 //!    Once its vehicles have all stepped, each shard answers their
 //!    alerts in the order they were raised: each is one more strike in
 //!    the alerting vehicle's own escalation column, the response
@@ -482,10 +494,61 @@ struct StepEnv<'a> {
     /// Per-tick probability a silent compromise is flagged after the
     /// fact (grows with defense depth and bought monitoring).
     late_detect_p: f64,
+    /// Present on ticks where a `Healthy` vehicle's step can end after
+    /// its attack and infection draws (see [`calm_step`]).
+    calm: Option<Calm>,
+}
+
+/// The [`SimRng::chance_threshold`]s of a calm tick. Each is `None`
+/// exactly when [`step_vehicle`] skips that draw.
+#[derive(Clone, Copy)]
+struct Calm {
+    attack: Option<u64>,
+    infection: Option<u64>,
+}
+
+impl Calm {
+    /// `None` when the chaos draw is on or a fault onset strikes this
+    /// tick: both draw per vehicle before the attack draw.
+    fn for_tick(cfg: &FleetConfig, inputs: &TickInputs) -> Option<Self> {
+        (cfg.chaos_lost_rate == 0.0 && inputs.fault_onsets.is_empty()).then(|| Calm {
+            attack: (cfg.attack_rate > 0.0).then(|| SimRng::chance_threshold(cfg.attack_rate)),
+            infection: (inputs.infection_pressure > 0.0)
+                .then(|| SimRng::chance_threshold(inputs.infection_pressure)),
+        })
+    }
+}
+
+/// One vehicle's tick, finished inline when nothing happens: a
+/// `Healthy` vehicle on a calm tick whose attack and infection draws
+/// both miss only emits its frame. Anything else goes to
+/// [`step_vehicle`], which redraws from the untouched stream.
+#[inline(always)]
+fn calm_step(
+    cols: &mut FleetColumns<'_>,
+    i: usize,
+    env: &StepEnv<'_>,
+    inputs: &TickInputs,
+    out: &mut ShardOutput,
+) {
+    if let Some(calm) = env.calm {
+        if cols.status[i] == VehicleStatus::Healthy {
+            let mut rng = cols.rng[i].clone();
+            let hit = calm.attack.is_some_and(|t| rng.below(t))
+                || calm.infection.is_some_and(|t| rng.below(t));
+            if !hit {
+                cols.rng[i] = rng;
+                out.counters.telemetry_frames += 1;
+                return;
+            }
+        }
+    }
+    step_vehicle(cols, i, env, inputs, out);
 }
 
 /// One vehicle's tick: state machine + private RNG only. See the
 /// module docs for the phase ordering contract.
+#[inline(never)]
 fn step_vehicle(
     cols: &mut FleetColumns<'_>,
     i: usize,
@@ -857,11 +920,12 @@ impl FleetEngine {
                 // Bit-exact without a defender: monitor_boost() is
                 // +0.0 until monitoring is bought.
                 late_detect_p: late_detect_p + defender.monitor_boost(),
+                calm: Calm::for_tick(&cfg, &inputs),
             };
 
             // Phase 1: parallel vehicle phase.
             let outs = run_tick_sharded(&mut state, cfg.shards, tick, |cols, i, out| {
-                step_vehicle(cols, i, &env, &inputs, out)
+                calm_step(cols, i, &env, &inputs, out)
             });
 
             // Phase 2: additive merge of the shard outputs.
@@ -1234,6 +1298,96 @@ mod tests {
             "table and live share the outcome distribution; agreement {}",
             report.drift.agreement_rate()
         );
+    }
+
+    #[test]
+    fn calm_step_matches_a_plain_step() {
+        // An undefended engine, so attacks and infections succeed often
+        // enough for the fallback to reach every branch.
+        let base = FleetConfig {
+            posture: DefensePosture::none(),
+            ..tiny_cfg()
+        };
+        let engine = FleetEngine::new(base.clone());
+        let table = engine
+            .table
+            .as_ref()
+            .expect("calibrated runs carry a table");
+        let (epi, late_detect_p, _, _) = derived_rates(&engine.graph, &base.posture);
+        let onset = FaultOnset {
+            layer: ArchLayer::Network,
+            ref_health: 0.4,
+            detect_p: FAULT_DETECT_P_SEEN,
+        };
+        let statuses = [
+            VehicleStatus::Healthy,
+            VehicleStatus::Degraded,
+            VehicleStatus::Compromised,
+            VehicleStatus::Isolated,
+            VehicleStatus::Lost,
+        ];
+        for status in statuses {
+            for attack_rate in [0.0, 5e-4, 1.0] {
+                for infection_pressure in [0.0, 1e-9, 0.3] {
+                    for fault_onsets in [vec![], vec![onset]] {
+                        let cfg = FleetConfig {
+                            attack_rate,
+                            ..base.clone()
+                        };
+                        let inputs = TickInputs {
+                            tick: 5,
+                            infection_pressure,
+                            fault_onsets,
+                            active_faults: Default::default(),
+                        };
+                        let env = StepEnv {
+                            cfg: &cfg,
+                            engine: table,
+                            probe: None,
+                            generated: None,
+                            posture: cfg.posture,
+                            epi,
+                            late_detect_p,
+                            calm: Calm::for_tick(&cfg, &inputs),
+                        };
+                        assert_eq!(env.calm.is_some(), inputs.fault_onsets.is_empty());
+                        let mut calm =
+                            FleetState::new(2_000, &SimRng::seed(3).fork("fleet/vehicles"));
+                        for i in 0..calm.len() {
+                            calm.status[i] = status;
+                            calm.flagged[i] = i % 2 == 0;
+                            calm.since[i] = 2;
+                            if status != VehicleStatus::Healthy {
+                                calm.health[i] = 0.5;
+                            }
+                        }
+                        let mut plain = calm.clone();
+                        let (mut calm_out, mut plain_out) =
+                            (ShardOutput::default(), ShardOutput::default());
+                        let n = calm.len();
+                        let mut cols = calm.shard_views(n).pop().expect("one window");
+                        for i in 0..n {
+                            calm_step(&mut cols, i, &env, &inputs, &mut calm_out);
+                        }
+                        let mut cols = plain.shard_views(n).pop().expect("one window");
+                        for i in 0..n {
+                            step_vehicle(&mut cols, i, &env, &inputs, &mut plain_out);
+                        }
+                        let case = format!(
+                            "{status:?}, attack {attack_rate}, pressure {infection_pressure}, \
+                             onsets {}",
+                            inputs.fault_onsets.len()
+                        );
+                        // Debug covers every column, each RNG's state included.
+                        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+                            format!("{a:?}") == format!("{b:?}")
+                        };
+                        assert!(same(&calm, &plain), "{case}: columns differ");
+                        assert!(same(&calm_out, &plain_out), "{case}: outputs differ");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

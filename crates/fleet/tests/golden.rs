@@ -97,3 +97,36 @@ fn fixed_campaign_mixed_fidelity_fleet_is_pinned() {
     let want = "236198c943aebc7945dc883a6b769b686cd1811fd90947a5b6c3800432f6027b";
     assert!(assert_pinned(&cfg, want).drift.probes > 0, "probes ran");
 }
+
+/// A fleet-service-shaped fleet: full posture, calibrated fixed
+/// campaign, rare attacks, faults on. Almost every vehicle-tick is a
+/// `Healthy` vehicle whose attack and infection draws both miss.
+fn service() -> FleetConfig {
+    FleetConfig {
+        posture: DefensePosture::full(),
+        fidelity: Fidelity::Calibrated,
+        campaign: CampaignMode::Fixed,
+        attack_rate: 5e-4,
+        ..pressured(20_000, 100)
+    }
+}
+
+#[test]
+fn service_fleet_is_pinned() {
+    let want = "f7c3016e639ae4de338bafcdd00ac3f6c1ba9d7dcecd1ae2239d4165c14e599c";
+    let t = *assert_pinned(&service(), want).totals();
+    assert!(t.attacks_succeeded > 0, "attacks struck");
+    assert!(t.fault_injections > 0, "fault onsets struck");
+}
+
+#[test]
+fn attackless_service_fleet_is_pinned() {
+    let cfg = FleetConfig {
+        attack_rate: 0.0,
+        ..service()
+    };
+    let want = "3ca6ba8ada6a0d596c1fcb1514c42d7bc4a775181638c3e141c5e855d2991c04";
+    let t = *assert_pinned(&cfg, want).totals();
+    assert_eq!(t.attacks_attempted, 0);
+    assert!(t.fault_injections > 0, "fault onsets struck");
+}

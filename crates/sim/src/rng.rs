@@ -108,6 +108,26 @@ impl SimRng {
         self.inner.gen::<f64>() < p
     }
 
+    /// The integer form of [`SimRng::chance`]: `rng.below(chance_threshold(p))`
+    /// consumes one draw and returns what `rng.chance(p)` would have.
+    ///
+    /// `chance` compares `k · 2⁻⁵³` against `p`, where `k` is the
+    /// draw's top 53 bits. That product is exact, and so is scaling
+    /// `p` by `2⁵³`, so `k · 2⁻⁵³ < p` ⇔ `k < p · 2⁵³` ⇔
+    /// `k < ⌈p · 2⁵³⌉`. The clamp mirrors `chance`; NaN maps to 0 and
+    /// never hits, as in `chance`.
+    #[inline]
+    pub fn chance_threshold(p: f64) -> u64 {
+        (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// Bernoulli trial against a [`SimRng::chance_threshold`]: the same
+    /// single draw as [`SimRng::chance`], without the float conversion.
+    #[inline]
+    pub fn below(&mut self, threshold: u64) -> bool {
+        (self.inner.next_u64() >> 11) < threshold
+    }
+
     /// Samples an exponential inter-arrival time with the given rate
     /// (events per unit); returns the time in the same unit.
     ///
@@ -193,6 +213,38 @@ mod tests {
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
         assert!(rng.chance(2.0)); // clamped
+    }
+
+    #[test]
+    fn threshold_form_agrees_with_chance() {
+        let ps = [
+            0.0,
+            -0.0,
+            5e-324,
+            5e-4,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for (n, p) in ps.into_iter().enumerate() {
+            let t = SimRng::chance_threshold(p);
+            let mut a = SimRng::seed(11).fork_idx(n as u64);
+            let mut b = a.clone();
+            for draw in 0..100_000 {
+                assert_eq!(a.chance(p), b.below(t), "p = {p:e}, draw {draw}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "p = {p:e}: same draws consumed");
+        }
+        assert_eq!(SimRng::chance_threshold(f64::NAN), 0);
+        assert_eq!(SimRng::chance_threshold(5e-324), 1);
+        assert_eq!(
+            SimRng::chance_threshold(1.0 - f64::EPSILON / 2.0),
+            (1 << 53) - 1
+        );
+        assert_eq!(SimRng::chance_threshold(1.0), 1 << 53);
     }
 
     #[test]
