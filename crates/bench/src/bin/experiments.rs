@@ -19,43 +19,18 @@
 //!                                                # generative composer
 //! ```
 //!
-//! Filters match an experiment's group id (`E10`) or slug
-//! (`e10-cascade`) **exactly**, case-insensitively — `E1` never drags
-//! in E10–E13 — a `tag:` prefix (`tag:parallel`) selects by registry
-//! tag, a `stride:` prefix (`stride:spoofing`) selects by STRIDE
-//! threat-class annotation, and `failed:DIR` re-selects the failures a
-//! prior manifest recorded. Several filters may be given (positionally or via
-//! repeated `--filter`); an experiment matched by more than one still
-//! runs exactly once. With `--json`, per-experiment artifacts plus a
-//! `manifest.json` land in `target/experiments/` (override with
-//! `--out DIR`), rewritten after every experiment so even an
-//! interrupted run leaves a resumable manifest. Tables are
-//! bit-identical for any `--jobs` value, and `--trials-scale`
-//! multiplies Monte-Carlo trial counts without touching per-trial
-//! streams.
+//! Tables are bit-identical for any `--jobs`. Each experiment runs under
+//! `catch_unwind` with a soft deadline from its cost class, and the
+//! manifest is rewritten after every experiment, so `--resume` can finish
+//! an interrupted run. `--isolate on` re-invokes this binary per entry in
+//! the hidden `--worker-one <slug>` mode, so a deadline or a resource
+//! budget kills the child for real.
 //!
-//! Fault tolerance: each experiment runs under `catch_unwind` with a
-//! soft deadline derived from its cost class (`--deadline-secs`
-//! overrides). A panicking or overtime experiment normally aborts the
-//! suite (exit 1, failure recorded in the manifest); with
-//! `--keep-going` it is recorded and the suite continues — healthy
-//! experiments produce bit-identical artifacts to a clean run.
-//! `--resume` re-reads the prior manifest and re-runs only failures
-//! and gaps for the same `(seed, trials-scale, filter set)`.
-//!
-//! Process isolation: `--isolate on` executes each entry in a spawned
-//! child process (this binary re-invoked with the hidden
-//! `--worker-one <slug>` mode), so a deadline SIGKILLs the child for
-//! real and per-experiment budgets become enforceable —
-//! `--rss-limit-mb` caps peak resident set, `--cpu-limit-secs` caps
-//! CPU time (default: the cost-derived deadline × jobs). Violations
-//! are recorded as `oom_killed` / `cpu_exceeded` manifest statuses.
-//! `--isolate auto` (the default) switches isolation on exactly when
-//! a budget flag is present. `--retries N` re-runs any failed entry up
-//! to N extra times with exponential backoff jittered from the run's
-//! own seeded substream — the schedule is deterministic and
-//! jobs-invariant. Healthy artifacts are bit-identical between
-//! `--isolate on` and `off`.
+//! The suite, `fleet` and `generate` each have one flag table (`SUITE`,
+//! `FLEET`, `GENERATE`) holding every flag's names, help text and where
+//! its value lands. One loop parses all three, and `--help` prints the
+//! usage rendered from the table, so every flag is documented there. A
+//! bad command line exits 2 with a one-line reason and the usage.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -75,7 +50,7 @@ use autosec_scengen::{evaluate_campaign, generate, CoverageMatrix, GenConfig};
 use autosec_sim::{ArchLayer, SimRng, Stride};
 use serde_json::{json, Value};
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Args {
     filters: Vec<String>,
     seed: u64,
@@ -90,177 +65,386 @@ struct Args {
     out: String,
     isolate: IsolateMode,
     retries: u32,
-    rss_limit_mb: Option<u64>,
-    cpu_limit_secs: Option<u64>,
+    budgets: ResourceBudgets,
     /// Hidden worker mode: run exactly one experiment and hand the
     /// artifact back through `--out` (set by the supervising parent,
     /// never by hand).
     worker_one: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: experiments [FILTER...] [--filter F] [--seed N] [--jobs N] [--trials-scale F] [--json] [--canonical] [--keep-going] [--retries N] [--deadline-secs N] [--isolate on|off|auto] [--rss-limit-mb N] [--cpu-limit-secs N] [--resume] [--out DIR] [--list]
-       experiments fleet [...]   (live-fleet service mode; see `fleet --help`)
-       experiments generate [...] (generative scenario composer; see `generate --help`)
-
-  FILTER        group id (e.g. E10) or slug (e.g. e10-cascade); exact,
-                case-insensitive match. tag:<tag> (e.g. tag:parallel)
-                selects every experiment carrying that tag;
-                stride:<class> (e.g. stride:spoofing) selects by STRIDE
-                threat-class annotation;
-                failed:<dir-or-manifest> re-selects the failed /
-                timed-out entries of a prior manifest. May be repeated;
-                overlapping filters never run an experiment twice
-  --seed N      master seed (default 42); every table is a pure function
-                of it
-  --jobs N      worker threads (default 1); output is identical for any N
-  --trials-scale F
-                multiply Monte-Carlo trial counts by F (default 1.0);
-                a precision/runtime knob like --jobs, excluded from
-                canonical artifacts
-  --json        write per-experiment artifacts + manifest.json (the
-                manifest is rewritten after every experiment, so an
-                interrupted run stays resumable)
-  --canonical   strip volatile keys (durations, jobs) from artifacts so
-                runs with different --jobs diff byte-identical
-  --keep-going  record a panicking or overtime experiment in the
-                manifest and continue instead of aborting (exit 1 if
-                anything failed)
-  --deadline-secs N
-                soft per-experiment deadline replacing the cost-derived
-                defaults (cheap 30s / moderate 120s / heavy 600s)
-  --isolate on|off|auto
-                on: run each experiment in a supervised child process —
-                a deadline SIGKILLs it for real and resource budgets are
-                enforced. off: in-process threads (overtime workers are
-                detached, flagged overtime_detached in the manifest).
-                auto (default): on iff a budget flag is given
-  --rss-limit-mb N
-                kill a worker child whose peak resident set crosses N
-                MiB (manifest status oom_killed); implies isolation
-                under --isolate auto
-  --cpu-limit-secs N
-                kill a worker child whose CPU time crosses N seconds
-                (manifest status cpu_exceeded); default under
-                --isolate on: the cost-derived deadline x --jobs
-  --retries N   re-run a failed/timed-out/killed experiment up to N
-                extra times, with exponential backoff jittered from the
-                run's seeded substream (deterministic, jobs-invariant);
-                the manifest records the attempt count
-  --resume      skip experiments whose artifact a prior manifest in the
-                --out dir already covers for the same (seed,
-                trials-scale, filter set); re-runs failures and gaps.
-                Implies --json
-  --out DIR     artifact directory (default {DEFAULT_ARTIFACT_DIR})
-  --list        print the experiment catalogue and exit"
-    );
-    std::process::exit(2);
+/// Parsed `fleet` subcommand arguments.
+#[derive(Debug, Default)]
+struct FleetArgs {
+    cfg: FleetConfig,
+    json: bool,
+    canonical: bool,
+    /// Whether `--shards` was given explicitly (otherwise the caller
+    /// defaults it to the available parallelism).
+    shards_given: bool,
+    out: String,
 }
 
-/// Parses the suite argument grammar (everything but the `fleet` and
-/// `generate` subcommands); `Err` carries the exact message the CLI
-/// prints before the usage text (unit-tested below).
-fn parse_suite(raw: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        filters: Vec::new(),
+/// Parsed `generate` subcommand arguments.
+#[derive(Debug)]
+struct GenerateArgs {
+    cfg: GenConfig,
+    trials: usize,
+    jobs: usize,
+    json: bool,
+    canonical: bool,
+    out: String,
+}
+
+/// Stores a flag's value in its grammar's arguments; `Err` names what
+/// the value should have been.
+type Land<A> = fn(&mut A, &str) -> Result<(), &'static str>;
+
+/// What a flag takes from the command line.
+enum Takes<A> {
+    /// No value: the flag itself is the setting.
+    Switch(fn(&mut A)),
+    /// The next argument, shown in the usage text as the placeholder.
+    Value(&'static str, Land<A>),
+    /// Nothing: the flag asks for the usage text.
+    Help,
+}
+
+/// One command-line flag.
+struct Flag<A> {
+    /// The long name, then the short alias if there is one.
+    names: &'static [&'static str],
+    /// The usage entry, laid out as printed; empty hides the flag (the
+    /// supervisor's `--worker-one`).
+    help: &'static str,
+    takes: Takes<A>,
+}
+
+/// The flags several grammars share, declared once; each grammar says
+/// where the value lands.
+impl<A> Flag<A> {
+    const HELP: Self = Flag {
+        names: &["--help", "-h"],
+        help: "print this usage text and exit",
+        takes: Takes::Help,
+    };
+
+    const fn seed(land: Land<A>) -> Self {
+        Flag {
+            names: &["--seed", "-s"],
+            help: "master seed (default 42); output is a pure function of it",
+            takes: Takes::Value("N", land),
+        }
+    }
+
+    const fn jobs(land: Land<A>) -> Self {
+        Flag {
+            names: &["--jobs", "-j"],
+            help: "worker threads (default 1); output is identical for any N",
+            takes: Takes::Value("N", land),
+        }
+    }
+
+    const fn json(set: fn(&mut A)) -> Self {
+        Flag {
+            names: &["--json"],
+            help: "write JSON artifacts into the --out directory",
+            takes: Takes::Switch(set),
+        }
+    }
+
+    const fn canonical(set: fn(&mut A)) -> Self {
+        Flag {
+            names: &["--canonical"],
+            help: "strip volatile keys (durations, jobs, throughput) so runs
+                   with different --jobs or --shards diff byte-identical",
+            takes: Takes::Switch(set),
+        }
+    }
+
+    const fn out(land: Land<A>) -> Self {
+        Flag {
+            names: &["--out", "-o"],
+            help: "artifact directory (default target/experiments)",
+            takes: Takes::Value("DIR", land),
+        }
+    }
+}
+
+/// One argument grammar: the suite's, `fleet`'s or `generate`'s.
+struct Grammar<A: 'static> {
+    /// The subcommand and a space; empty for the suite.
+    command: &'static str,
+    /// The arguments before any flag is applied (the defaults).
+    init: fn() -> A,
+    /// Where bare arguments land (the suite's filters); a grammar
+    /// without this rejects them.
+    positional: Option<Land<A>>,
+    flags: &'static [Flag<A>],
+    /// Rejects a combination of values that each passed on its own.
+    check: fn(&A) -> Result<(), &'static str>,
+    /// Prose printed after the flag entries.
+    trailer: &'static str,
+}
+
+/// Stores a value a reader below accepted, or passes on what it expected.
+fn set<T>(slot: &mut T, value: Result<T, &'static str>) -> Result<(), &'static str> {
+    *slot = value?;
+    Ok(())
+}
+
+fn unsigned<T: std::str::FromStr>(v: &str) -> Result<T, &'static str> {
+    v.parse().map_err(|_| "an unsigned integer")
+}
+
+fn positive<T: std::str::FromStr + Default + PartialOrd>(v: &str) -> Result<T, &'static str> {
+    let n = v.parse().ok().filter(|n| *n > T::default());
+    n.ok_or("a positive integer")
+}
+
+/// A finite number that `ok` accepts.
+fn finite(v: &str, ok: fn(f64) -> bool, expected: &'static str) -> Result<f64, &'static str> {
+    let x = v.parse().ok().filter(|x: &f64| x.is_finite() && ok(*x));
+    x.ok_or(expected)
+}
+
+/// `full`, `none`, or `depth:K` for the lowest K of the six layers.
+fn posture(v: &str) -> Result<DefensePosture, &'static str> {
+    match v {
+        "full" => Ok(DefensePosture::full()),
+        "none" => Ok(DefensePosture::none()),
+        _ => v
+            .strip_prefix("depth:")
+            .and_then(|k| k.parse().ok())
+            .filter(|&k| k <= ArchLayer::ALL.len())
+            .map(DefensePosture::depth)
+            .ok_or("full, none or depth:K (K <= 6)"),
+    }
+}
+
+/// A `--filter` value, or a bare argument of the suite.
+fn push_filter(args: &mut Args, filter: &str) -> Result<(), &'static str> {
+    args.filters.push(filter.to_owned());
+    Ok(())
+}
+
+const SUITE: Grammar<Args> = Grammar {
+    command: "",
+    init: || Args {
         seed: autosec_runner::DEFAULT_SEED,
         jobs: 1,
         trials_scale: 1.0,
-        json: false,
-        canonical: false,
-        list: false,
-        keep_going: false,
-        deadline_secs: None,
-        resume: false,
         out: DEFAULT_ARTIFACT_DIR.to_owned(),
-        isolate: IsolateMode::Auto,
-        retries: 0,
-        rss_limit_mb: None,
-        cpu_limit_secs: None,
-        worker_one: None,
-    };
-    const POSITIVE: &str = "a positive integer";
-    const UNSIGNED: &str = "an unsigned integer";
-    /// The value after flag `name`, parsed and accepted by `ok`, or the
-    /// message the CLI prints.
-    fn value<T: std::str::FromStr>(
-        it: &mut std::slice::Iter<'_, String>,
-        name: &str,
-        ok: fn(&T) -> bool,
-        expected: &str,
-    ) -> Result<T, String> {
-        let v = it
-            .next()
-            .ok_or_else(|| format!("missing value for {name}"))?;
-        v.parse()
-            .ok()
-            .filter(ok)
-            .ok_or_else(|| format!("invalid {name} {v:?}: expected {expected}"))
-    }
-    fn any<T>(_: &T) -> bool {
-        true
-    }
-    fn positive<T: Default + PartialOrd>(n: &T) -> bool {
-        *n > T::default()
-    }
+        ..Args::default()
+    },
+    positional: Some(push_filter),
+    flags: &[
+        Flag {
+            names: &["--filter", "-f"],
+            help: "an experiment selector, also given bare: a group id (e.g.
+                   E10) or slug (e.g. e10-cascade), matched exactly and
+                   case-insensitively. tag:<tag> (e.g. tag:parallel) selects
+                   every experiment carrying that tag; stride:<class> (e.g.
+                   stride:spoofing) selects by STRIDE threat-class annotation;
+                   failed:<dir-or-manifest> re-selects the failed / timed-out
+                   entries of a prior manifest. May be repeated; overlapping
+                   filters never run an experiment twice",
+            takes: Takes::Value("F", push_filter),
+        },
+        Flag::seed(|a, v| set(&mut a.seed, unsigned(v))),
+        Flag::jobs(|a, v| set(&mut a.jobs, positive(v))),
+        Flag {
+            names: &["--trials-scale", "-t"],
+            help: "multiply Monte-Carlo trial counts by F (default 1.0); a
+                   precision/runtime knob like --jobs, excluded from canonical
+                   artifacts",
+            takes: Takes::Value("F", |a, v| {
+                set(
+                    &mut a.trials_scale,
+                    finite(v, |s| s > 0.0, "a positive number"),
+                )
+            }),
+        },
+        Flag::json(|a| a.json = true),
+        Flag::canonical(|a| a.canonical = true),
+        Flag {
+            names: &["--keep-going", "-k"],
+            help: "record a panicking or overtime experiment in the manifest
+                   and continue instead of aborting (exit 1 if anything failed)",
+            takes: Takes::Switch(|a| a.keep_going = true),
+        },
+        Flag {
+            names: &["--retries"],
+            help: "re-run a failed/timed-out/killed experiment up to N extra
+                   times, with exponential backoff jittered from the run's
+                   seeded substream (deterministic, jobs-invariant); the
+                   manifest records the attempt count",
+            takes: Takes::Value("N", |a, v| set(&mut a.retries, unsigned(v))),
+        },
+        Flag {
+            names: &["--deadline-secs", "-d"],
+            help: "soft per-experiment deadline replacing the cost-derived
+                   defaults (cheap 30s / moderate 120s / heavy 600s)",
+            takes: Takes::Value("N", |a, v| set(&mut a.deadline_secs, positive(v).map(Some))),
+        },
+        Flag {
+            names: &["--isolate"],
+            help: "on: run each experiment in a supervised child process — a
+                   deadline SIGKILLs it for real and resource budgets are
+                   enforced. off: in-process threads (overtime workers are
+                   detached, flagged overtime_detached in the manifest).
+                   auto (default): on iff a budget flag is given",
+            takes: Takes::Value("on|off|auto", |a, v| {
+                set(
+                    &mut a.isolate,
+                    IsolateMode::parse(v).ok_or("on, off or auto"),
+                )
+            }),
+        },
+        Flag {
+            names: &["--rss-limit-mb"],
+            help: "kill a worker child whose peak resident set crosses N MiB
+                   (manifest status oom_killed); implies isolation under
+                   --isolate auto",
+            takes: Takes::Value("N", |a, v| {
+                set(&mut a.budgets.rss_limit_mb, positive(v).map(Some))
+            }),
+        },
+        Flag {
+            names: &["--cpu-limit-secs"],
+            help: "kill a worker child whose CPU time crosses N seconds
+                   (manifest status cpu_exceeded); default under --isolate
+                   on: the cost-derived deadline x --jobs",
+            takes: Takes::Value("N", |a, v| {
+                set(&mut a.budgets.cpu_limit_secs, positive(v).map(Some))
+            }),
+        },
+        Flag {
+            names: &["--resume", "-r"],
+            help: "skip experiments whose artifact a prior manifest in the
+                   --out dir already covers for the same (seed, trials-scale,
+                   filter set); re-runs failures and gaps. Implies --json",
+            takes: Takes::Switch(|a| (a.resume, a.json) = (true, true)),
+        },
+        Flag::out(|a, v| set(&mut a.out, Ok(v.into()))),
+        Flag {
+            names: &["--list", "-l"],
+            help: "print the experiment catalogue and exit",
+            takes: Takes::Switch(|a| a.list = true),
+        },
+        Flag {
+            names: &["--worker-one"],
+            help: "",
+            takes: Takes::Value("SLUG", |a, v| set(&mut a.worker_one, Ok(Some(v.into())))),
+        },
+        Flag::HELP,
+    ],
+    check: |_| Ok(()),
+    trailer: "Subcommands, each with its own --help:
+  experiments fleet [FLAG...]      live-fleet service mode
+  experiments generate [FLAG...]   generative scenario composer",
+};
 
-    let it = &mut raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--filter" | "-f" => args.filters.push(value(it, "--filter", any, "")?),
-            "--seed" | "-s" => args.seed = value(it, "--seed", any, UNSIGNED)?,
-            "--jobs" | "-j" => args.jobs = value(it, "--jobs", positive, POSITIVE)?,
-            "--trials-scale" | "-t" => {
-                let ok = |s: &f64| s.is_finite() && *s > 0.0;
-                args.trials_scale = value(it, "--trials-scale", ok, "a positive number")?;
-            }
-            "--deadline-secs" | "-d" => {
-                args.deadline_secs = Some(value(it, "--deadline-secs", positive, POSITIVE)?);
-            }
-            "--isolate" => {
-                let v: String = value(it, "--isolate", any, "")?;
-                args.isolate = IsolateMode::parse(&v)
-                    .ok_or_else(|| format!("invalid --isolate {v:?}: expected on, off or auto"))?;
-            }
-            "--retries" => args.retries = value(it, "--retries", any, UNSIGNED)?,
-            "--rss-limit-mb" => {
-                args.rss_limit_mb = Some(value(it, "--rss-limit-mb", positive, POSITIVE)?);
-            }
-            "--cpu-limit-secs" => {
-                args.cpu_limit_secs = Some(value(it, "--cpu-limit-secs", positive, POSITIVE)?);
-            }
-            "--worker-one" => args.worker_one = Some(value(it, "--worker-one", any, "")?),
-            "--json" => args.json = true,
-            "--canonical" => args.canonical = true,
-            "--keep-going" | "-k" => args.keep_going = true,
-            "--resume" | "-r" => {
-                args.resume = true;
-                args.json = true;
-            }
-            "--list" | "-l" => args.list = true,
-            "--out" | "-o" => args.out = value(it, "--out", any, "")?,
-            "--help" | "-h" => return Err("help".to_owned()),
-            // Positional filter(s), compatible with the old runner.
-            other if !other.starts_with('-') => args.filters.push(other.to_owned()),
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(args)
-}
-
-fn fleet_usage() -> ! {
-    eprintln!(
-        "usage: experiments fleet [--vehicles N] [--ticks N] [--shards N] [--seed N]
-                          [--snapshot-every N] [--posture full|none|depth:K]
-                          [--fidelity live|calibrated|mixed:K]
-                          [--campaign fixed|generated:N]
-                          [--attack-rate F] [--no-faults]
-                          [--defender off|static|closed-loop]
-                          [--defender-budget F] [--json] [--canonical]
-                          [--out DIR]
-
-  Runs the live-fleet service mode: N per-vehicle state machines under
+const FLEET: Grammar<FleetArgs> = Grammar {
+    command: "fleet ",
+    init: || FleetArgs {
+        cfg: FleetConfig {
+            vehicles: 10_000,
+            ticks: 200,
+            snapshot_every: 50,
+            ..FleetConfig::default()
+        },
+        out: DEFAULT_ARTIFACT_DIR.to_owned(),
+        ..FleetArgs::default()
+    },
+    positional: None,
+    flags: &[
+        Flag {
+            names: &["--vehicles", "-n"],
+            help: "fleet size (default 10000)",
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.vehicles, unsigned(v))),
+        },
+        Flag {
+            names: &["--ticks"],
+            help: "ticks to run (default 200)",
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.ticks, unsigned(v))),
+        },
+        Flag {
+            names: &["--shards"],
+            help: "worker shards (default: the available parallelism, capped
+                   by the vehicle count); results are bit-identical for any N",
+            takes: Takes::Value("N", |a, v| {
+                a.shards_given = true;
+                set(&mut a.cfg.shards, positive(v))
+            }),
+        },
+        Flag::seed(|a, v| set(&mut a.cfg.seed, unsigned(v))),
+        Flag {
+            names: &["--snapshot-every"],
+            help: "ticks between census snapshots (default 50)",
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.snapshot_every, unsigned(v))),
+        },
+        Flag {
+            names: &["--posture"],
+            help: "the defended layers: full (default), none, or the lowest K",
+            takes: Takes::Value("full|none|depth:K", |a, v| {
+                set(&mut a.cfg.posture, posture(v))
+            }),
+        },
+        Flag {
+            names: &["--fidelity"],
+            help: "attack-resolution tier (default calibrated; see below)",
+            takes: Takes::Value("live|calibrated|mixed:K", |a, v| {
+                let expected = "live, calibrated or mixed:K (K >= 1)";
+                set(&mut a.cfg.fidelity, Fidelity::parse(v).ok_or(expected))
+            }),
+        },
+        Flag {
+            names: &["--campaign"],
+            help: "where attack pressure comes from (default fixed; see below)",
+            takes: Takes::Value("fixed|generated:N", |a, v| {
+                let expected = "fixed or generated:N (N >= 1)";
+                set(&mut a.cfg.campaign, CampaignMode::parse(v).ok_or(expected))
+            }),
+        },
+        Flag {
+            names: &["--attack-rate"],
+            help: "per-vehicle per-tick attack probability (default 0.0005)",
+            takes: Takes::Value("F", |a, v| {
+                let rate = finite(v, |r| r >= 0.0, "a finite nonnegative rate");
+                set(&mut a.cfg.attack_rate, rate)
+            }),
+        },
+        Flag {
+            names: &["--no-faults"],
+            help: "switch fault injection off",
+            takes: Takes::Switch(|a| a.cfg.faults_enabled = false),
+        },
+        Flag {
+            names: &["--defender"],
+            help: "fleet-wide defense policy (default off; see below)",
+            takes: Takes::Value("off|static|closed-loop", |a, v| {
+                let expected = "off, static or closed-loop";
+                set(&mut a.cfg.defender, DefenderMode::parse(v).ok_or(expected))
+            }),
+        },
+        Flag {
+            names: &["--defender-budget"],
+            help: "the defender's action budget (default 0)",
+            takes: Takes::Value("F", |a, v| {
+                let budget = finite(v, |b| b >= 0.0, "a finite nonnegative budget");
+                set(&mut a.cfg.defender_budget, budget)
+            }),
+        },
+        Flag::json(|a| a.json = true),
+        Flag::canonical(|a| a.canonical = true),
+        Flag::out(|a, v| set(&mut a.out, Ok(v.into()))),
+        Flag::HELP,
+    ],
+    check: |a| match a.cfg.vehicles == 0 || a.cfg.ticks == 0 {
+        true => Err("--vehicles and --ticks must be positive"),
+        false => Ok(()),
+    },
+    trailer: "  Runs the live-fleet service mode: N per-vehicle state machines under
   continuous attack, fault and defense pressure for the given number of
   ticks. --fidelity picks the attack-resolution tier: 'calibrated'
   (default) resolves attacks against an outcome table calibrated from
@@ -279,173 +463,165 @@ fn fleet_usage() -> ! {
   for a between-tick rule policy reading the alert tallies and census.
   A zero budget is the null defender, bit-identical to 'off'.
 
-  --shards defaults to the available parallelism (capped by the
-  vehicle count); pass it explicitly to override. On a single-core
-  machine extra shards cost thread overhead instead of buying
-  wall-clock time (see benchmark/README.md) — results are bit-identical
-  for any --shards value either way; --json writes the canonical-keyed
-  fleet.json artifact (with --canonical the volatile throughput keys
-  are stripped so artifacts from different shard counts diff
-  byte-identical)."
+  On a single-core machine extra shards cost thread overhead instead of
+  buying wall-clock time (see benchmark/README.md). --json writes the
+  canonical-keyed fleet.json artifact.",
+};
+
+const GENERATE: Grammar<GenerateArgs> = Grammar {
+    command: "generate ",
+    init: || GenerateArgs {
+        cfg: GenConfig::new(16, 6, autosec_runner::DEFAULT_SEED),
+        trials: 200,
+        jobs: 1,
+        json: false,
+        canonical: false,
+        out: DEFAULT_ARTIFACT_DIR.to_owned(),
+    },
+    positional: None,
+    flags: &[
+        Flag {
+            names: &["--count", "-c"],
+            help: "target number of distinct campaigns (default 16)",
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.count, unsigned(v))),
+        },
+        Flag {
+            names: &["--max-len"],
+            help: "maximum steps per campaign (default 6)",
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.max_len, unsigned(v))),
+        },
+        Flag::seed(|a, v| set(&mut a.cfg.seed, unsigned(v))),
+        Flag::jobs(|a, v| set(&mut a.jobs, unsigned(v))),
+        Flag {
+            names: &["--trials"],
+            help: "Monte-Carlo replays per campaign x posture (default 200)",
+            takes: Takes::Value("N", |a, v| set(&mut a.trials, unsigned(v))),
+        },
+        Flag {
+            names: &["--layer"],
+            help: "keep only campaigns touching this layer: physical, network,
+                   software/platform, data, system-of-systems or collaboration",
+            takes: Takes::Value("L", |a, v| {
+                let expected = "physical, network, software/platform, data, \
+                                system-of-systems or collaboration";
+                set(
+                    &mut a.cfg.layer,
+                    ArchLayer::parse(v).map(Some).ok_or(expected),
+                )
+            }),
+        },
+        Flag {
+            names: &["--stride-class"],
+            help: "keep only campaigns touching this STRIDE class: spoofing,
+                   tampering, repudiation, info-disclosure, denial-of-service
+                   or elevation-of-privilege (mnemonics s/t/r/i/d/e accepted)",
+            takes: Takes::Value("S", |a, v| {
+                let expected = "a STRIDE class label (e.g. spoofing, denial-of-service) \
+                                or mnemonic s/t/r/i/d/e";
+                set(
+                    &mut a.cfg.stride,
+                    Stride::parse(v).map(Some).ok_or(expected),
+                )
+            }),
+        },
+        Flag::json(|a| a.json = true),
+        Flag::canonical(|a| a.canonical = true),
+        Flag::out(|a, v| set(&mut a.out, Ok(v.into()))),
+        Flag::HELP,
+    ],
+    check: |a| match a.cfg.count == 0 || a.cfg.max_len == 0 || a.trials == 0 || a.jobs == 0 {
+        true => Err("--count, --max-len, --trials and --jobs must be positive"),
+        false => Ok(()),
+    },
+    trailer: "  Composes capability-consistent multi-step attack campaigns from the
+  calibrated attack graph and replays each under the empty and full
+  defense postures, then rolls the pool up into the STRIDE x layer
+  coverage matrix (verdicts: covered / GAP / n/a); --json writes the
+  scengen.json artifact.",
+};
+
+/// Parses `raw` by `grammar`: `Ok(None)` when `--help` asks for the
+/// usage text, `Err` with the one-line reason the CLI prints before
+/// it. Every rejection reads `missing value for X`, `invalid X "v":
+/// expected ...`, `unknown [fleet |generate ]argument "x"` or the
+/// grammar's own combined check.
+fn parse<A>(grammar: &Grammar<A>, raw: &[String]) -> Result<Option<A>, String> {
+    let mut args = (grammar.init)();
+    let mut raw = raw.iter().map(String::as_str);
+    while let Some(arg) = raw.next() {
+        let Some(flag) = grammar.flags.iter().find(|f| f.names.contains(&arg)) else {
+            match grammar.positional {
+                Some(land) if !arg.starts_with('-') => land(&mut args, arg)?,
+                _ => return Err(format!("unknown {}argument {arg:?}", grammar.command)),
+            }
+            continue;
+        };
+        let name = flag.names[0];
+        match flag.takes {
+            Takes::Switch(set) => set(&mut args),
+            Takes::Value(_, land) => {
+                let v = raw
+                    .next()
+                    .ok_or_else(|| format!("missing value for {name}"))?;
+                land(&mut args, v).map_err(|e| format!("invalid {name} {v:?}: expected {e}"))?;
+            }
+            Takes::Help => return Ok(None),
+        }
+    }
+    (grammar.check)(&args)?;
+    Ok(Some(args))
+}
+
+/// The usage text, rendered from the grammar: a synopsis, one entry
+/// per flag that is not hidden, then the trailer.
+fn usage<A>(grammar: &Grammar<A>) -> String {
+    let filters = grammar.positional.map_or("", |_| "[FILTER...] ");
+    let mut text = format!(
+        "usage: experiments {}{filters}[FLAG...]\n\n",
+        grammar.command
     );
+    for flag in grammar.flags.iter().filter(|f| !f.help.is_empty()) {
+        let names: Vec<&str> = flag.names.iter().rev().copied().collect();
+        let mut lead = format!("  {}", names.join(", "));
+        if let Takes::Value(placeholder, _) = flag.takes {
+            lead = format!("{lead} {placeholder}");
+        }
+        let lead = match lead.len() < 17 {
+            true => format!("{lead:18}"),
+            false => format!("{lead}\n{:18}", ""),
+        };
+        let help: Vec<&str> = flag.help.lines().map(str::trim).collect();
+        text += &format!("{lead}{}\n", help.join(&format!("\n{:18}", "")));
+    }
+    text + "\n" + grammar.trailer
+}
+
+/// The parsed arguments; otherwise the reason (unless `--help` asked)
+/// and the usage text go to stderr and the process exits 2.
+fn parse_or_exit<A>(grammar: &Grammar<A>, raw: &[String]) -> A {
+    match parse(grammar, raw) {
+        Ok(Some(args)) => return args,
+        Ok(None) => {}
+        Err(reason) => eprintln!("{reason}"),
+    }
+    eprintln!("{}", usage(grammar));
     std::process::exit(2);
 }
 
-/// Parsed `fleet` subcommand arguments.
-#[derive(Debug)]
-struct FleetArgs {
-    cfg: FleetConfig,
-    json: bool,
-    canonical: bool,
-    /// Whether `--shards` was given explicitly (otherwise the caller
-    /// defaults it to the available parallelism).
-    shards_given: bool,
-    out: String,
-}
-
-/// Parses the `fleet` argument grammar. Every rejection is a
-/// `Result::Err` with the exact message the CLI prints — each parse
-/// path is unit-tested below without spawning a process.
-fn parse_fleet(args: &[String]) -> Result<FleetArgs, String> {
-    let mut cfg = FleetConfig {
-        vehicles: 10_000,
-        ticks: 200,
-        snapshot_every: 50,
-        ..FleetConfig::default()
-    };
-    let mut json = false;
-    let mut canonical = false;
-    let mut shards_given = false;
-    let mut out = DEFAULT_ARTIFACT_DIR.to_owned();
-
-    fn parsed<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
-        v.parse().map_err(|_| format!("invalid {name} {v:?}"))
-    }
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--vehicles" | "-n" => cfg.vehicles = parsed("--vehicles", &value("--vehicles")?)?,
-            "--ticks" => cfg.ticks = parsed("--ticks", &value("--ticks")?)?,
-            "--shards" => {
-                let v = value("--shards")?;
-                cfg.shards = parsed::<usize>("--shards", &v)
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| {
-                        format!("invalid --shards {v:?}: expected a positive integer")
-                    })?;
-                shards_given = true;
-            }
-            "--seed" | "-s" => cfg.seed = parsed("--seed", &value("--seed")?)?,
-            "--snapshot-every" => {
-                cfg.snapshot_every = parsed("--snapshot-every", &value("--snapshot-every")?)?;
-            }
-            "--attack-rate" => {
-                let v = value("--attack-rate")?;
-                cfg.attack_rate = parsed::<f64>("--attack-rate", &v)
-                    .ok()
-                    .filter(|r| r.is_finite() && *r >= 0.0)
-                    .ok_or_else(|| {
-                        format!("invalid --attack-rate {v:?}: expected a finite nonnegative rate")
-                    })?;
-            }
-            "--posture" => {
-                let v = value("--posture")?;
-                cfg.posture = match v.as_str() {
-                    "full" => DefensePosture::full(),
-                    "none" => DefensePosture::none(),
-                    other => {
-                        let k: usize = other
-                            .strip_prefix("depth:")
-                            .and_then(|k| k.parse().ok())
-                            .ok_or_else(|| {
-                                format!("invalid --posture {v:?}: expected full, none or depth:K")
-                            })?;
-                        if k > 6 {
-                            return Err(format!(
-                                "invalid --posture {v:?}: the architecture has 6 layers (K <= 6)"
-                            ));
-                        }
-                        DefensePosture::depth(k)
-                    }
-                };
-            }
-            "--fidelity" => {
-                let v = value("--fidelity")?;
-                cfg.fidelity = Fidelity::parse(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --fidelity {v:?}: expected live, calibrated or mixed:K (K >= 1)"
-                    )
-                })?;
-            }
-            "--campaign" => {
-                let v = value("--campaign")?;
-                cfg.campaign = CampaignMode::parse(&v).ok_or_else(|| {
-                    format!("invalid --campaign {v:?}: expected fixed or generated:N (N >= 1)")
-                })?;
-            }
-            "--defender" => {
-                let v = value("--defender")?;
-                cfg.defender = DefenderMode::parse(&v).ok_or_else(|| {
-                    format!("invalid --defender {v:?}: expected off, static or closed-loop")
-                })?;
-            }
-            "--defender-budget" => {
-                let v = value("--defender-budget")?;
-                cfg.defender_budget = parsed::<f64>("--defender-budget", &v)
-                    .ok()
-                    .filter(|b| b.is_finite() && *b >= 0.0)
-                    .ok_or_else(|| {
-                        format!(
-                            "invalid --defender-budget {v:?}: expected a finite nonnegative budget"
-                        )
-                    })?;
-            }
-            "--no-faults" => cfg.faults_enabled = false,
-            "--json" => json = true,
-            "--canonical" => canonical = true,
-            "--out" | "-o" => out = value("--out")?,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other => return Err(format!("unknown fleet argument {other:?}")),
-        }
-    }
-    if cfg.vehicles == 0 || cfg.ticks == 0 {
-        return Err("--vehicles and --ticks must be positive".to_owned());
-    }
-    Ok(FleetArgs {
-        cfg,
-        json,
-        canonical,
-        shards_given,
-        out,
-    })
+/// The artifact store at `out`, canonical if asked; `None` once the
+/// failure is reported.
+fn open_store(out: &str, canonical: bool) -> Option<ArtifactStore> {
+    let store = ArtifactStore::create(out)
+        .inspect_err(|e| eprintln!("cannot create artifact dir {out:?}: {e}"))
+        .ok()?;
+    Some(if canonical { store.canonical() } else { store })
 }
 
 /// The `fleet` subcommand: one live-fleet run with a human summary
 /// and an optional `fleet.json` artifact.
-fn fleet_main(args: &[String]) -> ExitCode {
-    let FleetArgs {
-        mut cfg,
-        json,
-        canonical,
-        shards_given,
-        out,
-    } = match parse_fleet(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            if msg != "help" {
-                eprintln!("{msg}");
-            }
-            fleet_usage();
-        }
-    };
-    if !shards_given {
+fn fleet_main(args: FleetArgs) -> ExitCode {
+    let mut cfg = args.cfg;
+    if !args.shards_given {
         // Default: one shard per available core, capped by fleet size.
         // An explicit --shards overrides (still capped at runtime).
         cfg.shards = std::thread::available_parallelism()
@@ -523,175 +699,38 @@ fn fleet_main(args: &[String]) -> ExitCode {
         );
     }
 
-    if json {
-        let store = match ArtifactStore::create(&out) {
-            Ok(s) if canonical => s.canonical(),
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot create artifact dir {out:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match store.write_json("fleet", &report.to_json()) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("fleet artifact write failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    if args.json {
+        return write_artifact(&args.out, args.canonical, "fleet", &report.to_json());
+    }
+    ExitCode::SUCCESS
+}
+
+/// Writes the one `<stem>.json` artifact of the `fleet` or `generate`
+/// subcommand.
+fn write_artifact(out: &str, canonical: bool, stem: &str, artifact: &Value) -> ExitCode {
+    let Some(store) = open_store(out, canonical) else {
+        return ExitCode::FAILURE;
+    };
+    match store.write_json(stem, artifact) {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("{stem} artifact write failed: {e}");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
 }
 
-fn generate_usage() -> ! {
-    eprintln!(
-        "usage: experiments generate [--count N] [--max-len N] [--seed N] [--jobs N]
-                            [--trials N] [--layer L] [--stride-class S]
-                            [--json] [--canonical] [--out DIR]
-
-  Composes capability-consistent multi-step attack campaigns from the
-  calibrated attack graph and replays each under the empty and full
-  defense postures, then rolls the pool up into the STRIDE x layer
-  coverage matrix (verdicts: covered / GAP / n/a).
-
-  --count N        target number of distinct campaigns (default 16)
-  --max-len N      maximum steps per campaign (default 6)
-  --seed N         generator + calibration seed (default 42); the
-                   output is a pure function of it
-  --jobs N         worker threads for calibration and replay
-                   (default 1); output is identical for any N
-  --trials N       Monte-Carlo replays per campaign x posture
-                   (default 200)
-  --layer L        keep only campaigns touching this layer: physical,
-                   network, software/platform, data, system-of-systems
-                   or collaboration
-  --stride-class S keep only campaigns touching this STRIDE class:
-                   spoofing, tampering, repudiation, info-disclosure,
-                   denial-of-service or elevation-of-privilege
-                   (mnemonics s/t/r/i/d/e accepted)
-  --json           write the scengen.json artifact
-  --canonical      strip volatile keys (jobs) so runs with different
-                   --jobs diff byte-identical
-  --out DIR        artifact directory (default {DEFAULT_ARTIFACT_DIR})"
-    );
-    std::process::exit(2);
-}
-
-/// Parsed `generate` subcommand arguments.
-#[derive(Debug)]
-struct GenerateArgs {
-    cfg: GenConfig,
-    trials: usize,
-    jobs: usize,
-    json: bool,
-    canonical: bool,
-    out: String,
-}
-
-/// Parses an [`ArchLayer`] CLI label (the `Display` strings, plus a
-/// few forgiving aliases).
-fn parse_layer(s: &str) -> Option<ArchLayer> {
-    match s.to_lowercase().as_str() {
-        "physical" | "phy" => Some(ArchLayer::Physical),
-        "network" | "net" | "ivn" => Some(ArchLayer::Network),
-        "software/platform" | "software-platform" | "platform" | "sdv" => {
-            Some(ArchLayer::SoftwarePlatform)
-        }
-        "data" => Some(ArchLayer::Data),
-        "system-of-systems" | "sos" => Some(ArchLayer::SystemOfSystems),
-        "collaboration" | "collab" => Some(ArchLayer::Collaboration),
-        _ => None,
-    }
-}
-
-/// Parses the `generate` argument grammar; `Err` carries the exact
-/// message the CLI prints (unit-tested below).
-fn parse_generate(args: &[String]) -> Result<GenerateArgs, String> {
-    let mut cfg = GenConfig::new(16, 6, autosec_runner::DEFAULT_SEED);
-    let mut trials = 200usize;
-    let mut jobs = 1usize;
-    let mut json = false;
-    let mut canonical = false;
-    let mut out = DEFAULT_ARTIFACT_DIR.to_owned();
-
-    fn parsed<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
-        v.parse().map_err(|_| format!("invalid {name} {v:?}"))
-    }
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--count" | "-c" => cfg.count = parsed("--count", &value("--count")?)?,
-            "--max-len" => cfg.max_len = parsed("--max-len", &value("--max-len")?)?,
-            "--seed" | "-s" => cfg.seed = parsed("--seed", &value("--seed")?)?,
-            "--jobs" | "-j" => jobs = parsed("--jobs", &value("--jobs")?)?,
-            "--trials" => trials = parsed("--trials", &value("--trials")?)?,
-            "--layer" => {
-                let v = value("--layer")?;
-                cfg.layer = Some(parse_layer(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --layer {v:?}: expected physical, network, software/platform, data, system-of-systems or collaboration"
-                    )
-                })?);
-            }
-            "--stride-class" => {
-                let v = value("--stride-class")?;
-                cfg.stride = Some(Stride::parse(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --stride-class {v:?}: expected a STRIDE class label (e.g. spoofing, denial-of-service) or mnemonic s/t/r/i/d/e"
-                    )
-                })?);
-            }
-            "--json" => json = true,
-            "--canonical" => canonical = true,
-            "--out" | "-o" => out = value("--out")?,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other => return Err(format!("unknown generate argument {other:?}")),
-        }
-    }
-    if cfg.count == 0 || cfg.max_len == 0 || trials == 0 || jobs == 0 {
-        return Err("--count, --max-len, --trials and --jobs must be positive".to_owned());
-    }
-    Ok(GenerateArgs {
-        cfg,
-        trials,
-        jobs,
-        json,
-        canonical,
-        out,
-    })
-}
-
 /// The `generate` subcommand: compose, replay, and report coverage.
-fn generate_main(args: &[String]) -> ExitCode {
-    let GenerateArgs {
-        cfg,
-        trials,
-        jobs,
-        json: write_json,
-        canonical,
-        out,
-    } = match parse_generate(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            if msg != "help" {
-                eprintln!("{msg}");
-            }
-            generate_usage();
-        }
-    };
+fn generate_main(args: GenerateArgs) -> ExitCode {
+    let (cfg, trials, jobs) = (&args.cfg, args.trials, args.jobs);
 
     // Same calibration machinery and trial count as the fleet service
     // mode — generated campaigns replay the measured graph, never a
     // hand-typed table.
     let calib = CalibrationConfig::new(12, jobs);
     let graph = calibrated_graph(&calib, &SimRng::seed(cfg.seed).fork("scengen/calibration"));
-    let pool = generate(&graph, &cfg);
+    let pool = generate(&graph, cfg);
     eprintln!(
         "generate: {} campaign(s) (requested {}), max-len {}, seed {}{}{}",
         pool.len(),
@@ -762,7 +801,7 @@ fn generate_main(args: &[String]) -> ExitCode {
         );
     }
 
-    if write_json {
+    if args.json {
         let artifact: Value = json!({
             "config": {
                 "count": cfg.count,
@@ -791,21 +830,7 @@ fn generate_main(args: &[String]) -> ExitCode {
                 })).collect::<Vec<_>>(),
             },
         });
-        let store = match ArtifactStore::create(&out) {
-            Ok(s) if canonical => s.canonical(),
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot create artifact dir {out:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match store.write_json("scengen", &artifact) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("scengen artifact write failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        return write_artifact(&args.out, args.canonical, "scengen", &artifact);
     }
     ExitCode::SUCCESS
 }
@@ -817,10 +842,7 @@ fn generate_main(args: &[String]) -> ExitCode {
 /// The supervising parent polls budgets and classifies kills — this
 /// child only installs the rlimit backstops and computes.
 fn worker_main(slug: &str, args: &Args) -> ExitCode {
-    apply_worker_rlimits(ResourceBudgets {
-        rss_limit_mb: args.rss_limit_mb,
-        cpu_limit_secs: args.cpu_limit_secs,
-    });
+    apply_worker_rlimits(args.budgets);
     let reg = registry();
     let selected = reg.select(slug);
     let Some(exp) = selected.first() else {
@@ -865,22 +887,12 @@ fn main() -> ExitCode {
     // The `fleet` and `generate` subcommands have their own argument
     // grammars.
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("fleet") {
-        return fleet_main(&raw[1..]);
+    match raw.first().map(String::as_str) {
+        Some("fleet") => return fleet_main(parse_or_exit(&FLEET, &raw[1..])),
+        Some("generate") => return generate_main(parse_or_exit(&GENERATE, &raw[1..])),
+        _ => {}
     }
-    if raw.first().map(String::as_str) == Some("generate") {
-        return generate_main(&raw[1..]);
-    }
-
-    let args = match parse_suite(&raw) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            if msg != "help" {
-                eprintln!("{msg}");
-            }
-            usage();
-        }
-    };
+    let args = parse_or_exit(&SUITE, &raw);
     if let Some(slug) = args.worker_one.clone() {
         return worker_main(&slug, &args);
     }
@@ -930,17 +942,9 @@ fn main() -> ExitCode {
     }
 
     let ctx = RunCtx::new(args.seed, args.jobs).with_trials_scale(args.trials_scale);
-    let store = if args.json {
-        match ArtifactStore::create(&args.out) {
-            Ok(s) if args.canonical => Some(s.canonical()),
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("cannot create artifact dir {:?}: {e}", args.out);
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
+    let store = match args.json.then(|| open_store(&args.out, args.canonical)) {
+        Some(None) => return ExitCode::FAILURE,
+        store => store.flatten(),
     };
 
     // Resume: reuse completed artifacts from the prior manifest when
@@ -975,10 +979,7 @@ fn main() -> ExitCode {
 
     // Isolation: auto resolves to child processes exactly when a
     // budget was requested (budgets are unenforceable in-process).
-    let budgets = ResourceBudgets {
-        rss_limit_mb: args.rss_limit_mb,
-        cpu_limit_secs: args.cpu_limit_secs,
-    };
+    let budgets = args.budgets;
     let isolate_on = match args.isolate {
         IsolateMode::On => true,
         IsolateMode::Off => false,
@@ -1149,7 +1150,7 @@ mod tests {
 
     fn fleet(args: &[&str]) -> Result<FleetArgs, String> {
         let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
-        parse_fleet(&owned)
+        parse(&FLEET, &owned).map(|a| a.expect("no --help given"))
     }
 
     #[test]
@@ -1238,7 +1239,7 @@ mod tests {
 
     fn gen(args: &[&str]) -> Result<GenerateArgs, String> {
         let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
-        parse_generate(&owned)
+        parse(&GENERATE, &owned).map(|a| a.expect("no --help given"))
     }
 
     #[test]
@@ -1284,15 +1285,6 @@ mod tests {
     }
 
     #[test]
-    fn layer_labels_round_trip_through_parse_layer() {
-        for layer in ArchLayer::ALL {
-            assert_eq!(parse_layer(&layer.to_string()), Some(layer));
-        }
-        assert_eq!(parse_layer("SOS"), Some(ArchLayer::SystemOfSystems));
-        assert_eq!(parse_layer("nope"), None);
-    }
-
-    #[test]
     fn fleet_rejects_missing_values_and_unknown_flags() {
         assert_eq!(
             fleet(&["--vehicles"]).unwrap_err(),
@@ -1308,9 +1300,62 @@ mod tests {
         assert!(fleet(&["--ticks", "-3"]).unwrap_err().contains("--ticks"));
     }
 
+    #[test]
+    fn usage_lists_every_flag_but_the_hidden_worker() {
+        fn check<A>(g: &Grammar<A>) {
+            let text = usage(g);
+            for flag in g.flags {
+                let mut entries = text.lines().map(|l| l.split_whitespace().take(2));
+                let listed =
+                    entries.any(|mut w| w.any(|w| w.trim_end_matches(',') == flag.names[0]));
+                assert_eq!(listed, flag.names[0] != "--worker-one", "{}", flag.names[0]);
+            }
+            assert!(text.contains(DEFAULT_ARTIFACT_DIR), "{text}");
+            assert!(text.lines().all(|l| l.chars().count() <= 78), "{text}");
+        }
+        check(&SUITE);
+        check(&FLEET);
+        check(&GENERATE);
+    }
+
+    /// A `--help` request reads as `Err("help")` here, so tests can
+    /// compare it like a rejection.
     fn suite(args: &[&str]) -> Result<Args, String> {
         let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
-        parse_suite(&owned)
+        parse(&SUITE, &owned)?.ok_or_else(|| "help".to_owned())
+    }
+
+    /// The reason `grammar` ("" for the suite, `fleet`, `generate`)
+    /// rejects `args` with.
+    fn reject(grammar: &str, args: &[&str]) -> String {
+        let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
+        match grammar {
+            "fleet" => parse(&FLEET, &owned).map(drop),
+            "generate" => parse(&GENERATE, &owned).map(drop),
+            _ => parse(&SUITE, &owned).map(drop),
+        }
+        .expect_err("rejected")
+    }
+
+    /// The names of every value-taking flag, with its grammar.
+    fn value_flags() -> Vec<(&'static str, &'static [&'static str])> {
+        fn of<A>(
+            grammar: &'static str,
+            g: &Grammar<A>,
+        ) -> Vec<(&'static str, &'static [&'static str])> {
+            let takes_value = |f: &&Flag<A>| matches!(f.takes, Takes::Value(..));
+            g.flags
+                .iter()
+                .filter(takes_value)
+                .map(|f| (grammar, f.names))
+                .collect()
+        }
+        [
+            of("", &SUITE),
+            of("fleet", &FLEET),
+            of("generate", &GENERATE),
+        ]
+        .concat()
     }
 
     #[test]
@@ -1329,28 +1374,101 @@ mod tests {
 
     #[test]
     fn suite_rejects_one_malformed_value_per_flag() {
-        for (flag, bad, reason) in [
-            ("--seed", "abc", "expected an unsigned integer"),
-            ("--jobs", "0", "expected a positive integer"),
-            ("--jobs", "two", "expected a positive integer"),
-            ("--trials-scale", "0", "expected a positive number"),
-            ("--trials-scale", "NaN", "expected a positive number"),
-            ("--deadline-secs", "0", "expected a positive integer"),
-            ("--deadline-secs", "-1", "expected a positive integer"),
-            ("--isolate", "maybe", "expected on, off or auto"),
-            ("--retries", "-1", "expected an unsigned integer"),
-            ("--rss-limit-mb", "0", "expected a positive integer"),
-            ("--cpu-limit-secs", "0", "expected a positive integer"),
-        ] {
-            let err = suite(&[flag, bad]).unwrap_err();
+        // All three grammars: ("" is the suite).
+        const POSITIVE: &str = "expected a positive integer";
+        const UNSIGNED: &str = "expected an unsigned integer";
+        let malformed = [
+            ("", "--seed", "abc", UNSIGNED),
+            ("", "--jobs", "0", POSITIVE),
+            ("", "--jobs", "two", POSITIVE),
+            ("", "--trials-scale", "0", "expected a positive number"),
+            ("", "--trials-scale", "NaN", "expected a positive number"),
+            ("", "--deadline-secs", "0", POSITIVE),
+            ("", "--deadline-secs", "-1", POSITIVE),
+            ("", "--isolate", "maybe", "expected on, off or auto"),
+            ("", "--retries", "-1", UNSIGNED),
+            ("", "--rss-limit-mb", "0", POSITIVE),
+            ("", "--cpu-limit-secs", "0", POSITIVE),
+            ("fleet", "--vehicles", "x", UNSIGNED),
+            ("fleet", "--ticks", "-3", UNSIGNED),
+            ("fleet", "--shards", "0", POSITIVE),
+            ("fleet", "--seed", "abc", UNSIGNED),
+            ("fleet", "--snapshot-every", "-1", UNSIGNED),
+            (
+                "fleet",
+                "--posture",
+                "depth:7",
+                "expected full, none or depth:K (K <= 6)",
+            ),
+            (
+                "fleet",
+                "--fidelity",
+                "mixed:0",
+                "expected live, calibrated or mixed:K (K >= 1)",
+            ),
+            (
+                "fleet",
+                "--campaign",
+                "generated:0",
+                "expected fixed or generated:N (N >= 1)",
+            ),
+            (
+                "fleet",
+                "--attack-rate",
+                "-1",
+                "expected a finite nonnegative rate",
+            ),
+            (
+                "fleet",
+                "--defender",
+                "sideways",
+                "expected off, static or closed-loop",
+            ),
+            (
+                "fleet",
+                "--defender-budget",
+                "inf",
+                "expected a finite nonnegative budget",
+            ),
+            ("generate", "--count", "x", UNSIGNED),
+            ("generate", "--max-len", "-1", UNSIGNED),
+            ("generate", "--seed", "abc", UNSIGNED),
+            ("generate", "--jobs", "two", UNSIGNED),
+            ("generate", "--trials", "1.5", UNSIGNED),
+            (
+                "generate",
+                "--layer",
+                "cloud",
+                "expected physical, network, software/platform, data, system-of-systems or \
+                 collaboration",
+            ),
+            (
+                "generate",
+                "--stride-class",
+                "phishing",
+                "expected a STRIDE class label (e.g. spoofing, denial-of-service) or mnemonic \
+                 s/t/r/i/d/e",
+            ),
+        ];
+        for (grammar, flag, bad, reason) in malformed {
+            let err = reject(grammar, &[flag, bad]);
             assert_eq!(err, format!("invalid {flag} {bad:?}: {reason}"));
         }
-        let takes_value = "--filter --seed --jobs --trials-scale --deadline-secs --isolate \
-                           --retries --rss-limit-mb --cpu-limit-secs --worker-one --out";
-        for flag in takes_value.split_whitespace() {
-            assert_eq!(
-                suite(&[flag]).unwrap_err(),
-                format!("missing value for {flag}")
+        // Every value flag of the tables: a missing value under each of
+        // its names, and a malformed-value row unless any text is valid.
+        let free_text = ["--filter", "--out", "--worker-one"];
+        for (grammar, names) in value_flags() {
+            for name in names {
+                assert_eq!(
+                    reject(grammar, &[name]),
+                    format!("missing value for {}", names[0])
+                );
+            }
+            let flag = names[0];
+            assert!(
+                free_text.contains(&flag)
+                    || malformed.iter().any(|r| (r.0, r.1) == (grammar, flag)),
+                "{grammar} {flag} has no malformed-value row"
             );
         }
         assert_eq!(

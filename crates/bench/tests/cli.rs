@@ -2,13 +2,17 @@
 //! one-line reason on stderr — for the suite grammar and both
 //! subcommands — and never with a panic (exit 101).
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn rejects(args: &[&str], reason: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+fn spawn(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
         .output()
-        .expect("spawn experiments");
+        .expect("spawn experiments")
+}
+
+fn rejects(args: &[&str], reason: &str) {
+    let out = spawn(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_ne!(out.status.code(), Some(101), "{args:?} panicked:\n{stderr}");
     assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
@@ -54,4 +58,78 @@ fn generate_rejects_zero_jobs() {
         &["generate", "--jobs", "0"],
         "--count, --max-len, --trials and --jobs must be positive",
     );
+}
+
+/// Every value-taking flag of every grammar, given without its value,
+/// and each grammar's `--help` and `-h` exit 2 with the usage text.
+/// Each run stops at its arguments, so the ~40 spawns stay quick.
+#[test]
+fn every_flag_missing_its_value_and_every_help_exit_2() {
+    let grammars: [(&[&str], &[&str]); 3] = [
+        (
+            &[],
+            &[
+                "--filter",
+                "--seed",
+                "--jobs",
+                "--trials-scale",
+                "--deadline-secs",
+                "--isolate",
+                "--retries",
+                "--rss-limit-mb",
+                "--cpu-limit-secs",
+                "--worker-one",
+                "--out",
+            ],
+        ),
+        (
+            &["fleet"],
+            &[
+                "--vehicles",
+                "--ticks",
+                "--shards",
+                "--seed",
+                "--snapshot-every",
+                "--posture",
+                "--fidelity",
+                "--campaign",
+                "--attack-rate",
+                "--defender",
+                "--defender-budget",
+                "--out",
+            ],
+        ),
+        (
+            &["generate"],
+            &[
+                "--count",
+                "--max-len",
+                "--seed",
+                "--jobs",
+                "--trials",
+                "--layer",
+                "--stride-class",
+                "--out",
+            ],
+        ),
+    ];
+    for (command, flags) in grammars {
+        for flag in flags {
+            rejects(
+                &[command, &[flag]].concat(),
+                &format!("missing value for {flag}"),
+            );
+        }
+        for help in ["--help", "-h"] {
+            let args = [command, &[help]].concat();
+            let out = spawn(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+            assert!(
+                stderr.starts_with("usage: experiments"),
+                "{args:?}:\n{stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?} ran something");
+        }
+    }
 }

@@ -49,6 +49,22 @@ impl ArchLayer {
             ArchLayer::Collaboration => "VII",
         }
     }
+
+    /// Parses a layer label back into a layer, case-insensitively:
+    /// the `Display` strings plus a few forgiving aliases.
+    pub fn parse(s: &str) -> Option<ArchLayer> {
+        match s.to_lowercase().as_str() {
+            "physical" | "phy" => Some(ArchLayer::Physical),
+            "network" | "net" | "ivn" => Some(ArchLayer::Network),
+            "software/platform" | "software-platform" | "platform" | "sdv" => {
+                Some(ArchLayer::SoftwarePlatform)
+            }
+            "data" => Some(ArchLayer::Data),
+            "system-of-systems" | "sos" => Some(ArchLayer::SystemOfSystems),
+            "collaboration" | "collab" => Some(ArchLayer::Collaboration),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for ArchLayer {
@@ -81,5 +97,14 @@ mod tests {
     fn display_and_sections() {
         assert_eq!(ArchLayer::Network.to_string(), "network");
         assert_eq!(ArchLayer::Data.paper_section(), "V");
+    }
+
+    #[test]
+    fn layer_labels_round_trip_through_parse() {
+        for layer in ArchLayer::ALL {
+            assert_eq!(ArchLayer::parse(&layer.to_string()), Some(layer));
+        }
+        assert_eq!(ArchLayer::parse("SOS"), Some(ArchLayer::SystemOfSystems));
+        assert_eq!(ArchLayer::parse("nope"), None);
     }
 }
