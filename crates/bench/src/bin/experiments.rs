@@ -180,8 +180,6 @@ struct Grammar<A: 'static> {
     /// without this rejects them.
     positional: Option<Land<A>>,
     flags: &'static [Flag<A>],
-    /// Rejects a combination of values that each passed on its own.
-    check: fn(&A) -> Result<(), &'static str>,
     /// Prose printed after the flag entries.
     trailer: &'static str,
 }
@@ -338,7 +336,6 @@ const SUITE: Grammar<Args> = Grammar {
         },
         Flag::HELP,
     ],
-    check: |_| Ok(()),
     trailer: "Subcommands, each with its own --help:
   experiments fleet [FLAG...]      live-fleet service mode
   experiments generate [FLAG...]   generative scenario composer",
@@ -361,12 +358,12 @@ const FLEET: Grammar<FleetArgs> = Grammar {
         Flag {
             names: &["--vehicles", "-n"],
             help: "fleet size (default 10000)",
-            takes: Takes::Value("N", |a, v| set(&mut a.cfg.vehicles, unsigned(v))),
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.vehicles, positive(v))),
         },
         Flag {
             names: &["--ticks"],
             help: "ticks to run (default 200)",
-            takes: Takes::Value("N", |a, v| set(&mut a.cfg.ticks, unsigned(v))),
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.ticks, positive(v))),
         },
         Flag {
             names: &["--shards"],
@@ -440,10 +437,6 @@ const FLEET: Grammar<FleetArgs> = Grammar {
         Flag::out(|a, v| set(&mut a.out, Ok(v.into()))),
         Flag::HELP,
     ],
-    check: |a| match a.cfg.vehicles == 0 || a.cfg.ticks == 0 {
-        true => Err("--vehicles and --ticks must be positive"),
-        false => Ok(()),
-    },
     trailer: "  Runs the live-fleet service mode: N per-vehicle state machines under
   continuous attack, fault and defense pressure for the given number of
   ticks. --fidelity picks the attack-resolution tier: 'calibrated'
@@ -483,19 +476,19 @@ const GENERATE: Grammar<GenerateArgs> = Grammar {
         Flag {
             names: &["--count", "-c"],
             help: "target number of distinct campaigns (default 16)",
-            takes: Takes::Value("N", |a, v| set(&mut a.cfg.count, unsigned(v))),
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.count, positive(v))),
         },
         Flag {
             names: &["--max-len"],
             help: "maximum steps per campaign (default 6)",
-            takes: Takes::Value("N", |a, v| set(&mut a.cfg.max_len, unsigned(v))),
+            takes: Takes::Value("N", |a, v| set(&mut a.cfg.max_len, positive(v))),
         },
         Flag::seed(|a, v| set(&mut a.cfg.seed, unsigned(v))),
-        Flag::jobs(|a, v| set(&mut a.jobs, unsigned(v))),
+        Flag::jobs(|a, v| set(&mut a.jobs, positive(v))),
         Flag {
             names: &["--trials"],
             help: "Monte-Carlo replays per campaign x posture (default 200)",
-            takes: Takes::Value("N", |a, v| set(&mut a.trials, unsigned(v))),
+            takes: Takes::Value("N", |a, v| set(&mut a.trials, positive(v))),
         },
         Flag {
             names: &["--layer"],
@@ -529,10 +522,6 @@ const GENERATE: Grammar<GenerateArgs> = Grammar {
         Flag::out(|a, v| set(&mut a.out, Ok(v.into()))),
         Flag::HELP,
     ],
-    check: |a| match a.cfg.count == 0 || a.cfg.max_len == 0 || a.trials == 0 || a.jobs == 0 {
-        true => Err("--count, --max-len, --trials and --jobs must be positive"),
-        false => Ok(()),
-    },
     trailer: "  Composes capability-consistent multi-step attack campaigns from the
   calibrated attack graph and replays each under the empty and full
   defense postures, then rolls the pool up into the STRIDE x layer
@@ -543,8 +532,7 @@ const GENERATE: Grammar<GenerateArgs> = Grammar {
 /// Parses `raw` by `grammar`: `Ok(None)` when `--help` asks for the
 /// usage text, `Err` with the one-line reason the CLI prints before
 /// it. Every rejection reads `missing value for X`, `invalid X "v":
-/// expected ...`, `unknown [fleet |generate ]argument "x"` or the
-/// grammar's own combined check.
+/// expected ...` or `unknown [fleet |generate ]argument "x"`.
 fn parse<A>(grammar: &Grammar<A>, raw: &[String]) -> Result<Option<A>, String> {
     let mut args = (grammar.init)();
     let mut raw = raw.iter().map(String::as_str);
@@ -568,7 +556,6 @@ fn parse<A>(grammar: &Grammar<A>, raw: &[String]) -> Result<Option<A>, String> {
             Takes::Help => return Ok(None),
         }
     }
-    (grammar.check)(&args)?;
     Ok(Some(args))
 }
 
@@ -1277,8 +1264,10 @@ mod tests {
             &["--trials", "0"],
             &["--jobs", "0"],
         ] {
-            let err = gen(bad).unwrap_err();
-            assert!(err.contains("must be positive"), "{bad:?}: {err}");
+            assert_eq!(
+                gen(bad).unwrap_err(),
+                format!("invalid {} \"0\": expected a positive integer", bad[0])
+            );
         }
         assert_eq!(gen(&["--count"]).unwrap_err(), "missing value for --count");
         assert!(gen(&["--warp"]).unwrap_err().contains("unknown generate"));
@@ -1295,7 +1284,7 @@ mod tests {
             .contains("unknown fleet argument"));
         assert_eq!(
             fleet(&["--vehicles", "0"]).unwrap_err(),
-            "--vehicles and --ticks must be positive"
+            "invalid --vehicles \"0\": expected a positive integer"
         );
         assert!(fleet(&["--ticks", "-3"]).unwrap_err().contains("--ticks"));
     }
@@ -1389,8 +1378,9 @@ mod tests {
             ("", "--retries", "-1", UNSIGNED),
             ("", "--rss-limit-mb", "0", POSITIVE),
             ("", "--cpu-limit-secs", "0", POSITIVE),
-            ("fleet", "--vehicles", "x", UNSIGNED),
-            ("fleet", "--ticks", "-3", UNSIGNED),
+            ("fleet", "--vehicles", "x", POSITIVE),
+            ("fleet", "--ticks", "-3", POSITIVE),
+            ("fleet", "--ticks", "0", POSITIVE),
             ("fleet", "--shards", "0", POSITIVE),
             ("fleet", "--seed", "abc", UNSIGNED),
             ("fleet", "--snapshot-every", "-1", UNSIGNED),
@@ -1430,11 +1420,12 @@ mod tests {
                 "inf",
                 "expected a finite nonnegative budget",
             ),
-            ("generate", "--count", "x", UNSIGNED),
-            ("generate", "--max-len", "-1", UNSIGNED),
+            ("generate", "--count", "x", POSITIVE),
+            ("generate", "--max-len", "-1", POSITIVE),
             ("generate", "--seed", "abc", UNSIGNED),
-            ("generate", "--jobs", "two", UNSIGNED),
-            ("generate", "--trials", "1.5", UNSIGNED),
+            ("generate", "--jobs", "two", POSITIVE),
+            ("generate", "--jobs", "0", POSITIVE),
+            ("generate", "--trials", "1.5", POSITIVE),
             (
                 "generate",
                 "--layer",

@@ -56,7 +56,7 @@ fn fleet_rejects_zero_shards() {
 fn generate_rejects_zero_jobs() {
     rejects(
         &["generate", "--jobs", "0"],
-        "--count, --max-len, --trials and --jobs must be positive",
+        "invalid --jobs \"0\": expected a positive integer",
     );
 }
 

@@ -13,17 +13,20 @@
 //!    resolved against the calibrated ghost-object edge of the attack
 //!    graph.
 //!
-//!    Almost every vehicle-tick of a calm fleet changes nothing: a
-//!    `Healthy` vehicle draws for a direct attack and for infection,
-//!    and both miss. On a tick with no chaos draw and no fault onset
-//!    (both draw per vehicle first), such a vehicle is finished inline:
-//!    it draws on a copy of its RNG against integer thresholds
-//!    ([`SimRng::chance_threshold`], one draw each, exactly as
-//!    `chance` would) and, when neither hits, the copy is committed and
-//!    the telemetry frame counted. A hit discards the copy and runs
-//!    the one full per-vehicle step, which redraws from the untouched
-//!    stream. The inline path only ever commits "nothing happened", so
-//!    its outputs are the full step's, bit for bit.
+//!    Almost every vehicle-tick changes nothing: every Bernoulli draw
+//!    the vehicle's status calls for misses. Per status, those draws
+//!    are: `Healthy`, a direct attack then infection; `Degraded`, the
+//!    same two then repair if flagged; `Compromised`, late detection
+//!    if unflagged or re-alert if flagged; `Isolated`, verification.
+//!    On a tick with no chaos draw and no fault onset (both draw per
+//!    vehicle first), such a vehicle is finished inline: it draws on a
+//!    copy of its RNG against integer thresholds computed once per
+//!    tick ([`SimRng::chance_threshold`], one draw each, exactly as
+//!    `chance` would) and, when every draw misses, the copy is
+//!    committed and the telemetry frame counted. A hit discards the
+//!    copy and runs the one full per-vehicle step, which redraws from
+//!    the untouched stream. The inline path only ever commits "nothing
+//!    happened", so its outputs are the full step's, bit for bit.
 //!
 //!    Once its vehicles have all stepped, each shard answers their
 //!    alerts in the order they were raised: each is one more strike in
@@ -494,34 +497,64 @@ struct StepEnv<'a> {
     /// Per-tick probability a silent compromise is flagged after the
     /// fact (grows with defense depth and bought monitoring).
     late_detect_p: f64,
-    /// Present on ticks where a `Healthy` vehicle's step can end after
-    /// its attack and infection draws (see [`calm_step`]).
+    /// Present on ticks where a vehicle's step can end inline once
+    /// its every draw misses (see [`calm_step`]).
     calm: Option<Calm>,
 }
 
-/// The [`SimRng::chance_threshold`]s of a calm tick. Each is `None`
-/// exactly when [`step_vehicle`] skips that draw.
+/// The [`SimRng::chance_threshold`]s of a calm tick: one per draw
+/// [`step_vehicle`] can make once the chaos and fault-onset draws are
+/// off. `attack` and `infection` are `None` exactly when
+/// [`step_vehicle`] skips that draw.
+///
+/// The all-miss contract, per status — the draws [`step_vehicle`]
+/// makes, in its order:
+///
+/// - `Healthy`: attack, then infection;
+/// - `Degraded`: the same two, then repair if flagged;
+/// - `Compromised`: late detection if unflagged, else re-alert;
+/// - `Isolated`: verify;
+/// - `Lost`: none.
+///
+/// When every one of a vehicle's draws misses, its step changes
+/// nothing but its RNG and the frame count.
 #[derive(Clone, Copy)]
 struct Calm {
     attack: Option<u64>,
     infection: Option<u64>,
+    repair: u64,
+    late_detect: u64,
+    realert: u64,
+    verify: u64,
 }
 
 impl Calm {
     /// `None` when the chaos draw is on or a fault onset strikes this
-    /// tick: both draw per vehicle before the attack draw.
-    fn for_tick(cfg: &FleetConfig, inputs: &TickInputs) -> Option<Self> {
+    /// tick: both draw per vehicle before any other draw.
+    /// `late_detect_p` is the tick's, monitoring boost included.
+    fn for_tick(cfg: &FleetConfig, inputs: &TickInputs, late_detect_p: f64) -> Option<Self> {
         (cfg.chaos_lost_rate == 0.0 && inputs.fault_onsets.is_empty()).then(|| Calm {
             attack: (cfg.attack_rate > 0.0).then(|| SimRng::chance_threshold(cfg.attack_rate)),
             infection: (inputs.infection_pressure > 0.0)
                 .then(|| SimRng::chance_threshold(inputs.infection_pressure)),
+            repair: SimRng::chance_threshold(REPAIR_P),
+            late_detect: SimRng::chance_threshold(late_detect_p),
+            realert: SimRng::chance_threshold(REALERT_P),
+            verify: SimRng::chance_threshold(VERIFY_P),
         })
+    }
+
+    /// Whether the attack or the infection draw hits.
+    #[inline(always)]
+    fn exposed(&self, rng: &mut SimRng) -> bool {
+        self.attack.is_some_and(|t| rng.below(t)) || self.infection.is_some_and(|t| rng.below(t))
     }
 }
 
-/// One vehicle's tick, finished inline when nothing happens: a
-/// `Healthy` vehicle on a calm tick whose attack and infection draws
-/// both miss only emits its frame. Anything else goes to
+/// One vehicle's tick, finished inline when nothing happens: on a calm
+/// tick, a vehicle whose every draw misses (the per-status contract on
+/// [`Calm`]) only emits its frame. The draws run on a copy of its RNG,
+/// committed only on an all-miss; a hit discards the copy and goes to
 /// [`step_vehicle`], which redraws from the untouched stream.
 #[inline(always)]
 fn calm_step(
@@ -532,15 +565,24 @@ fn calm_step(
     out: &mut ShardOutput,
 ) {
     if let Some(calm) = env.calm {
-        if cols.status[i] == VehicleStatus::Healthy {
-            let mut rng = cols.rng[i].clone();
-            let hit = calm.attack.is_some_and(|t| rng.below(t))
-                || calm.infection.is_some_and(|t| rng.below(t));
-            if !hit {
-                cols.rng[i] = rng;
-                out.counters.telemetry_frames += 1;
-                return;
+        let mut rng = cols.rng[i].clone();
+        let hit = match cols.status[i] {
+            VehicleStatus::Healthy => calm.exposed(&mut rng),
+            VehicleStatus::Degraded => {
+                calm.exposed(&mut rng) || (cols.flagged[i] && rng.below(calm.repair))
             }
+            VehicleStatus::Compromised => rng.below(if cols.flagged[i] {
+                calm.realert
+            } else {
+                calm.late_detect
+            }),
+            VehicleStatus::Isolated => rng.below(calm.verify),
+            VehicleStatus::Lost => false,
+        };
+        if !hit {
+            cols.rng[i] = rng;
+            out.counters.telemetry_frames += 1;
+            return;
         }
     }
     step_vehicle(cols, i, env, inputs, out);
@@ -906,6 +948,9 @@ impl FleetEngine {
 
         for tick in 1..=cfg.ticks {
             let inputs = tick_inputs(&cfg, &plan, &onsets, tick, &prev_census, breached);
+            // Bit-exact without a defender: monitor_boost() is +0.0
+            // until monitoring is bought.
+            let tick_late_detect_p = late_detect_p + defender.monitor_boost();
             let env = StepEnv {
                 cfg: &cfg,
                 engine,
@@ -917,10 +962,8 @@ impl FleetEngine {
                 generated: (!sequences.is_empty()).then_some((&graph, sequences.as_slice())),
                 posture,
                 epi,
-                // Bit-exact without a defender: monitor_boost() is
-                // +0.0 until monitoring is bought.
-                late_detect_p: late_detect_p + defender.monitor_boost(),
-                calm: Calm::for_tick(&cfg, &inputs),
+                late_detect_p: tick_late_detect_p,
+                calm: Calm::for_tick(&cfg, &inputs, tick_late_detect_p),
             };
 
             // Phase 1: parallel vehicle phase.
@@ -1326,8 +1369,13 @@ mod tests {
             VehicleStatus::Isolated,
             VehicleStatus::Lost,
         ];
+        // The posture's late-detection rate, the same plus a bought
+        // monitoring boost, and a sweep that always fires. Only a
+        // `Compromised` vehicle reads it, and it never draws for an
+        // attack, so the two rates sweep together.
+        let late_detect_ps = [late_detect_p, late_detect_p + 0.15, 1.0];
         for status in statuses {
-            for attack_rate in [0.0, 5e-4, 1.0] {
+            for (attack_rate, late_detect_p) in [0.0, 5e-4, 1.0].into_iter().zip(late_detect_ps) {
                 for infection_pressure in [0.0, 1e-9, 0.3] {
                     for fault_onsets in [vec![], vec![onset]] {
                         let cfg = FleetConfig {
@@ -1348,7 +1396,7 @@ mod tests {
                             posture: cfg.posture,
                             epi,
                             late_detect_p,
-                            calm: Calm::for_tick(&cfg, &inputs),
+                            calm: Calm::for_tick(&cfg, &inputs, late_detect_p),
                         };
                         assert_eq!(env.calm.is_some(), inputs.fault_onsets.is_empty());
                         let mut calm =
@@ -1375,7 +1423,7 @@ mod tests {
                         }
                         let case = format!(
                             "{status:?}, attack {attack_rate}, pressure {infection_pressure}, \
-                             onsets {}",
+                             onsets {}, late detect {late_detect_p}",
                             inputs.fault_onsets.len()
                         );
                         // Debug covers every column, each RNG's state included.

@@ -9,7 +9,6 @@
 use serde_json::{json, Value};
 
 use crate::state::FleetState;
-use crate::vehicle::VehicleStatus;
 
 /// Point-in-time fleet census: how many vehicles sit in each status,
 /// plus the mean residual health (the availability integrand).
@@ -31,26 +30,45 @@ pub struct Census {
 
 impl Census {
     /// Counts the fleet — two dense column scans (status, then
-    /// health), the health sum running serially in vehicle order so
-    /// the float total never depends on shard layout.
+    /// health).
+    ///
+    /// The status count is branch-free: per block of 255 vehicles,
+    /// the count of the `k`-th status (declaration order) is a sum of
+    /// `status == k` bytes, a `u8` that cannot overflow and that
+    /// vectorizes, then widened into the totals. A `match` per vehicle
+    /// mispredicts on every mixed-status fleet.
+    ///
+    /// The health sum stays one serial left-to-right scan in vehicle
+    /// order: `mean_health` is printed bit for bit, and any split of
+    /// the sum (per shard, per block, per SIMD lane) would reassociate
+    /// the float additions and change those bits.
     pub fn take(state: &FleetState) -> Self {
-        let mut c = Census::default();
-        for status in &state.status {
-            match status {
-                VehicleStatus::Healthy => c.healthy += 1,
-                VehicleStatus::Degraded => c.degraded += 1,
-                VehicleStatus::Compromised => c.compromised += 1,
-                VehicleStatus::Isolated => c.isolated += 1,
-                VehicleStatus::Lost => c.lost += 1,
+        let mut counts = [0u64; 5];
+        for block in state.status.chunks(usize::from(u8::MAX)) {
+            let mut block_counts = [0u8; 5];
+            for &status in block {
+                for (k, count) in block_counts.iter_mut().enumerate() {
+                    *count += u8::from(status as usize == k);
+                }
+            }
+            for (count, block_count) in counts.iter_mut().zip(block_counts) {
+                *count += u64::from(block_count);
             }
         }
+        let [healthy, degraded, compromised, isolated, lost] = counts;
         let health_sum: f64 = state.health.iter().sum();
-        c.mean_health = if state.is_empty() {
-            1.0
-        } else {
-            health_sum / state.len() as f64
-        };
-        c
+        Census {
+            healthy,
+            degraded,
+            compromised,
+            isolated,
+            lost,
+            mean_health: if state.is_empty() {
+                1.0
+            } else {
+                health_sum / state.len() as f64
+            },
+        }
     }
 
     /// Total vehicles counted.
@@ -191,7 +209,9 @@ impl FleetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vehicle::VehicleStatus;
     use autosec_sim::SimRng;
+    use rand::RngCore as _;
 
     #[test]
     fn census_counts_and_averages() {
@@ -207,6 +227,53 @@ mod tests {
         assert_eq!(c.total(), 4);
         let expected = (1.0 + 0.0 + crate::vehicle::COMPROMISED_HEALTH + 1.0) / 4.0;
         assert!((c.mean_health - expected).abs() < 1e-12);
+
+        // Seeded mixed columns around the 255-vehicle block edge, plus
+        // single-status columns longer than a block (a per-block `u8`
+        // counter overflowing would show there).
+        let statuses = [
+            VehicleStatus::Healthy,
+            VehicleStatus::Degraded,
+            VehicleStatus::Compromised,
+            VehicleStatus::Isolated,
+            VehicleStatus::Lost,
+        ];
+        let mut rng = SimRng::seed(11);
+        let mut fleets = Vec::new();
+        for n in [0, 1, 254, 255, 256, 100_003] {
+            let mut fleet = FleetState::new(n, &base);
+            for i in 0..n {
+                fleet.status[i] = statuses[(rng.next_u64() % 5) as usize];
+                fleet.health[i] = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            }
+            fleets.push(fleet);
+        }
+        for status in statuses {
+            let mut fleet = FleetState::new(1_000, &base);
+            fleet.status.fill(status);
+            fleets.push(fleet);
+        }
+        for fleet in &fleets {
+            let mut reference = Census::default();
+            for status in &fleet.status {
+                match status {
+                    VehicleStatus::Healthy => reference.healthy += 1,
+                    VehicleStatus::Degraded => reference.degraded += 1,
+                    VehicleStatus::Compromised => reference.compromised += 1,
+                    VehicleStatus::Isolated => reference.isolated += 1,
+                    VehicleStatus::Lost => reference.lost += 1,
+                }
+            }
+            let n = fleet.len();
+            reference.mean_health = if n == 0 {
+                1.0
+            } else {
+                fleet.health.iter().sum::<f64>() / n as f64
+            };
+            let c = Census::take(fleet);
+            assert_eq!(c, reference, "{n} vehicles");
+            assert_eq!(c.mean_health.to_bits(), reference.mean_health.to_bits());
+        }
     }
 
     #[test]
