@@ -139,7 +139,8 @@ impl<A> Flag<A> {
     const fn jobs(land: Land<A>) -> Self {
         Flag {
             names: &["--jobs", "-j"],
-            help: "worker threads (default 1); output is identical for any N",
+            help: "worker threads, at most 1024 (default 1); output is
+                   identical for any N",
             takes: Takes::Value("N", land),
         }
     }
@@ -199,6 +200,19 @@ fn positive<T: std::str::FromStr + Default + PartialOrd>(v: &str) -> Result<T, &
     n.ok_or("a positive integer")
 }
 
+/// The most worker threads `--jobs` or `--shards` may ask for: each
+/// `par_trials` call and each fleet tick starts up to that many.
+const MAX_WORKERS: usize = 1024;
+
+/// A worker count: a positive integer no larger than [`MAX_WORKERS`].
+fn workers(v: &str) -> Result<usize, &'static str> {
+    let n = positive(v)?;
+    if n > MAX_WORKERS {
+        return Err("a positive integer up to 1024");
+    }
+    Ok(n)
+}
+
 /// A finite number that `ok` accepts.
 fn finite(v: &str, ok: fn(f64) -> bool, expected: &'static str) -> Result<f64, &'static str> {
     let x = v.parse().ok().filter(|x: &f64| x.is_finite() && ok(*x));
@@ -249,7 +263,7 @@ const SUITE: Grammar<Args> = Grammar {
             takes: Takes::Value("F", push_filter),
         },
         Flag::seed(|a, v| set(&mut a.seed, unsigned(v))),
-        Flag::jobs(|a, v| set(&mut a.jobs, positive(v))),
+        Flag::jobs(|a, v| set(&mut a.jobs, workers(v))),
         Flag {
             names: &["--trials-scale", "-t"],
             help: "multiply Monte-Carlo trial counts by F (default 1.0); a
@@ -367,11 +381,12 @@ const FLEET: Grammar<FleetArgs> = Grammar {
         },
         Flag {
             names: &["--shards"],
-            help: "worker shards (default: the available parallelism, capped
-                   by the vehicle count); results are bit-identical for any N",
+            help: "worker shards, at most 1024 (default: the available
+                   parallelism, capped by the vehicle count); results are
+                   bit-identical for any N",
             takes: Takes::Value("N", |a, v| {
                 a.shards_given = true;
-                set(&mut a.cfg.shards, positive(v))
+                set(&mut a.cfg.shards, workers(v))
             }),
         },
         Flag::seed(|a, v| set(&mut a.cfg.seed, unsigned(v))),
@@ -484,7 +499,7 @@ const GENERATE: Grammar<GenerateArgs> = Grammar {
             takes: Takes::Value("N", |a, v| set(&mut a.cfg.max_len, positive(v))),
         },
         Flag::seed(|a, v| set(&mut a.cfg.seed, unsigned(v))),
-        Flag::jobs(|a, v| set(&mut a.jobs, positive(v))),
+        Flag::jobs(|a, v| set(&mut a.jobs, workers(v))),
         Flag {
             names: &["--trials"],
             help: "Monte-Carlo replays per campaign x posture (default 200)",
@@ -1172,6 +1187,13 @@ mod tests {
         let ok = fleet(&["--shards", "3"]).unwrap();
         assert_eq!(ok.cfg.shards, 3);
         assert!(ok.shards_given);
+        let most = MAX_WORKERS.to_string();
+        assert_eq!(fleet(&["--shards", &most]).unwrap().cfg.shards, MAX_WORKERS);
+        let over = (MAX_WORKERS + 1).to_string();
+        assert_eq!(
+            fleet(&["--shards", &over]).unwrap_err(),
+            format!("invalid --shards {over:?}: expected a positive integer up to {MAX_WORKERS}")
+        );
     }
 
     #[test]
@@ -1366,10 +1388,12 @@ mod tests {
         // All three grammars: ("" is the suite).
         const POSITIVE: &str = "expected a positive integer";
         const UNSIGNED: &str = "expected an unsigned integer";
+        const WORKERS: &str = "expected a positive integer up to 1024";
         let malformed = [
             ("", "--seed", "abc", UNSIGNED),
             ("", "--jobs", "0", POSITIVE),
             ("", "--jobs", "two", POSITIVE),
+            ("", "--jobs", "1025", WORKERS),
             ("", "--trials-scale", "0", "expected a positive number"),
             ("", "--trials-scale", "NaN", "expected a positive number"),
             ("", "--deadline-secs", "0", POSITIVE),
@@ -1382,6 +1406,7 @@ mod tests {
             ("fleet", "--ticks", "-3", POSITIVE),
             ("fleet", "--ticks", "0", POSITIVE),
             ("fleet", "--shards", "0", POSITIVE),
+            ("fleet", "--shards", "1025", WORKERS),
             ("fleet", "--seed", "abc", UNSIGNED),
             ("fleet", "--snapshot-every", "-1", UNSIGNED),
             (
@@ -1425,6 +1450,7 @@ mod tests {
             ("generate", "--seed", "abc", UNSIGNED),
             ("generate", "--jobs", "two", POSITIVE),
             ("generate", "--jobs", "0", POSITIVE),
+            ("generate", "--jobs", "1025", WORKERS),
             ("generate", "--trials", "1.5", POSITIVE),
             (
                 "generate",

@@ -6,14 +6,14 @@ use autosec_collab::intersection::{round_outcome, Agent, IntersectionAccumulator
 use autosec_collab::misbehavior::{MisbehaviorConfig, MisbehaviorDetector};
 use autosec_collab::perception::perception_round;
 use autosec_collab::world::{Point, SensorModel, VehicleId, World};
-use autosec_runner::{par_trials, par_trials_fold, RunCtx};
+use autosec_runner::{par_trials, RunCtx};
 use autosec_sim::SimRng;
 
 use crate::Table;
 
 /// E11 table: intersection outcomes versus self-interest.
 ///
-/// Each row plays 20 000 protocol rounds through [`par_trials_fold`]:
+/// Each row plays 20 000 protocol rounds through [`par_trials`]:
 /// round `i` on the `fork_idx(i)` stream, outcomes folded into an
 /// [`IntersectionAccumulator`] in round order — identical for any
 /// `ctx.jobs`.
@@ -34,17 +34,12 @@ pub fn e11_competition_table(ctx: &RunCtx) -> Table {
         let mut agents = [Agent::cooperative(); 4];
         agents[0] = Agent::selfish(p);
         let base = ctx.rng("e11-competition").fork(&format!("{p:.1}"));
-        let acc = par_trials_fold(
-            ctx.jobs,
-            ctx.trials(20_000),
-            &base,
-            |round, mut rng| round_outcome(&agents, round, &mut rng),
-            IntersectionAccumulator::new(),
-            |mut acc, _, outcome| {
-                acc.add(outcome);
-                acc
-            },
-        );
+        let mut acc = IntersectionAccumulator::new();
+        for outcome in par_trials(ctx.jobs, ctx.trials(20_000), &base, |round, mut rng| {
+            round_outcome(&agents, round, &mut rng)
+        }) {
+            acc.add(outcome);
+        }
         let r = acc.report(&agents);
         t.push_row(vec![
             format!("{p:.1}"),

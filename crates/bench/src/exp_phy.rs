@@ -4,7 +4,7 @@ use autosec_phy::attacks::{HrpAttack, OvershadowAttack};
 use autosec_phy::enlargement::{EnlargementConfig, EnlargementDetector};
 use autosec_phy::hrp::{HrpConfig, HrpRanging, ReceiverKind};
 use autosec_phy::lrp::{LrpAttack, LrpConfig, LrpSession};
-use autosec_runner::{par_trials, par_trials_fold, RunCtx};
+use autosec_runner::{par_trials, RunCtx};
 use autosec_sim::SimRng;
 
 use crate::Table;
@@ -46,24 +46,17 @@ pub fn hrp_sweep(
         .map(|&power| {
             let attack = HrpAttack::ed_lc(8.0, power, knowledge);
             let stream = base.fork(&format!("power-{power:.3}"));
-            let (success, rejected) = par_trials_fold(
-                jobs,
-                trials,
-                &stream,
-                |_, mut rng| {
-                    let out = session.measure(20.0, Some(&attack), &mut rng);
-                    (out.rejected, !out.rejected && out.reduction_m > 1.0)
-                },
-                (0usize, 0usize),
-                |(mut success, mut rejected), _, (was_rejected, won)| {
-                    if was_rejected {
-                        rejected += 1;
-                    } else if won {
-                        success += 1;
-                    }
-                    (success, rejected)
-                },
-            );
+            let (mut success, mut rejected) = (0usize, 0usize);
+            for (was_rejected, won) in par_trials(jobs, trials, &stream, |_, mut rng| {
+                let out = session.measure(20.0, Some(&attack), &mut rng);
+                (out.rejected, !out.rejected && out.reduction_m > 1.0)
+            }) {
+                if was_rejected {
+                    rejected += 1;
+                } else if won {
+                    success += 1;
+                }
+            }
             HrpPoint {
                 power,
                 knowledge,

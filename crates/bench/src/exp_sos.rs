@@ -1,6 +1,6 @@
 //! E10: system-of-systems cascade risk and real-time DoS (Fig. 9, §VI).
 
-use autosec_runner::{par_trials, par_trials_fold, RunCtx};
+use autosec_runner::{par_trials, RunCtx};
 use autosec_sim::SimRng;
 use autosec_sos::cascade::{cascade_trial, simulate, with_coupling_scale, CascadeAccumulator};
 use autosec_sos::model::SystemLevel;
@@ -12,7 +12,7 @@ use crate::Table;
 /// E10 main table: cascade risk per entry point and coupling scale.
 ///
 /// Each cell folds 2000 [`cascade_trial`] masks into a
-/// [`CascadeAccumulator`] via [`par_trials_fold`] — trial `i` on the
+/// [`CascadeAccumulator`] via [`par_trials`] — trial `i` on the
 /// `fork_idx(i)` stream, merged in trial order, so the table is
 /// identical for any `ctx.jobs`.
 pub fn e10_cascade_table(ctx: &RunCtx) -> Table {
@@ -40,17 +40,12 @@ pub fn e10_cascade_table(ctx: &RunCtx) -> Table {
                 .rng("e10-cascade")
                 .fork(entry_name)
                 .fork(&format!("{scale:.1}"));
-            let acc = par_trials_fold(
-                ctx.jobs,
-                ctx.trials(2000),
-                &trial_base,
-                |_, mut rng| cascade_trial(&g, entry, &mut rng),
-                CascadeAccumulator::new(&g),
-                |mut acc, _, mask| {
-                    acc.add(&mask);
-                    acc
-                },
-            );
+            let mut acc = CascadeAccumulator::new(&g);
+            for mask in par_trials(ctx.jobs, ctx.trials(2000), &trial_base, |_, mut rng| {
+                cascade_trial(&g, entry, &mut rng)
+            }) {
+                acc.add(&mask);
+            }
             let r = acc.report(entry);
             t.push_row(vec![
                 entry_name.to_owned(),

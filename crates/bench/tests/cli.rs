@@ -34,6 +34,11 @@ fn suite_rejects_zero_jobs_and_zero_deadline() {
         &["--deadline-secs", "0", "E1"],
         "invalid --deadline-secs \"0\": expected a positive integer",
     );
+    // Refused before any worker thread starts.
+    rejects(
+        &["--jobs", "1025", "E1"],
+        "invalid --jobs \"1025\": expected a positive integer up to 1024",
+    );
 }
 
 #[test]
@@ -50,6 +55,10 @@ fn fleet_rejects_zero_shards() {
         &["fleet", "--shards", "0"],
         "invalid --shards \"0\": expected a positive integer",
     );
+    rejects(
+        &["fleet", "--shards", "1025"],
+        "invalid --shards \"1025\": expected a positive integer up to 1024",
+    );
 }
 
 #[test]
@@ -57,6 +66,10 @@ fn generate_rejects_zero_jobs() {
     rejects(
         &["generate", "--jobs", "0"],
         "invalid --jobs \"0\": expected a positive integer",
+    );
+    rejects(
+        &["generate", "--jobs", "1025"],
+        "invalid --jobs \"1025\": expected a positive integer up to 1024",
     );
 }
 

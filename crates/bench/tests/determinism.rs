@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use autosec_bench::{registry, ExperimentRecord, RunCtx};
-use autosec_runner::artifact::strip_durations;
+use autosec_runner::artifact::strip_volatile;
 use autosec_sim::SimRng;
 use rand::RngCore;
 
@@ -52,8 +52,8 @@ fn artifacts_identical_modulo_duration() {
             exp.run(&RunCtx::new(42, jobs)),
         )
     };
-    let a = strip_durations(&record(1, 3).to_json(42, 1, 1.0));
-    let b = strip_durations(&record(4, 9000).to_json(42, 1, 1.0));
+    let a = strip_volatile(&record(1, 3).to_json(42, 1, 1.0));
+    let b = strip_volatile(&record(4, 9000).to_json(42, 1, 1.0));
     assert_eq!(a.to_string(), b.to_string());
 }
 
