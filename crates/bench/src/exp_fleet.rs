@@ -30,7 +30,7 @@
 
 use autosec_adversary::{calibrated_graph, AttackGraph, CalibrationConfig};
 use autosec_core::campaign::DefensePosture;
-use autosec_core::engine::{measure_step, StepOutcomeTable};
+use autosec_core::engine::{replay_step, StepOutcomeTable};
 use autosec_core::scenario::scenario_registry;
 use autosec_fleet::{posture_label, FleetConfig, FleetEngine};
 use autosec_runner::RunCtx;
@@ -182,7 +182,10 @@ pub fn e20_availability_table(ctx: &RunCtx) -> Table {
 /// For every registry step under postures `none` and `full`, the row
 /// compares the [`StepOutcomeTable`] cell (the tier the fleet hot path
 /// resolves against) with an **independent** live measurement of the
-/// same model on a disjoint RNG substream. `gap` is the absolute
+/// same model on a disjoint RNG substream: a [`replay_step`] that
+/// always executes the model, so the column also re-checks every step
+/// whose table cell came from a declared exact outcome
+/// (`ScenarioStep::exact`). `gap` is the absolute
 /// success-rate difference; `tol` is a 3-sigma bound for two
 /// independent binomial estimates of this size plus a 0.02
 /// discretization floor. A row outside its bound prints the grep-able
@@ -214,7 +217,7 @@ pub fn e21_fidelity_table(ctx: &RunCtx) -> Table {
     for (si, step) in steps.iter().enumerate() {
         for (pi, (plabel, posture)) in postures.iter().enumerate() {
             let cell = table.steps()[si].by_posture[pi];
-            let live = measure_step(
+            let live = replay_step(
                 step.as_ref(),
                 posture,
                 &ctx.rng(&format!("e21/live/{}/{plabel}", step.name())),

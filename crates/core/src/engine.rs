@@ -16,7 +16,11 @@
 //!   [`OutcomeStats`]. The adversary crate's edge calibration and the
 //!   outcome tables here both ride on it, so every probability in the
 //!   workspace traces back to the same machinery (and is bit-identical
-//!   for any job count at a fixed seed).
+//!   for any job count at a fixed seed). A step whose outcome under a
+//!   posture its structure fixes declares it ([`ScenarioStep::exact`]),
+//!   and `measure_step` returns the declared rates without replaying;
+//!   [`replay_step`] always executes the model, and the tests here
+//!   check every declaration against it.
 //! - [`ScenarioEngine`] abstracts "resolve attack step `idx` under this
 //!   posture, drawing from this RNG".
 //! - [`LiveScenarioEngine`] is tier one: the registry steps executed
@@ -47,14 +51,44 @@ pub struct OutcomeStats {
     pub detect: f64,
 }
 
-/// Measures one step's outcome distribution under `posture`:
-/// `trials` independent executions of the live model, trial `i` on
-/// `base.fork_idx(i).fork(step.rng_label())`.
+/// Measures one step's outcome distribution under `posture`: the
+/// step's exact outcome when it declares one
+/// ([`ScenarioStep::exact`]), otherwise [`replay_step`].
+///
+/// A declaration replaces only this calibration: it yields the rates a
+/// replay of `trials` executions gives, bit for bit (the same
+/// `count / trials` with `count` all or none), and skipping a trial
+/// moves no other stream, since trial `i` draws only from its own fork
+/// of the borrowed `base`. Whatever must execute the model — a live
+/// resolve, a campaign run, or a check of a declaration — calls the
+/// step or [`replay_step`] instead.
 ///
 /// Deterministic in `(base, trials)`; `jobs` only changes wall-clock
 /// time. This is the primitive the adversary's attack-graph edge
 /// calibration and the [`StepOutcomeTable`] share.
 pub fn measure_step(
+    step: &dyn ScenarioStep,
+    posture: &DefensePosture,
+    base: &SimRng,
+    trials: usize,
+    jobs: usize,
+) -> OutcomeStats {
+    match step.exact(&PostureCtx::new(posture)) {
+        Some((succeeded, detected)) => {
+            let all = |hit: bool| if hit { trials } else { 0 };
+            OutcomeStats::from_counts(all(succeeded), all(detected), trials)
+        }
+        None => replay_step(step, posture, base, trials, jobs),
+    }
+}
+
+/// Replays one step under `posture`: `trials` independent executions
+/// of the live model, trial `i` on
+/// `base.fork_idx(i).fork(step.rng_label())`.
+///
+/// Deterministic in `(base, trials)`; `jobs` only changes wall-clock
+/// time.
+pub fn replay_step(
     step: &dyn ScenarioStep,
     posture: &DefensePosture,
     base: &SimRng,
@@ -67,10 +101,27 @@ pub fn measure_step(
         let out = step.execute(&ctx, &mut stream);
         (out.succeeded, out.detected)
     });
-    let n = trials as f64;
-    OutcomeStats {
-        success: outcomes.iter().filter(|o| o.0).count() as f64 / n,
-        detect: outcomes.iter().filter(|o| o.1).count() as f64 / n,
+    OutcomeStats::from_counts(
+        outcomes.iter().filter(|o| o.0).count(),
+        outcomes.iter().filter(|o| o.1).count(),
+        trials,
+    )
+}
+
+impl OutcomeStats {
+    /// The rates of `succeeded` and `detected` hits in `trials`
+    /// executions: the one division both [`measure_step`] paths share.
+    ///
+    /// Never inlined, so `0 / 0` at `trials == 0` is divided at run
+    /// time on both paths: folded into a constant, it gives a NaN of
+    /// the other sign.
+    #[inline(never)]
+    fn from_counts(succeeded: usize, detected: usize, trials: usize) -> Self {
+        let n = trials as f64;
+        Self {
+            success: succeeded as f64 / n,
+            detect: detected as f64 / n,
+        }
     }
 }
 
@@ -344,6 +395,43 @@ mod tests {
         let a = measure_step(step.as_ref(), &full, &base, 40, 1);
         let b = measure_step(step.as_ref(), &full, &base, 40, 4);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn exact_outcomes_match_a_replay() {
+        let mut postures = vec![DefensePosture::none(), DefensePosture::full()];
+        postures.extend((0..=ArchLayer::ALL.len()).map(DefensePosture::depth));
+        let bits = |s: OutcomeStats| (s.success.to_bits(), s.detect.to_bits());
+        let mut declared = 0;
+        for step in scenario_registry() {
+            for posture in &postures {
+                let Some((succeeded, detected)) = step.exact(&PostureCtx::new(posture)) else {
+                    continue;
+                };
+                declared += 1;
+                let rate = |hit: bool| if hit { 1.0 } else { 0.0 };
+                let cell = format!("{} under {posture:?}", step.name());
+                for seed in [1, 2, 3, 7, 11, 42] {
+                    let base = SimRng::seed(seed).fork("exact");
+                    let replay = replay_step(step.as_ref(), posture, &base, 12, 1);
+                    assert_eq!(
+                        (replay.success, replay.detect),
+                        (rate(succeeded), rate(detected)),
+                        "{cell}, seed {seed}: declaration differs from the replay"
+                    );
+                    for trials in [0, 1, 12] {
+                        assert_eq!(
+                            bits(measure_step(step.as_ref(), posture, &base, trials, 1)),
+                            bits(replay_step(step.as_ref(), posture, &base, trials, 1)),
+                            "{cell}, seed {seed}, {trials} trials"
+                        );
+                    }
+                }
+            }
+        }
+        // Masquerade, flood, rogue placement and the kill chain declare
+        // every posture.
+        assert!(declared >= 4 * postures.len(), "{declared} declared cells");
     }
 
     #[test]

@@ -137,6 +137,24 @@ pub trait ScenarioStep: Send + Sync {
 
     /// Runs the attack under `ctx` with the step's own substream.
     fn execute(&self, ctx: &PostureCtx<'_>, rng: &mut SimRng) -> StepOutcome;
+
+    /// `(succeeded, detected)` when every execution under `ctx` ends
+    /// the same whatever the stream, so calibration need not replay it
+    /// ([`crate::engine::measure_step`]). Defaults to `None`; declare
+    /// only what the step's code fixes, and `engine`'s tests check
+    /// every declaration against a replay.
+    fn exact(&self, _ctx: &PostureCtx<'_>) -> Option<(bool, bool)> {
+        None
+    }
+}
+
+/// The exact outcome of a step that, fault-free, never reads its
+/// stream: one execution, on any stream, is every execution.
+fn stream_free(step: &dyn ScenarioStep, ctx: &PostureCtx<'_>) -> Option<(bool, bool)> {
+    ctx.faults.is_empty().then(|| {
+        let out = step.execute(ctx, &mut SimRng::seed(0));
+        (out.succeeded, out.detected)
+    })
 }
 
 /// The steps of the paper's campaign, in execution order: the original
@@ -299,6 +317,11 @@ impl ScenarioStep for CanMasqueradeStep {
             detail: "spoofed id with foreign analog fingerprint",
         }
     }
+    /// The step never reads its stream: both bus runs replay fixed
+    /// schedules, and the bus seeds its own error and fingerprint draws.
+    fn exact(&self, ctx: &PostureCtx<'_>) -> Option<(bool, bool)> {
+        stream_free(self, ctx)
+    }
 }
 
 /// Step 3 (Network): flood DoS vs specification IDS.
@@ -389,6 +412,11 @@ impl ScenarioStep for CanFloodStep {
             detected,
             detail: "unknown high-priority id flooding the bus",
         }
+    }
+    /// Fault-free, the step never reads its stream: its one draw picks
+    /// a frame fault's action, and the bus seeds its own draws.
+    fn exact(&self, ctx: &PostureCtx<'_>) -> Option<(bool, bool)> {
+        stream_free(self, ctx)
     }
 }
 
@@ -530,6 +558,13 @@ impl ScenarioStep for RogueSoftwareStep {
             detail: "component credential has no trust path to an anchor",
         }
     }
+    /// Zero trust always rejects the implant: its vendor's credential
+    /// has no trust path to the OEM anchor, whatever keys the stream
+    /// draws. Undefended, placement is open.
+    fn exact(&self, ctx: &PostureCtx<'_>) -> Option<(bool, bool)> {
+        let d = ctx.defended(ArchLayer::SoftwarePlatform);
+        ctx.faults.is_empty().then_some((!d, d))
+    }
 }
 
 /// Step 6 (Data): the CARIAD kill chain against the telemetry backend.
@@ -562,6 +597,15 @@ impl ScenarioStep for TelemetryKillChainStep {
             detected: report.detected_at.is_some(),
             detail: "enumeration burst / bulk export anomaly",
         }
+    }
+    /// The attacker never reads its stream (only the backend's records
+    /// do), and `DefenseConfig` decides every stage: hardened, rate
+    /// limiting alerts on the enumeration and the disabled debug
+    /// endpoint stops the heap dump; undefended, the chain runs to the
+    /// bulk export unseen.
+    fn exact(&self, ctx: &PostureCtx<'_>) -> Option<(bool, bool)> {
+        let d = ctx.defended(ArchLayer::Data);
+        ctx.faults.is_empty().then_some((!d, d))
     }
 }
 

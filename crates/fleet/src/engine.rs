@@ -517,7 +517,9 @@ struct StepEnv<'a> {
 /// - `Lost`: none.
 ///
 /// When every one of a vehicle's draws misses, its step changes
-/// nothing but its RNG and the frame count.
+/// nothing but its RNG and the frame count. A `Compromised` or
+/// `Isolated` vehicle's one draw decides its whole step, so a hit
+/// there finishes through [`one_draw_event`].
 #[derive(Clone, Copy)]
 struct Calm {
     attack: Option<u64>,
@@ -554,8 +556,9 @@ impl Calm {
 /// One vehicle's tick, finished inline when nothing happens: on a calm
 /// tick, a vehicle whose every draw misses (the per-status contract on
 /// [`Calm`]) only emits its frame. The draws run on a copy of its RNG,
-/// committed only on an all-miss; a hit discards the copy and goes to
-/// [`step_vehicle`], which redraws from the untouched stream.
+/// committed on an all-miss or after a one-draw event; any other hit
+/// discards the copy and goes to [`step_vehicle`], which redraws from
+/// the untouched stream.
 #[inline(always)]
 fn calm_step(
     cols: &mut FleetColumns<'_>,
@@ -582,6 +585,18 @@ fn calm_step(
         if !hit {
             cols.rng[i] = rng;
             out.counters.telemetry_frames += 1;
+            return;
+        }
+        // One draw is a `Compromised` or `Isolated` vehicle's whole
+        // step, so a hit there finishes on the copy too. Checked after
+        // the all-miss return so that path's code stays as it was.
+        if matches!(
+            cols.status[i],
+            VehicleStatus::Compromised | VehicleStatus::Isolated
+        ) {
+            cols.rng[i] = rng;
+            out.counters.telemetry_frames += 1;
+            one_draw_event(cols, i, inputs.tick, out);
             return;
         }
     }
@@ -729,6 +744,22 @@ fn step_vehicle(
             }
         }
         VehicleStatus::Lost => {}
+    }
+}
+
+/// What [`step_vehicle`] does once a `Compromised` or `Isolated`
+/// vehicle's one draw hits: the alert (flagging a silent compromise
+/// first), or the verified recovery.
+#[inline(never)]
+fn one_draw_event(cols: &mut FleetColumns<'_>, i: usize, tick: u64, out: &mut ShardOutput) {
+    if cols.status[i] == VehicleStatus::Isolated {
+        out.counters.recoveries += 1;
+        out.counters.mttr_ticks += tick - cols.since[i];
+        cols.restore(i);
+        out.recovered.push(cols.id(i));
+    } else {
+        cols.flagged[i] = true;
+        out.alerts.push((i, cols.incident_layer[i]));
     }
 }
 
