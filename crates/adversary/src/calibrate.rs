@@ -12,9 +12,11 @@
 //!   success/detection rates become the edge's two probability points.
 //! * **Kill-chain edges** — the Fig. 8
 //!   [`Attacker`] runs end-to-end
-//!   against a fresh [`TelemetryBackend`] per trial (undefended vs.
-//!   hardened); each stage's edge gets its success rate *conditional on
-//!   the previous stage*, and its detection rate.
+//!   against a fresh [`TelemetryBackend`] (undefended vs. hardened);
+//!   each stage's edge gets its success rate *conditional on the
+//!   previous stage*, and its detection rate. One chain stands for
+//!   every trial, since the backend's defenses decide each stage
+//!   ([`killchain_points`]).
 //! * **Cascade edges** — [`cascade_trial`] propagates a compromise from
 //!   the edge's entry node through the Fig. 9 reference graph; the
 //!   safety-reach rate is the success probability, with the defended
@@ -186,19 +188,35 @@ pub fn scenario_point(
     }
 }
 
-/// Runs `cfg.trials` full kill chains and distills per-stage
-/// conditional success and detection rates, in [`KillChainStage::ALL`]
-/// order.
+/// The per-stage conditional success and detection rates of
+/// `cfg.trials` full kill chains, in [`KillChainStage::ALL`] order.
+///
+/// One chain stands for all of them: trial 0's, on trial 0's stream
+/// (`base.fork_idx(0)`), counted `cfg.trials` times. Every trial's
+/// report is the same, because [`Attacker::execute`] never reads its
+/// stream and every stage reads only the backend's `defenses`, its
+/// fixed route list and its framework. So each rate is exactly 0 or 1,
+/// with the bits a replay of every trial gives
+/// (`killchain_points_match_a_replay` checks this). Trial `i` draws only
+/// from its own fork, so skipping trials moves no other stream.
 pub fn killchain_points(
     defenses: DefenseConfig,
     base: &SimRng,
     cfg: &CalibrationConfig,
 ) -> Vec<ProbPoint> {
-    let reports: Vec<KillChainReport> =
-        par_trials(cfg.jobs, cfg.trials, base, move |_, mut rng| {
-            let backend = TelemetryBackend::build(BACKEND_RECORDS, defenses, &mut rng);
-            Attacker::new().execute(&backend, &mut rng)
-        });
+    let mut rng = base.fork_idx(0);
+    let report = killchain_trial(defenses, &mut rng);
+    stage_points(&vec![report; cfg.trials])
+}
+
+/// One kill chain against a fresh backend.
+fn killchain_trial(defenses: DefenseConfig, rng: &mut SimRng) -> KillChainReport {
+    let backend = TelemetryBackend::build(BACKEND_RECORDS, defenses, rng);
+    Attacker::new().execute(&backend, rng)
+}
+
+/// Distills per-stage rates from kill-chain reports, one per trial.
+fn stage_points(reports: &[KillChainReport]) -> Vec<ProbPoint> {
     let mut points = Vec::with_capacity(KillChainStage::ALL.len());
     let mut prev_reached = reports.len();
     for stage in KillChainStage::ALL {
@@ -265,27 +283,50 @@ fn clamp_defended(undefended: ProbPoint, defended: ProbPoint) -> ProbPoint {
 /// the nine scenario steps in campaign order, then the five cascade
 /// pivots (the campaign's Fig. 9 consequences), then the six staged
 /// kill-chain hops.
+///
+/// Each (edge, side) estimate draws only from its own
+/// `calib/<name>/<side>` fork, so the estimates fan out over
+/// `cfg.jobs` workers and each runs its trials serially: one worker
+/// pool for the whole graph instead of one per estimate.
 /// Deterministic in `(base, cfg.trials)`; `cfg.jobs` only changes
 /// wall-clock time.
 pub fn calibrated_graph(cfg: &CalibrationConfig, base: &SimRng) -> AttackGraph {
-    let mut g = AttackGraph::new();
-
+    let steps = scenario_registry();
     let none = DefensePosture::none();
     let full = DefensePosture::full();
-    for step in scenario_registry() {
+    let coupled = maas_reference();
+    let decoupled = with_coupling_scale(&coupled, DECOUPLING_SCALE);
+    let serial = CalibrationConfig { jobs: 1, ..*cfg };
+
+    // Slot 2e is edge group e's undefended side, 2e + 1 its defended
+    // side; the kill chain is the last group, one point per stage.
+    let groups = steps.len() + CASCADE_EDGES.len() + 1;
+    let points = par_trials(cfg.jobs, 2 * groups, base, |i, _| {
+        let (e, defended) = (i / 2, i % 2 == 1);
+        let side = if defended { "def" } else { "undef" };
+        if let Some(step) = steps.get(e) {
+            let posture = if defended { &full } else { &none };
+            let fork = base.fork(&format!("calib/{}/{side}", step.name()));
+            vec![scenario_point(step.as_ref(), posture, &fork, &serial)]
+        } else if let Some((name, _, entry, _)) = CASCADE_EDGES.get(e - steps.len()) {
+            let graph = if defended { &decoupled } else { &coupled };
+            let fork = base.fork(&format!("calib/{name}/{side}"));
+            vec![cascade_point(graph, entry, &fork, &serial)]
+        } else {
+            let defenses = if defended {
+                DefenseConfig::hardened()
+            } else {
+                DefenseConfig::none()
+            };
+            let fork = base.fork(&format!("calib/killchain/{side}"));
+            killchain_points(defenses, &fork, &serial)
+        }
+    });
+    let mut sides = points.chunks_exact(2).map(|p| (&p[0], &p[1]));
+
+    let mut g = AttackGraph::new();
+    for (step, (undef, def)) in steps.iter().zip(&mut sides) {
         let (from, to) = scenario_topology(step.name());
-        let undefended = scenario_point(
-            step.as_ref(),
-            &none,
-            &base.fork(&format!("calib/{}/undef", step.name())),
-            cfg,
-        );
-        let defended = scenario_point(
-            step.as_ref(),
-            &full,
-            &base.fork(&format!("calib/{}/def", step.name())),
-            cfg,
-        );
         g.add_edge(AttackEdge {
             name: step.name(),
             from,
@@ -293,26 +334,11 @@ pub fn calibrated_graph(cfg: &CalibrationConfig, base: &SimRng) -> AttackGraph {
             layer: step.layer(),
             stride: step.stride(),
             source: EdgeSource::Scenario(step.name()),
-            undefended,
-            defended: clamp_defended(undefended, defended),
+            undefended: undef[0],
+            defended: clamp_defended(undef[0], def[0]),
         });
     }
-
-    let coupled = maas_reference();
-    let decoupled = with_coupling_scale(&coupled, DECOUPLING_SCALE);
-    for (name, from, entry, stride) in CASCADE_EDGES {
-        let undefended = cascade_point(
-            &coupled,
-            entry,
-            &base.fork(&format!("calib/{name}/undef")),
-            cfg,
-        );
-        let defended = cascade_point(
-            &decoupled,
-            entry,
-            &base.fork(&format!("calib/{name}/def")),
-            cfg,
-        );
+    for ((name, from, entry, stride), (undef, def)) in CASCADE_EDGES.into_iter().zip(&mut sides) {
         g.add_edge(AttackEdge {
             name,
             from,
@@ -320,21 +346,11 @@ pub fn calibrated_graph(cfg: &CalibrationConfig, base: &SimRng) -> AttackGraph {
             layer: ArchLayer::SystemOfSystems,
             stride,
             source: EdgeSource::Cascade(entry),
-            undefended,
-            defended: clamp_defended(undefended, defended),
+            undefended: undef[0],
+            defended: clamp_defended(undef[0], def[0]),
         });
     }
-
-    let undef_stages = killchain_points(
-        DefenseConfig::none(),
-        &base.fork("calib/killchain/undef"),
-        cfg,
-    );
-    let def_stages = killchain_points(
-        DefenseConfig::hardened(),
-        &base.fork("calib/killchain/def"),
-        cfg,
-    );
+    let (undef_stages, def_stages) = sides.next().expect("the kill chain is the last group");
     for (i, stage) in KillChainStage::ALL.into_iter().enumerate() {
         let (name, from, to, stride) = killchain_topology(stage);
         g.add_edge(AttackEdge {
@@ -399,6 +415,54 @@ mod tests {
         assert_eq!(pts[0].success, 1.0);
         assert_eq!(pts[3].success, 0.0, "debug endpoints disabled");
         assert_eq!(pts[1].detect, 1.0, "rate limiting flags the scan");
+    }
+
+    /// The per-trial replay `killchain_points` declares away.
+    fn replayed_killchain_points(
+        defenses: DefenseConfig,
+        base: &SimRng,
+        cfg: &CalibrationConfig,
+    ) -> Vec<ProbPoint> {
+        let reports = par_trials(cfg.jobs, cfg.trials, base, move |_, mut rng| {
+            killchain_trial(defenses, &mut rng)
+        });
+        stage_points(&reports)
+    }
+
+    #[test]
+    fn killchain_points_match_a_replay() {
+        let single = |set: fn(&mut DefenseConfig)| {
+            let mut d = DefenseConfig::none();
+            set(&mut d);
+            d
+        };
+        let configs = [
+            DefenseConfig::none(),
+            DefenseConfig::hardened(),
+            single(|d| d.debug_endpoints_disabled = true),
+            single(|d| d.secret_scanning = true),
+            single(|d| d.scoped_keys = true),
+            single(|d| d.rate_limiting = true),
+            single(|d| d.exfiltration_detection = true),
+        ];
+        let bits = |pts: &[ProbPoint]| -> Vec<(u64, u64)> {
+            pts.iter()
+                .map(|p| (p.success.to_bits(), p.detect.to_bits()))
+                .collect()
+        };
+        for defenses in configs {
+            for seed in [1, 2, 3, 7, 11, 42] {
+                for trials in [1, 12, 30] {
+                    let base = SimRng::seed(seed).fork("calib/killchain");
+                    let cfg = CalibrationConfig::new(trials, 1);
+                    assert_eq!(
+                        bits(&killchain_points(defenses, &base, &cfg)),
+                        bits(&replayed_killchain_points(defenses, &base, &cfg)),
+                        "{defenses:?}, seed {seed}, {trials} trials"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

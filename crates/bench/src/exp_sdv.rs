@@ -28,7 +28,24 @@ pub struct ReconfigOutcome {
 /// attempt one rogue placement, fail a node, re-place. All randomness
 /// comes from the caller-supplied substream.
 pub fn reconfiguration_run(n_components: usize, rng: &mut SimRng) -> ReconfigOutcome {
-    let (mut platform, mut oem) = SdvPlatform::new(rng);
+    // Each wallet is sized to the signatures it makes, at most n + 2:
+    // the OEM issues n + 2 credentials; hpc-0 signs n presentations
+    // (the rogue attempt fails on the component side before the node
+    // signs); hpc-1 signs n on failover; each component signs 2. The
+    // rogue vendor issues one credential.
+    reconfiguration_sized(n_components, rng, n_components + 2, 1)
+}
+
+/// [`reconfiguration_run`] with platform wallets that make
+/// `platform_signatures` signatures and a rogue vendor that makes
+/// `rogue_signatures`.
+fn reconfiguration_sized(
+    n_components: usize,
+    rng: &mut SimRng,
+    platform_signatures: usize,
+    rogue_signatures: usize,
+) -> ReconfigOutcome {
+    let (mut platform, mut oem) = SdvPlatform::with_capacity(rng, platform_signatures);
     for id in ["hpc-0", "hpc-1"] {
         platform
             .register_node(
@@ -66,7 +83,7 @@ pub fn reconfiguration_run(n_components: usize, rng: &mut SimRng) -> ReconfigOut
     }
 
     // Rogue attempt.
-    let mut rogue = Wallet::create(rng, "rogue", platform.registry());
+    let mut rogue = Wallet::with_capacity(rng, "rogue", platform.registry(), rogue_signatures);
     platform
         .register_component(
             rng,
@@ -178,6 +195,15 @@ mod tests {
         assert_eq!(r.rogue_rejected, 1);
         assert_eq!(r.failover_recovered, 3);
         assert!(r.auth_ops >= 12, "{}", r.auth_ops); // 2 per placement incl. failover
+    }
+
+    #[test]
+    fn sized_reconfiguration_matches_the_default() {
+        for n in [1, 2, 5, 6, 10, 14, 16] {
+            let sized = reconfiguration_run(n, &mut SimRng::seed(8).fork_idx(n as u64));
+            let full = reconfiguration_sized(n, &mut SimRng::seed(8).fork_idx(n as u64), 64, 64);
+            assert_eq!(sized, full, "{n} components");
+        }
     }
 
     #[test]

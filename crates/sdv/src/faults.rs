@@ -1,8 +1,8 @@
 //! Software-platform fault-injection adapter for `autosec-faults`.
 //!
-//! [`PlatformFaultTarget`] builds a small zero-trust SDV platform
-//! (three nodes, four placed components) and applies compute-node
-//! crashes, restart-with-failover, and update-rollback pushes:
+//! [`PlatformFaultTarget`] applies compute-node crashes,
+//! restart-with-failover, and update-rollback pushes to a small
+//! zero-trust SDV platform (three nodes, four placed components):
 //!
 //! - [`FaultEffect::CrashNode`] — the node dies and nothing re-places
 //!   its components; health is the fraction of placements that survive.
@@ -13,10 +13,15 @@
 //! - [`FaultEffect::RollbackUpdate`] — a signed-but-stale (downgrade)
 //!   OTA package is pushed; a defended platform's [`UpdateManager`]
 //!   rejects it, an undefended one installs the stale image.
+//!
+//! A rollback never builds the platform: no platform state reaches its
+//! record. The platform's key-seed draws are made either way, so the
+//! caller's stream ends in the same state with or without a node fault.
 
 use autosec_sim::inject::{FaultEffect, FaultTarget, InjectionRecord};
 use autosec_sim::{ArchLayer, SimRng};
 use autosec_ssi::prelude::*;
+use rand::RngCore;
 
 use crate::component::{Asil, HardwareNode, SoftwareComponent};
 use crate::platform::SdvPlatform;
@@ -67,6 +72,19 @@ fn hw_node(i: usize) -> HardwareNode {
         provides: vec!["can-if".into()],
         compute_capacity: 100,
         max_asil: Asil::D,
+    }
+}
+
+/// Wallets [`build_platform`] creates: the OEM's, then one per node and
+/// per component. Creating a wallet draws one 32-byte key seed;
+/// registering, issuing and placing draw nothing.
+const PLATFORM_WALLETS: usize = 1 + NODES + COMPONENTS;
+
+/// Advances `rng` exactly as [`build_platform`] would, without building.
+fn skip_platform(rng: &mut SimRng) {
+    let mut seed = [0u8; 32];
+    for _ in 0..PLATFORM_WALLETS {
+        rng.fill_bytes(&mut seed);
     }
 }
 
@@ -138,7 +156,7 @@ impl FaultTarget for PlatformFaultTarget {
 
 impl PlatformFaultTarget {
     /// [`FaultTarget::apply`] on a platform whose wallets hold
-    /// `signatures` leaves each.
+    /// `signatures` leaves each. Only a node fault builds the platform.
     fn apply_sized(
         &self,
         effects: &[FaultEffect],
@@ -146,21 +164,41 @@ impl PlatformFaultTarget {
         rng: &mut SimRng,
         signatures: usize,
     ) -> InjectionRecord {
-        let active: Vec<&FaultEffect> = effects
-            .iter()
-            .filter(|e| e.layer() == ArchLayer::SoftwarePlatform && !e.is_noop())
-            .collect();
+        let active = active_effects(effects);
         if active.is_empty() {
             return InjectionRecord::clean(self.layer(), self.name());
         }
+        let node_fault = active.iter().any(|e| {
+            matches!(
+                e,
+                FaultEffect::CrashNode { .. } | FaultEffect::RestartNode { .. }
+            )
+        });
+        let platform = if node_fault {
+            Some(build_platform(rng, signatures))
+        } else {
+            skip_platform(rng);
+            None
+        };
+        self.run_effects(&active, platform, defended, rng)
+    }
 
-        let mut platform = build_platform(rng, signatures);
+    /// Applies `active` in order; `platform` is `Some` whenever a node
+    /// fault is among them.
+    fn run_effects(
+        &self,
+        active: &[&FaultEffect],
+        mut platform: Option<SdvPlatform>,
+        defended: bool,
+        rng: &mut SimRng,
+    ) -> InjectionRecord {
         let mut health = 1.0f64;
         let mut detected = false;
         let mut notes = Vec::new();
         for e in active {
-            match *e {
+            match **e {
                 FaultEffect::CrashNode { node } => {
+                    let platform = platform.as_ref().expect("node faults build the platform");
                     let name = format!("hpc-{}", node % NODES);
                     let lost = platform
                         .placements()
@@ -172,6 +210,7 @@ impl PlatformFaultTarget {
                     notes.push(format!("{name} crashed, {lost} components down"));
                 }
                 FaultEffect::RestartNode { node } => {
+                    let platform = platform.as_mut().expect("node faults build the platform");
                     let name = format!("hpc-{}", node % NODES);
                     let stranded = platform.fail_node(&name).map_or(0, |s| s.len());
                     health *= 1.0 - stranded as f64 / COMPONENTS as f64;
@@ -200,6 +239,14 @@ impl PlatformFaultTarget {
             detail: notes.join("; "),
         }
     }
+}
+
+/// The software-platform effects that do something.
+fn active_effects(effects: &[FaultEffect]) -> Vec<&FaultEffect> {
+    effects
+        .iter()
+        .filter(|e| e.layer() == ArchLayer::SoftwarePlatform && !e.is_noop())
+        .collect()
 }
 
 #[cfg(test)]
@@ -267,6 +314,49 @@ mod tests {
                 64,
             );
             assert_eq!(sized, full);
+        }
+    }
+
+    /// The eager path: every active effect list builds the platform.
+    fn apply_eager(effects: &[FaultEffect], defended: bool, rng: &mut SimRng) -> InjectionRecord {
+        let t = PlatformFaultTarget;
+        let active = active_effects(effects);
+        if active.is_empty() {
+            return InjectionRecord::clean(t.layer(), t.name());
+        }
+        let platform = build_platform(rng, PLATFORM_SIGNATURES);
+        t.run_effects(&active, Some(platform), defended, rng)
+    }
+
+    #[test]
+    fn rollback_only_skips_the_platform_but_not_its_draws() {
+        let lists: [&[FaultEffect]; 5] = [
+            &[],
+            &[FaultEffect::RollbackUpdate],
+            &[FaultEffect::CrashNode { node: 0 }],
+            &[FaultEffect::RestartNode { node: 0 }],
+            &[
+                FaultEffect::RestartNode { node: 1 },
+                FaultEffect::RollbackUpdate,
+            ],
+        ];
+        for seed in [1, 2, 3, 7, 11, 42] {
+            for defended in [true, false] {
+                for effects in lists {
+                    let mut lazy = SimRng::seed(seed);
+                    let mut eager = SimRng::seed(seed);
+                    let got = PlatformFaultTarget.apply(effects, defended, &mut lazy);
+                    let want = apply_eager(effects, defended, &mut eager);
+                    assert_eq!(got, want, "seed {seed}, defended {defended}, {effects:?}");
+                    let after =
+                        |rng: &mut SimRng| -> Vec<u64> { (0..4).map(|_| rng.next_u64()).collect() };
+                    assert_eq!(
+                        after(&mut lazy),
+                        after(&mut eager),
+                        "stream after seed {seed}, defended {defended}, {effects:?}"
+                    );
+                }
+            }
         }
     }
 
