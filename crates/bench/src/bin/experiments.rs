@@ -204,13 +204,36 @@ fn positive<T: std::str::FromStr + Default + PartialOrd>(v: &str) -> Result<T, &
 /// `par_trials` call and each fleet tick starts up to that many.
 const MAX_WORKERS: usize = 1024;
 
+/// The largest `fleet --vehicles`. The fleet keeps 60 bytes of columns
+/// per vehicle (a 40-byte RNG, health, incident tick, status, layer,
+/// flag and strikes), so ten million vehicles hold 600 MB. Vehicle ids
+/// are `u32`, so no bound may pass `u32::MAX`.
+const MAX_VEHICLES: usize = 10_000_000;
+const _: () = assert!(MAX_VEHICLES <= u32::MAX as usize);
+
+/// The largest `generate --count`. Each attempt is checked against every
+/// campaign already kept, so the cost grows with the square of N: 4096
+/// take about 0.1 s on a 2-vCPU Xeon, 16384 about 12 s. The default
+/// graph holds only about 13.7k distinct walks of up to six steps.
+const MAX_CAMPAIGNS: usize = 4096;
+
+/// The largest `generate --trials`: `par_trials` keeps one result per
+/// trial, and a million replays of 16 campaigns x 2 postures take about
+/// 4 s on a 2-vCPU Xeon.
+const MAX_TRIALS: usize = 1_000_000;
+
+/// The largest `--trials-scale`: it keeps the registry's largest
+/// published count (E11's 20 000 rounds) at [`MAX_TRIALS`].
+const MAX_TRIALS_SCALE: f64 = 50.0;
+
+/// A positive integer no larger than `max`; `expected` names the range.
+fn up_to(v: &str, max: usize, expected: &'static str) -> Result<usize, &'static str> {
+    positive(v).and_then(|n| (n <= max).then_some(n).ok_or(expected))
+}
+
 /// A worker count: a positive integer no larger than [`MAX_WORKERS`].
 fn workers(v: &str) -> Result<usize, &'static str> {
-    let n = positive(v)?;
-    if n > MAX_WORKERS {
-        return Err("a positive integer up to 1024");
-    }
-    Ok(n)
+    up_to(v, MAX_WORKERS, "a positive integer up to 1024")
 }
 
 /// A finite number that `ok` accepts.
@@ -266,14 +289,15 @@ const SUITE: Grammar<Args> = Grammar {
         Flag::jobs(|a, v| set(&mut a.jobs, workers(v))),
         Flag {
             names: &["--trials-scale", "-t"],
-            help: "multiply Monte-Carlo trial counts by F (default 1.0); a
-                   precision/runtime knob like --jobs, excluded from canonical
-                   artifacts",
+            help: "multiply Monte-Carlo trial counts by F, at most 50 (default
+                   1.0); a precision/runtime knob like --jobs, excluded from
+                   canonical artifacts",
             takes: Takes::Value("F", |a, v| {
-                set(
-                    &mut a.trials_scale,
-                    finite(v, |s| s > 0.0, "a positive number"),
-                )
+                let scale = finite(v, |s| s > 0.0, "a positive number").and_then(|s| {
+                    let expected = "a positive number up to 50";
+                    (s <= MAX_TRIALS_SCALE).then_some(s).ok_or(expected)
+                });
+                set(&mut a.trials_scale, scale)
             }),
         },
         Flag::json(|a| a.json = true),
@@ -371,8 +395,11 @@ const FLEET: Grammar<FleetArgs> = Grammar {
     flags: &[
         Flag {
             names: &["--vehicles", "-n"],
-            help: "fleet size (default 10000)",
-            takes: Takes::Value("N", |a, v| set(&mut a.cfg.vehicles, positive(v))),
+            help: "fleet size, at most 10000000 (default 10000)",
+            takes: Takes::Value("N", |a, v| {
+                let expected = "a positive integer up to 10000000";
+                set(&mut a.cfg.vehicles, up_to(v, MAX_VEHICLES, expected))
+            }),
         },
         Flag {
             names: &["--ticks"],
@@ -490,8 +517,12 @@ const GENERATE: Grammar<GenerateArgs> = Grammar {
     flags: &[
         Flag {
             names: &["--count", "-c"],
-            help: "target number of distinct campaigns (default 16)",
-            takes: Takes::Value("N", |a, v| set(&mut a.cfg.count, positive(v))),
+            help: "target number of distinct campaigns, at most 4096 (default
+                   16)",
+            takes: Takes::Value("N", |a, v| {
+                let expected = "a positive integer up to 4096";
+                set(&mut a.cfg.count, up_to(v, MAX_CAMPAIGNS, expected))
+            }),
         },
         Flag {
             names: &["--max-len"],
@@ -502,8 +533,12 @@ const GENERATE: Grammar<GenerateArgs> = Grammar {
         Flag::jobs(|a, v| set(&mut a.jobs, workers(v))),
         Flag {
             names: &["--trials"],
-            help: "Monte-Carlo replays per campaign x posture (default 200)",
-            takes: Takes::Value("N", |a, v| set(&mut a.trials, positive(v))),
+            help: "Monte-Carlo replays per campaign x posture, at most 1000000
+                   (default 200)",
+            takes: Takes::Value("N", |a, v| {
+                let expected = "a positive integer up to 1000000";
+                set(&mut a.trials, up_to(v, MAX_TRIALS, expected))
+            }),
         },
         Flag {
             names: &["--layer"],
@@ -1197,6 +1232,18 @@ mod tests {
     }
 
     #[test]
+    fn size_bounds_accept_their_maximum() {
+        let most = MAX_VEHICLES.to_string();
+        assert_eq!(
+            fleet(&["--vehicles", &most]).unwrap().cfg.vehicles,
+            MAX_VEHICLES
+        );
+        let a = gen(&["--count", "4096", "--trials", "1000000"]).unwrap();
+        assert_eq!((a.cfg.count, a.trials), (MAX_CAMPAIGNS, MAX_TRIALS));
+        assert_eq!(suite(&["-t", "50"]).unwrap().trials_scale, MAX_TRIALS_SCALE);
+    }
+
+    #[test]
     fn fleet_fidelity_rejects_zero_period() {
         let err = fleet(&["--fidelity", "mixed:0"]).unwrap_err();
         assert!(err.contains("mixed:K (K >= 1)"), "{err}");
@@ -1396,6 +1443,12 @@ mod tests {
             ("", "--jobs", "1025", WORKERS),
             ("", "--trials-scale", "0", "expected a positive number"),
             ("", "--trials-scale", "NaN", "expected a positive number"),
+            (
+                "",
+                "--trials-scale",
+                "1e30",
+                "expected a positive number up to 50",
+            ),
             ("", "--deadline-secs", "0", POSITIVE),
             ("", "--deadline-secs", "-1", POSITIVE),
             ("", "--isolate", "maybe", "expected on, off or auto"),
@@ -1403,6 +1456,12 @@ mod tests {
             ("", "--rss-limit-mb", "0", POSITIVE),
             ("", "--cpu-limit-secs", "0", POSITIVE),
             ("fleet", "--vehicles", "x", POSITIVE),
+            (
+                "fleet",
+                "--vehicles",
+                "100000000000",
+                "expected a positive integer up to 10000000",
+            ),
             ("fleet", "--ticks", "-3", POSITIVE),
             ("fleet", "--ticks", "0", POSITIVE),
             ("fleet", "--shards", "0", POSITIVE),
@@ -1446,12 +1505,24 @@ mod tests {
                 "expected a finite nonnegative budget",
             ),
             ("generate", "--count", "x", POSITIVE),
+            (
+                "generate",
+                "--count",
+                "1000000000000",
+                "expected a positive integer up to 4096",
+            ),
             ("generate", "--max-len", "-1", POSITIVE),
             ("generate", "--seed", "abc", UNSIGNED),
             ("generate", "--jobs", "two", POSITIVE),
             ("generate", "--jobs", "0", POSITIVE),
             ("generate", "--jobs", "1025", WORKERS),
             ("generate", "--trials", "1.5", POSITIVE),
+            (
+                "generate",
+                "--trials",
+                "1000000000000",
+                "expected a positive integer up to 1000000",
+            ),
             (
                 "generate",
                 "--layer",

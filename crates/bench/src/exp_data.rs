@@ -33,15 +33,6 @@ pub fn defense_matrix() -> Vec<(&'static str, DefenseConfig)> {
     out
 }
 
-/// One kill-chain run, used by the bench.
-pub fn killchain_run(fleet: usize, defenses: DefenseConfig, seed: u64) -> usize {
-    let mut rng = SimRng::seed(seed);
-    let backend = TelemetryBackend::build(fleet, defenses, &mut rng);
-    Attacker::new()
-        .execute(&backend, &mut rng)
-        .records_exfiltrated
-}
-
 /// E9 main table.
 ///
 /// Each defense configuration replays the same pinned-seed kill chain
@@ -137,11 +128,5 @@ mod tests {
             let min: f64 = row[3].parse().expect("number");
             assert!(min <= full);
         }
-    }
-
-    #[test]
-    fn killchain_run_scales_with_fleet() {
-        assert_eq!(killchain_run(100, DefenseConfig::none(), 1), 100);
-        assert_eq!(killchain_run(100, DefenseConfig::hardened(), 1), 0);
     }
 }

@@ -249,9 +249,20 @@ pub fn e26_isolation_table(ctx: &RunCtx) -> Table {
 /// Sleeps `total` in slices of at most 100 ms, and ends the process
 /// once its parent has changed: a worker whose supervisor was killed
 /// mid-run is reparented, and must not sleep out the rest of `total`.
+/// A supervisor killed before the sleep began has already handed its
+/// worker to another parent, so on Linux a worker whose parent runs
+/// another executable ends at once.
 fn chaos_sleep(total: std::time::Duration) {
     #[cfg(unix)]
     let parent = std::os::unix::process::parent_id();
+    #[cfg(target_os = "linux")]
+    {
+        let exe = |pid: u32| std::fs::read_link(format!("/proc/{pid}/exe")).ok();
+        let worker = std::env::args().any(|a| a == "--worker-one");
+        if worker && exe(parent) != exe(std::process::id()) {
+            std::process::exit(1);
+        }
+    }
     let end = std::time::Instant::now() + total;
     loop {
         let left = end.saturating_duration_since(std::time::Instant::now());

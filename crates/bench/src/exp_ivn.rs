@@ -3,7 +3,6 @@
 
 use autosec_ivn::attacks::MasqueradeAttack;
 use autosec_ivn::bus::CanBus;
-use autosec_ivn::can::{CanFrame, CanId};
 use autosec_ivn::topology::{EndpointLink, TrafficSpec, ZonalNetwork};
 use autosec_runner::{par_trials, RunCtx};
 use autosec_sim::{SimDuration, SimTime};
@@ -124,24 +123,6 @@ pub fn e3_masquerade_table() -> Table {
     t
 }
 
-/// Raw bus-throughput numbers used by the Criterion bench.
-pub fn bus_saturation_run(frames: usize) -> usize {
-    let mut bus = CanBus::new(500_000);
-    let a = bus.add_node(1.0);
-    let b = bus.add_node(2.0);
-    for i in 0..frames {
-        let node = if i % 2 == 0 { a } else { b };
-        let id = CanId::standard((0x100 + (i % 64) as u16).min(0x7FF)).expect("valid id");
-        bus.enqueue(
-            node,
-            SimTime::ZERO,
-            CanFrame::new(id, &[0xA5; 8]).expect("8 bytes"),
-        )
-        .expect("node exists");
-    }
-    bus.run(SimTime::from_secs(60)).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,11 +147,6 @@ mod tests {
         assert_eq!(t.rows.len(), 2);
         assert!(t.rows[0][2].contains("100%"));
         assert!(t.rows[1][2].starts_with('0'));
-    }
-
-    #[test]
-    fn bus_saturation_delivers_everything() {
-        assert_eq!(bus_saturation_run(100), 100);
     }
 
     #[test]

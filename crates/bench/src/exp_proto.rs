@@ -1,9 +1,9 @@
 //! E4–E7: protocol matrix (Table I) and scenario comparison (Figs. 4–6).
 
-use autosec_secproto::cansec::{CansecRx, CansecTx};
+use autosec_secproto::cansec::CansecTx;
 use autosec_secproto::dtls::DtlsSession;
 use autosec_secproto::ipsec::EspSa;
-use autosec_secproto::macsec::{MacsecFrame, MacsecMode, MacsecRx, MacsecTx};
+use autosec_secproto::macsec::{MacsecFrame, MacsecMode, MacsecTx};
 use autosec_secproto::scenarios::{evaluate, table1, Scenario};
 use autosec_secproto::secoc::{SecOcAuthenticator, SecOcConfig};
 
@@ -143,31 +143,6 @@ pub fn e567_scenario_table() -> Table {
     t
 }
 
-/// Protocol throughput helpers for the Criterion benches.
-pub fn macsec_round_trip(payload: &[u8]) -> usize {
-    let mut tx = MacsecTx::new([9; 16], 1, MacsecMode::AuthenticatedEncryption);
-    let mut rx = MacsecRx::new([9; 16], 1);
-    let f = tx.protect(payload).expect("fresh pn");
-    rx.verify(&f).expect("authentic").len()
-}
-
-/// CANsec round trip for the benches.
-pub fn cansec_round_trip(payload: &[u8]) -> usize {
-    let mut tx = CansecTx::new([9; 16], 1, true);
-    let mut rx = CansecRx::new([9; 16], 1);
-    let f = tx.protect(0x40, 0, payload).expect("fits XL");
-    rx.verify(&f).expect("authentic").len()
-}
-
-/// SECOC round trip for the benches.
-pub fn secoc_round_trip(payload: &[u8]) -> usize {
-    let cfg = SecOcConfig::default();
-    let mut tx = SecOcAuthenticator::new_sender(cfg, [9; 16], 1);
-    let mut rx = SecOcAuthenticator::new_receiver(cfg, [9; 16], 1);
-    let pdu = tx.protect(payload).expect("fresh counter");
-    rx.verify(&pdu).expect("authentic").len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,12 +169,5 @@ mod tests {
     fn scenario_table_covers_all_combinations() {
         let t = e567_scenario_table();
         assert_eq!(t.rows.len(), 4 * 4);
-    }
-
-    #[test]
-    fn round_trip_helpers() {
-        assert_eq!(macsec_round_trip(&[1; 100]), 100);
-        assert_eq!(cansec_round_trip(&[1; 100]), 100);
-        assert_eq!(secoc_round_trip(&[1; 100]), 100);
     }
 }

@@ -1,8 +1,7 @@
 //! E10: system-of-systems cascade risk and real-time DoS (Fig. 9, §VI).
 
 use autosec_runner::{par_trials, RunCtx};
-use autosec_sim::SimRng;
-use autosec_sos::cascade::{cascade_trial, simulate, with_coupling_scale, CascadeAccumulator};
+use autosec_sos::cascade::{cascade_trial, with_coupling_scale, CascadeAccumulator};
 use autosec_sos::model::SystemLevel;
 use autosec_sos::realtime::RealtimeLink;
 use autosec_sos::reference::maas_reference;
@@ -129,14 +128,6 @@ pub fn e10_realtime_table(ctx: &RunCtx) -> Table {
         ]);
     }
     t
-}
-
-/// Cascade run used by the Criterion bench.
-pub fn cascade_run(trials: usize) -> f64 {
-    let g = maas_reference();
-    let entry = g.find("maas-platform").expect("reference node");
-    let mut rng = SimRng::seed(3030);
-    simulate(&g, entry, trials, &mut rng).expected_compromised
 }
 
 #[cfg(test)]

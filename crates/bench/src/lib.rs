@@ -8,8 +8,8 @@
 //! Each `exp_*` module exposes functions returning [`Table`]s; the
 //! [`registry`] collects them as [`Experiment`]s with ids, slugs, tags
 //! and cost classes, the `experiments` binary runs the registry (with
-//! `--jobs`/`--seed`/`--json`), and the Criterion benches in `benches/`
-//! measure the runtime of the underlying workloads.
+//! `--jobs`/`--seed`/`--json`), and the `benchmark/` package at the
+//! repository root times each experiment and the layers underneath.
 
 pub use autosec_runner::{
     ArtifactStore, Cost, Experiment, ExperimentRecord, Registry, RunCtx, RunManifest, Table,

@@ -73,6 +73,28 @@ fn generate_rejects_zero_jobs() {
     );
 }
 
+/// Sizes past their bound are refused while the arguments are read,
+/// before any fleet, trial vector or campaign attempt is allocated.
+#[test]
+fn oversized_sizes_exit_2() {
+    rejects(
+        &["fleet", "--vehicles", "100000000000"],
+        "invalid --vehicles \"100000000000\": expected a positive integer up to 10000000",
+    );
+    rejects(
+        &["generate", "--trials", "1000000000000"],
+        "invalid --trials \"1000000000000\": expected a positive integer up to 1000000",
+    );
+    rejects(
+        &["generate", "--count", "1000000000000"],
+        "invalid --count \"1000000000000\": expected a positive integer up to 4096",
+    );
+    rejects(
+        &["--trials-scale", "1e30", "E2"],
+        "invalid --trials-scale \"1e30\": expected a positive number up to 50",
+    );
+}
+
 /// Every value-taking flag of every grammar, given without its value,
 /// and each grammar's `--help` and `-h` exit 2 with the usage text.
 /// Each run stops at its arguments, so the ~40 spawns stay quick.

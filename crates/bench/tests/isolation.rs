@@ -308,3 +308,26 @@ fn a_suite_killed_mid_child_resumes_to_green() {
 
     let _ = std::fs::remove_dir_all(&out);
 }
+
+/// A worker whose supervisor died before its sleep began has already
+/// been handed to another parent (here the test, which runs another
+/// executable), so it ends at once instead of sleeping out its 60 s.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_worker_orphaned_before_its_sleep_ends_at_once() {
+    let out = tmp("orphan-at-start");
+    let start = Instant::now();
+    let worker = Command::new(bin())
+        .env("AUTOSEC_CHAOS", "sleep:60000")
+        .args(["--worker-one", "x0-chaos", "--out"])
+        .arg(&out)
+        .output()
+        .expect("worker runs");
+    assert_eq!(worker.status.code(), Some(1));
+    assert!(
+        start.elapsed() < Duration::from_secs(30),
+        "the orphaned worker slept for {:?}",
+        start.elapsed()
+    );
+    let _ = std::fs::remove_dir_all(&out);
+}
