@@ -211,10 +211,18 @@ const MAX_WORKERS: usize = 1024;
 const MAX_VEHICLES: usize = 10_000_000;
 const _: () = assert!(MAX_VEHICLES <= u32::MAX as usize);
 
-/// The largest `generate --count`. Each attempt is checked against every
-/// campaign already kept, so the cost grows with the square of N: 4096
-/// take about 0.1 s on a 2-vCPU Xeon, 16384 about 12 s. The default
-/// graph holds only about 13.7k distinct walks of up to six steps.
+/// The largest `fleet --ticks`. At `--snapshot-every 1` the run keeps
+/// one snapshot per tick (about 190 bytes each), and `--json` renders
+/// them all as one JSON tree, about 9 KB per snapshot, before writing
+/// it: 100 000 ticks peak near 0.9 GB.
+const MAX_TICKS: usize = 100_000;
+
+/// The largest `generate --count`. The default graph holds only 13 714
+/// distinct walks of up to six steps, so a larger request mostly spends
+/// its 64 attempts per campaign on repeats: on a 2-vCPU Xeon 4096
+/// campaigns compose in about 0.02 s, and 16384 requests take 1.1 s to
+/// keep all 13 714. Every kept campaign is then replayed `--trials` times
+/// under two postures.
 const MAX_CAMPAIGNS: usize = 4096;
 
 /// The largest `generate --trials`: `par_trials` keeps one result per
@@ -403,8 +411,11 @@ const FLEET: Grammar<FleetArgs> = Grammar {
         },
         Flag {
             names: &["--ticks"],
-            help: "ticks to run (default 200)",
-            takes: Takes::Value("N", |a, v| set(&mut a.cfg.ticks, positive(v))),
+            help: "ticks to run, at most 100000 (default 200)",
+            takes: Takes::Value("N", |a, v| {
+                let ticks = up_to(v, MAX_TICKS, "a positive integer up to 100000");
+                set(&mut a.cfg.ticks, ticks.map(|n| n as u64))
+            }),
         },
         Flag {
             names: &["--shards"],
@@ -1238,6 +1249,8 @@ mod tests {
             fleet(&["--vehicles", &most]).unwrap().cfg.vehicles,
             MAX_VEHICLES
         );
+        let ticks = fleet(&["--ticks", "100000"]).unwrap().cfg.ticks;
+        assert_eq!(ticks, MAX_TICKS as u64);
         let a = gen(&["--count", "4096", "--trials", "1000000"]).unwrap();
         assert_eq!((a.cfg.count, a.trials), (MAX_CAMPAIGNS, MAX_TRIALS));
         assert_eq!(suite(&["-t", "50"]).unwrap().trials_scale, MAX_TRIALS_SCALE);
@@ -1464,6 +1477,12 @@ mod tests {
             ),
             ("fleet", "--ticks", "-3", POSITIVE),
             ("fleet", "--ticks", "0", POSITIVE),
+            (
+                "fleet",
+                "--ticks",
+                "100000000000",
+                "expected a positive integer up to 100000",
+            ),
             ("fleet", "--shards", "0", POSITIVE),
             ("fleet", "--shards", "1025", WORKERS),
             ("fleet", "--seed", "abc", UNSIGNED),

@@ -4,7 +4,7 @@
 use autosec_runner::{par_trials, RunCtx};
 use autosec_sdv::charging::{iso15118_flow, ssi_flow};
 use autosec_sdv::component::{Asil, HardwareNode, SoftwareComponent};
-use autosec_sdv::platform::SdvPlatform;
+use autosec_sdv::platform::{SdvPlatform, WalletCapacities};
 use autosec_sdv::SdvError;
 use autosec_sim::SimRng;
 use autosec_ssi::prelude::*;
@@ -28,24 +28,28 @@ pub struct ReconfigOutcome {
 /// attempt one rogue placement, fail a node, re-place. All randomness
 /// comes from the caller-supplied substream.
 pub fn reconfiguration_run(n_components: usize, rng: &mut SimRng) -> ReconfigOutcome {
-    // Each wallet is sized to the signatures it makes, at most n + 2:
-    // the OEM issues n + 2 credentials; hpc-0 signs n presentations
-    // (the rogue attempt fails on the component side before the node
-    // signs); hpc-1 signs n on failover; each component signs 2. The
-    // rogue vendor issues one credential.
-    reconfiguration_sized(n_components, rng, n_components + 2, 1)
+    // Each wallet is sized to the signatures its role makes: the OEM
+    // issues n + 2 credentials; hpc-0 signs n presentations (the rogue
+    // attempt fails on the component side before the node signs) and
+    // hpc-1 n on failover; each component signs 2. The rogue vendor
+    // issues one credential.
+    let capacities = WalletCapacities {
+        oem: n_components + 2,
+        node: n_components,
+        component: 2,
+    };
+    reconfiguration_sized(n_components, rng, capacities, 1)
 }
 
-/// [`reconfiguration_run`] with platform wallets that make
-/// `platform_signatures` signatures and a rogue vendor that makes
-/// `rogue_signatures`.
+/// [`reconfiguration_run`] with platform wallets of `capacities` and a
+/// rogue vendor that makes `rogue_signatures`.
 fn reconfiguration_sized(
     n_components: usize,
     rng: &mut SimRng,
-    platform_signatures: usize,
+    capacities: WalletCapacities,
     rogue_signatures: usize,
 ) -> ReconfigOutcome {
-    let (mut platform, mut oem) = SdvPlatform::with_capacity(rng, platform_signatures);
+    let (mut platform, mut oem) = SdvPlatform::with_capacities(rng, capacities);
     for id in ["hpc-0", "hpc-1"] {
         platform
             .register_node(
@@ -201,7 +205,8 @@ mod tests {
     fn sized_reconfiguration_matches_the_default() {
         for n in [1, 2, 5, 6, 10, 14, 16] {
             let sized = reconfiguration_run(n, &mut SimRng::seed(8).fork_idx(n as u64));
-            let full = reconfiguration_sized(n, &mut SimRng::seed(8).fork_idx(n as u64), 64, 64);
+            let rng = &mut SimRng::seed(8).fork_idx(n as u64);
+            let full = reconfiguration_sized(n, rng, WalletCapacities::all(64), 64);
             assert_eq!(sized, full, "{n} components");
         }
     }

@@ -1,8 +1,9 @@
 //! E10: system-of-systems cascade risk and real-time DoS (Fig. 9, §VI).
 
 use autosec_runner::{par_trials, RunCtx};
-use autosec_sos::cascade::{cascade_trial, with_coupling_scale, CascadeAccumulator};
-use autosec_sos::model::SystemLevel;
+use autosec_sim::SimRng;
+use autosec_sos::cascade::{cascade_trial, with_coupling_scale, CascadeAccumulator, CascadeReport};
+use autosec_sos::model::{NodeId, SosGraph, SystemLevel};
 use autosec_sos::realtime::RealtimeLink;
 use autosec_sos::reference::maas_reference;
 
@@ -39,13 +40,7 @@ pub fn e10_cascade_table(ctx: &RunCtx) -> Table {
                 .rng("e10-cascade")
                 .fork(entry_name)
                 .fork(&format!("{scale:.1}"));
-            let mut acc = CascadeAccumulator::new(&g);
-            for mask in par_trials(ctx.jobs, ctx.trials(2000), &trial_base, |_, mut rng| {
-                cascade_trial(&g, entry, &mut rng)
-            }) {
-                acc.add(&mask);
-            }
-            let r = acc.report(entry);
+            let r = cascade_cell(&g, entry, ctx.trials(2000), &trial_base, ctx.jobs);
             t.push_row(vec![
                 entry_name.to_owned(),
                 format!("{scale:.1}x"),
@@ -55,6 +50,24 @@ pub fn e10_cascade_table(ctx: &RunCtx) -> Table {
         }
     }
     t
+}
+
+/// One E10 cell: `trials` cascades from `entry` through [`par_trials`],
+/// folded in trial order.
+fn cascade_cell(
+    g: &SosGraph,
+    entry: NodeId,
+    trials: usize,
+    base: &SimRng,
+    jobs: usize,
+) -> CascadeReport {
+    let mut acc = CascadeAccumulator::new(g);
+    for mask in par_trials(jobs, trials, base, |_, mut rng| {
+        cascade_trial(g, entry, &mut rng)
+    }) {
+        acc.add(&mask);
+    }
+    acc.report(entry)
 }
 
 /// E10 structural table: the Fig. 9 levels.
@@ -148,6 +161,26 @@ mod tests {
                 vals[0] <= vals[1] + 0.2 && vals[1] <= vals[2] + 0.2,
                 "{vals:?}"
             );
+        }
+    }
+
+    #[test]
+    fn cascade_cells_match_the_serial_fold() {
+        // The serial reference: trial `i` on `fork_idx(i)`, folded in
+        // order, as `autosec_sos`'s own tests run it.
+        let base = maas_reference();
+        for (entry_name, scale) in [("maas-platform", 1.5), ("vehicle-os", 0.5)] {
+            let g = with_coupling_scale(&base, scale);
+            let entry = g.find(entry_name).expect("reference node");
+            let trial_base = SimRng::seed(10).fork(entry_name);
+            let mut serial = CascadeAccumulator::new(&g);
+            for i in 0..300 {
+                serial.add(&cascade_trial(&g, entry, &mut trial_base.fork_idx(i)));
+            }
+            for jobs in [1, 2] {
+                let cell = cascade_cell(&g, entry, 300, &trial_base, jobs);
+                assert_eq!(cell, serial.report(entry), "{entry_name}, jobs {jobs}");
+            }
         }
     }
 

@@ -82,6 +82,10 @@ fn oversized_sizes_exit_2() {
         "invalid --vehicles \"100000000000\": expected a positive integer up to 10000000",
     );
     rejects(
+        &["fleet", "--ticks", "100000000000"],
+        "invalid --ticks \"100000000000\": expected a positive integer up to 100000",
+    );
+    rejects(
         &["generate", "--trials", "1000000000000"],
         "invalid --trials \"1000000000000\": expected a positive integer up to 1000000",
     );

@@ -28,7 +28,7 @@ use autosec_phy::attacks::{OvershadowAttack, RelayAttack};
 use autosec_phy::collision::{CollisionAvoidance, CollisionScenario, VehicleAction};
 use autosec_phy::pkes::{Pkes, PkesState, ProximityBackend};
 use autosec_sdv::component::{Asil, HardwareNode, SoftwareComponent};
-use autosec_sdv::platform::SdvPlatform;
+use autosec_sdv::platform::{SdvPlatform, WalletCapacities};
 use autosec_sdv::SdvError;
 use autosec_secproto::secoc::{SecOcAuthenticator, SecOcConfig, SecOcPdu};
 use autosec_sim::inject::ChannelFault;
@@ -480,7 +480,8 @@ const ROGUE_TRIAL_SIGNATURES: usize = 1;
 /// The one-node platform a rogue placement targets, and the wallet of a
 /// vendor with no trust path to its OEM anchor.
 fn rogue_target(rng: &mut SimRng) -> (SdvPlatform, Wallet) {
-    let (mut platform, mut oem) = SdvPlatform::with_capacity(rng, ROGUE_TRIAL_SIGNATURES);
+    let (mut platform, mut oem) =
+        SdvPlatform::with_capacities(rng, WalletCapacities::all(ROGUE_TRIAL_SIGNATURES));
     platform
         .register_node(
             rng,

@@ -37,15 +37,15 @@
 //! them block by block), so every signature, DID and MAC is identical on
 //! any machine; only the hashing speed differs.
 //!
-//! WOTS and MSS key generation, the bulk of the hashing, does not hash
-//! one chain step after another where it can avoid it. It hands every
-//! chain of a key (or of 16 MSS leaf keys) to [`sha256`] at once. On
-//! x86-64 CPUs with AVX-512F that runs 16 chains in lockstep, one per
-//! vector lane, with each chain value kept in registers for all 15
-//! steps; elsewhere the chains run one after another through the same
-//! one-chain function signing uses. The keys are the same either way:
-//! tests check the lanes against the one-chain function, and
-//! `tests/golden.rs` pins roots, keys and a signature.
+//! WOTS and MSS key generation, signing and verification, the bulk of
+//! the hashing, do not hash one chain step after another where they can
+//! avoid it. Each hands every chain of a key (or of 16 MSS leaf keys) to
+//! [`sha256`] at once. On x86-64 CPUs with AVX-512F that runs 16 chains
+//! in lockstep, one per vector lane, with each chain value kept in
+//! registers for all its steps; elsewhere the chains run one after
+//! another through the one-chain function. The keys and signatures are
+//! the same either way: tests check the lanes against the one-chain
+//! function, and `tests/golden.rs` pins roots, keys and a signature.
 //!
 //! ## Example
 //!

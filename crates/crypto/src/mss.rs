@@ -7,6 +7,12 @@
 //! signature carries the WOTS signature, the leaf's WOTS public key and
 //! the Merkle authentication path.
 //!
+//! Key generation runs the leaves' WOTS chains 16 keys at a time; a
+//! signature runs its leaf's 67 chains once, from secret to head, taking
+//! the signature values on the way; verification runs each chain from
+//! its signature value to its head. All three hand their chains to the
+//! 16-lane lockstep kernel where the CPU has one (see [`crate::sha256`]).
+//!
 //! **Statefulness** is the classic operational hazard of hash-based
 //! signatures: reusing a leaf breaks security. [`MssKeyPair::sign`]
 //! enforces monotonically advancing leaves and errs with
@@ -15,7 +21,7 @@
 use rand::RngCore;
 
 use crate::merkle::{MerkleProof, MerkleTree};
-use crate::ots::{self, WotsKeyPair, WotsPublicKey, WotsSignature};
+use crate::ots::{self, WotsPublicKey, WotsSignature};
 use crate::sha256::{Digest, Sha256};
 use crate::CryptoError;
 
@@ -182,9 +188,8 @@ impl MssKeyPair {
         }
         let index = self.next_leaf;
         self.next_leaf += 1;
-        let mut leaf_kp = WotsKeyPair::from_seed(&Self::leaf_seed(&self.master_seed, index));
-        let leaf_pk = leaf_kp.public_key().clone();
-        let wots = leaf_kp.sign(message).expect("fresh leaf key");
+        let (leaf_pk, wots) =
+            ots::sign_with_seed(&Self::leaf_seed(&self.master_seed, index), message);
         let auth_path = self.tree.prove(index).expect("leaf index within capacity");
         Ok(MssSignature {
             leaf_index: index,
@@ -198,6 +203,7 @@ impl MssKeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ots::WotsKeyPair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -283,6 +289,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn signatures_match_the_one_chain_composition() {
+        // The leaf key from `WotsKeyPair::from_seed`, signed one chain at
+        // a time, under every leaf of every height up to 6.
+        for height in 0..=6 {
+            let mut kp = MssKeyPair::from_seed([height; 32], height);
+            let pk = kp.public_key();
+            for leaf in 0..kp.capacity() {
+                let msg = format!("h{height} leaf {leaf}");
+                let leaf_kp = WotsKeyPair::from_seed(&MssKeyPair::leaf_seed(&[height; 32], leaf));
+                let want = MssSignature {
+                    leaf_index: leaf,
+                    wots: leaf_kp.sign_chain_by_chain(msg.as_bytes()),
+                    leaf_pk: leaf_kp.public_key().clone(),
+                    auth_path: kp.tree.prove(leaf).unwrap(),
+                };
+                let sig = kp.sign(msg.as_bytes()).unwrap();
+                assert_eq!(sig, want, "height {height}, leaf {leaf}");
+                assert!(pk.verify(msg.as_bytes(), &sig));
+                assert!(!pk.verify(b"tampered", &sig));
+            }
+            assert_eq!(kp.sign(b"x").unwrap_err(), CryptoError::KeyExhausted);
+        }
+    }
+
+    #[test]
+    fn tampered_signatures_and_wrong_keys_fail() {
+        let mut kp = keypair(3);
+        let pk = kp.public_key();
+        let sig = kp.sign(b"m").unwrap();
+        let theirs = MssKeyPair::generate(&mut StdRng::seed_from_u64(12), 3)
+            .sign(b"m")
+            .unwrap();
+        // Another key's leaf under our root, our leaf under a key of
+        // another height, and each part of theirs spliced into ours.
+        assert!(!pk.verify(b"m", &theirs));
+        assert!(!keypair(2).public_key().verify(b"m", &sig));
+        let (mut wots, mut leaf_pk) = (sig.clone(), sig.clone());
+        wots.wots = theirs.wots.clone();
+        leaf_pk.leaf_pk = theirs.leaf_pk.clone();
+        assert!(!pk.verify(b"m", &wots));
+        assert!(!pk.verify(b"m", &leaf_pk));
+        let mut moved = sig.clone();
+        moved.auth_path = kp.tree.prove(5).unwrap();
+        assert!(!pk.verify(b"m", &moved));
+        assert!(pk.verify(b"m", &sig));
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! unforgeable, and simple enough to implement from scratch with
 //! confidence. Each key pair must sign **at most one** message — the
 //! stateful wrapper in [`crate::mss`] lifts them to many-time keys.
+//!
+//! WOTS key generation, signing and verification hand all 67 chains of
+//! a key to the crate-private `run_chains` at once, which runs them 16
+//! in lockstep where the CPU has a kernel for it (see [`crate::sha256`])
+//! and one after another through the one-chain function everywhere
+//! else.
 
 use rand::RngCore;
 
@@ -123,9 +129,8 @@ fn wots_digits(digest: &Digest) -> [u8; WOTS_CHAINS] {
 /// Applies the WOTS chain function `n` times: `H(chain_idx || step || x)`
 /// with positional domain separation so chains cannot be spliced.
 ///
-/// Signing and verification call this one chain at a time; key
-/// generation runs whole keys through [`run_to_heads`], which gives the
-/// same values.
+/// On CPUs without a lockstep kernel [`run_chains`] runs every chain
+/// through this one at a time; the tests pin the lanes to it.
 pub(crate) fn chain(start: &Digest, chain_idx: usize, from_step: u8, steps: u8) -> Digest {
     let mut acc = *start;
     for s in 0..steps {
@@ -133,6 +138,71 @@ pub(crate) fn chain(start: &Digest, chain_idx: usize, from_step: u8, steps: u8) 
         acc = Sha256::digest_parts(&[&[0x02], &(chain_idx as u16).to_be_bytes(), &[step], &acc]);
     }
     acc
+}
+
+/// One chain for [`run_chains`]: `value` runs `steps` steps of chain
+/// `chain`, numbered from `start`, and `captured` takes the value after
+/// the first `capture` of them. `capture <= steps < WOTS_W`, and `start +
+/// steps` fits in the step byte. If `seeded`, `value` is a key seed, and
+/// the chain starts at that key's secret for `chain` (see
+/// [`WotsKeyPair::from_seed`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ChainJob {
+    pub(crate) value: Digest,
+    pub(crate) chain: u16,
+    pub(crate) start: u8,
+    pub(crate) steps: u8,
+    pub(crate) capture: u8,
+    pub(crate) seeded: bool,
+    pub(crate) captured: Digest,
+}
+
+impl ChainJob {
+    /// Chain `chain` from `value` at step `start`, for `steps` steps,
+    /// capturing nothing.
+    fn new(value: Digest, chain: usize, start: u8, steps: u8) -> Self {
+        Self {
+            value,
+            chain: chain as u16,
+            start,
+            steps,
+            ..Self::default()
+        }
+    }
+
+    /// Chain `chain` of the key [`WotsKeyPair::from_seed`] derives from
+    /// `seed`, from its secret to its head.
+    fn seed_to_head(seed: Digest, chain: usize) -> Self {
+        Self {
+            seeded: true,
+            ..Self::new(seed, chain, 0, (WOTS_W - 1) as u8)
+        }
+    }
+}
+
+/// Runs every job of `jobs`, 16 at a time in lockstep where the CPU has
+/// a kernel for it, and one after another through [`chain`] everywhere
+/// else.
+pub(crate) fn run_chains(jobs: &mut [ChainJob]) {
+    if !sha256::try_wots_chains(jobs) {
+        jobs.iter_mut().for_each(run_one);
+    }
+}
+
+/// Runs `job` through [`chain`]: up to its capture point, then on.
+fn run_one(job: &mut ChainJob) {
+    let idx = usize::from(job.chain);
+    if job.seeded {
+        job.value = seed_secret(&job.value, idx);
+        job.seeded = false;
+    }
+    job.captured = chain(&job.value, idx, job.start, job.capture);
+    job.value = chain(
+        &job.captured,
+        idx,
+        job.start + job.capture,
+        job.steps - job.capture,
+    );
 }
 
 /// A WOTS public key: the 67 chain heads, plus a compact digest.
@@ -153,22 +223,22 @@ impl WotsPublicKey {
             return false;
         }
         let digits = wots_digits(&Sha256::digest(message));
-        for (i, (&digit, (sig_chain, head))) in digits
-            .iter()
-            .zip(sig.chains.iter().zip(self.heads.iter()))
-            .enumerate()
-        {
-            let remaining = (WOTS_W - 1) as u8 - digit;
-            if chain(sig_chain, i, digit, remaining) != *head {
-                return false;
-            }
-        }
-        true
+        // Chain `i` runs from its digit to the head. Ordered by digit,
+        // each 16-lane group runs about as many steps as its chains need.
+        let mut order: [usize; WOTS_CHAINS] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| digits[i]);
+        let mut jobs = order.map(|i| {
+            let remaining = (WOTS_W - 1) as u8 - digits[i];
+            ChainJob::new(sig.chains[i], i, digits[i], remaining)
+        });
+        run_chains(&mut jobs);
+        jobs.iter()
+            .all(|job| job.value == self.heads[usize::from(job.chain)])
     }
 }
 
 /// The digest [`WotsPublicKey::digest`] commits to: all heads in order.
-fn heads_digest(heads: &[Digest]) -> Digest {
+fn heads_digest<'a>(heads: impl IntoIterator<Item = &'a Digest>) -> Digest {
     let mut h = Sha256::new();
     for head in heads {
         h.update(head);
@@ -181,31 +251,40 @@ fn seed_secret(seed: &Digest, i: usize) -> Digest {
     Sha256::digest_parts(&[&[0x03], seed, &(i as u16).to_be_bytes()])
 }
 
-/// Runs the chains of one or more keys from their secrets to their heads.
-/// `chains` holds the keys' secrets back to back, chain `i` of each key
-/// at a position equal to `i` modulo [`WOTS_CHAINS`], and comes back
-/// holding the heads. The chains run 16 at a time in lockstep where the
-/// CPU has a kernel for it, and one after another through [`chain`]
-/// everywhere else.
-fn run_to_heads(chains: &mut [Digest]) {
-    let steps = (WOTS_W - 1) as u8;
-    if sha256::try_wots_chains(chains, steps) {
-        return;
-    }
-    for (k, value) in chains.iter_mut().enumerate() {
-        *value = chain(value, k % WOTS_CHAINS, 0, steps);
-    }
-}
-
 /// Public-key digests of the keys [`WotsKeyPair::from_seed`] derives
 /// from each of `seeds`, with every chain of every key in one batch.
 pub(crate) fn public_key_digests(seeds: &[Digest]) -> Vec<Digest> {
-    let mut chains: Vec<Digest> = seeds
+    let mut jobs: Vec<ChainJob> = seeds
         .iter()
-        .flat_map(|seed| (0..WOTS_CHAINS).map(move |i| seed_secret(seed, i)))
+        .flat_map(|&seed| (0..WOTS_CHAINS).map(move |i| ChainJob::seed_to_head(seed, i)))
         .collect();
-    run_to_heads(&mut chains);
-    chains.chunks_exact(WOTS_CHAINS).map(heads_digest).collect()
+    run_chains(&mut jobs);
+    jobs.chunks_exact(WOTS_CHAINS)
+        .map(|key| heads_digest(key.iter().map(|job| &job.value)))
+        .collect()
+}
+
+/// Signs `message` with the key [`WotsKeyPair::from_seed`] derives from
+/// `seed`, and returns that key's public half with the signature. Each
+/// chain runs once, from its secret to its head, and leaves its
+/// signature value on the way, at its digit.
+pub(crate) fn sign_with_seed(seed: &Digest, message: &[u8]) -> (WotsPublicKey, WotsSignature) {
+    let digits = wots_digits(&Sha256::digest(message));
+    let mut jobs: Vec<ChainJob> = (0..WOTS_CHAINS)
+        .map(|i| ChainJob {
+            capture: digits[i],
+            ..ChainJob::seed_to_head(*seed, i)
+        })
+        .collect();
+    run_chains(&mut jobs);
+    (
+        WotsPublicKey {
+            heads: jobs.iter().map(|job| job.value).collect(),
+        },
+        WotsSignature {
+            chains: jobs.iter().map(|job| job.captured).collect(),
+        },
+    )
 }
 
 /// A WOTS signature: one intermediate chain value per digit.
@@ -271,8 +350,12 @@ impl WotsKeyPair {
     }
 
     fn from_secrets(sk: Vec<Digest>) -> Self {
-        let mut heads = sk.clone();
-        run_to_heads(&mut heads);
+        let top = (WOTS_W - 1) as u8;
+        let mut jobs: Vec<ChainJob> = (sk.iter().enumerate())
+            .map(|(i, &secret)| ChainJob::new(secret, i, 0, top))
+            .collect();
+        run_chains(&mut jobs);
+        let heads = jobs.iter().map(|job| job.value).collect();
         Self {
             sk,
             pk: WotsPublicKey { heads },
@@ -301,10 +384,26 @@ impl WotsKeyPair {
         }
         self.used = true;
         let digits = wots_digits(&Sha256::digest(message));
+        let mut jobs: Vec<ChainJob> = (self.sk.iter().zip(digits).enumerate())
+            .map(|(i, (&secret, digit))| ChainJob::new(secret, i, 0, digit))
+            .collect();
+        run_chains(&mut jobs);
+        let chains = jobs.iter().map(|job| job.value).collect();
+        Ok(WotsSignature { chains })
+    }
+}
+
+#[cfg(test)]
+impl WotsKeyPair {
+    /// [`WotsKeyPair::sign`] one chain at a time through [`chain`],
+    /// without the one-time guard: the reference the batched signers are
+    /// checked against.
+    pub(crate) fn sign_chain_by_chain(&self, message: &[u8]) -> WotsSignature {
+        let digits = wots_digits(&Sha256::digest(message));
         let chains = (0..WOTS_CHAINS)
             .map(|i| chain(&self.sk[i], i, 0, digits[i]))
             .collect();
-        Ok(WotsSignature { chains })
+        WotsSignature { chains }
     }
 }
 
@@ -348,6 +447,72 @@ mod tests {
         let sig = kp.sign(b"v2x message").unwrap();
         assert!(pk.verify(b"v2x message", &sig));
         assert!(!pk.verify(b"v2x messagf", &sig));
+    }
+
+    #[test]
+    fn lockstep_signatures_match_the_chain_by_chain_reference() {
+        for seed in 0..8 {
+            let mut kp = WotsKeyPair::generate(&mut StdRng::seed_from_u64(seed));
+            let msg = format!("message {seed}");
+            let want = kp.sign_chain_by_chain(msg.as_bytes());
+            let (pk, sig) = sign_with_seed(&[seed as u8; 32], msg.as_bytes());
+            let seeded = WotsKeyPair::from_seed(&[seed as u8; 32]);
+            assert_eq!(pk, *seeded.public_key(), "seed {seed}");
+            assert_eq!(
+                sig,
+                seeded.sign_chain_by_chain(msg.as_bytes()),
+                "seed {seed}"
+            );
+            assert!(pk.verify(msg.as_bytes(), &sig));
+            assert_eq!(kp.sign(msg.as_bytes()).unwrap(), want, "seed {seed}");
+            assert!(kp.public_key().verify(msg.as_bytes(), &want));
+        }
+    }
+
+    #[test]
+    fn one_chain_fallback_captures_on_the_way() {
+        let mut rng = rng();
+        for start in 0..=15u8 {
+            for steps in 0..=15 - start {
+                for capture in 0..=steps {
+                    let mut value = [0u8; 32];
+                    rng.fill_bytes(&mut value);
+                    let chain_idx = usize::from(start) * 16 + usize::from(steps);
+                    for seeded in [false, true] {
+                        let mut job = ChainJob {
+                            capture,
+                            seeded,
+                            ..ChainJob::new(value, chain_idx, start, steps)
+                        };
+                        run_one(&mut job);
+                        let first = if seeded {
+                            seed_secret(&value, chain_idx)
+                        } else {
+                            value
+                        };
+                        assert_eq!(job.value, chain(&first, chain_idx, start, steps));
+                        assert_eq!(job.captured, chain(&first, chain_idx, start, capture));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wots_rejects_each_tampered_chain() {
+        // Every chain is checked, whichever 16-lane group its digit
+        // sorts it into.
+        let mut kp = WotsKeyPair::generate(&mut rng());
+        let pk = kp.public_key().clone();
+        let sig = kp.sign(b"m").unwrap();
+        for i in 0..WOTS_CHAINS {
+            let mut bad = sig.clone();
+            bad.chains[i][31] ^= 1;
+            assert!(!pk.verify(b"m", &bad), "chain {i}");
+        }
+        let mut short = sig.clone();
+        short.chains.pop();
+        assert!(!pk.verify(b"m", &short));
     }
 
     #[test]

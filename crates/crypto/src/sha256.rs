@@ -1,5 +1,5 @@
 //! SHA-256 (FIPS 180-4), streaming and one-shot, plus the batched WOTS
-//! chain step that key generation runs on.
+//! chain kernel that key generation, signing and verification run on.
 //!
 //! The compression function is chosen at run time. On x86-64 CPUs with
 //! the SHA extensions (plus SSSE3 and SSE4.1) it runs on
@@ -7,16 +7,24 @@
 //! portable scalar rounds. Both kernels produce the same digests, which
 //! the tests below check block by block.
 //!
-//! WOTS key generation hashes one 36-byte block per chain step,
-//! `0x02 ‖ chain index ‖ step ‖ previous value`, so every step depends
-//! on the one before. On x86-64 CPUs with AVX-512F the crate-private
-//! `try_wots_chains` runs 16 chains in lockstep instead, one per 32-bit
-//! lane, and keeps each chain value in registers for all its steps: the
-//! previous digest is exactly message words 1..=8 and the padding words
-//! are constants, so no bytes are converted between steps. On other CPUs
-//! it declines, and [`crate::ots`] runs the chains one after another
-//! through its one-chain function, which the tests check the lanes
-//! against.
+//! A WOTS chain step hashes one 36-byte block, `0x02 ‖ chain index ‖
+//! step ‖ previous value`, so every step depends on the one before. On
+//! x86-64 CPUs with AVX-512F the crate-private `try_wots_chains` runs 16
+//! chains in lockstep instead, one per 32-bit lane, and keeps each chain
+//! value in registers for all its steps: the previous digest is exactly
+//! message words 1..=8 and the padding words are constants, so no bytes
+//! are converted between steps. Each lane has its own chain index, first
+//! step and step count, and can keep its value after a given number of
+//! steps on the way; a lane whose count is done is written back while the
+//! others run on. A lane can also start from a key seed, hashing the
+//! key's secret for its chain (`0x03 ‖ seed ‖ chain index`) in the same
+//! lanes first. Key generation runs every lane from 0 for 15 steps,
+//! signing the same while capturing each lane at its digit, and
+//! verification each lane from its digit to 15. On other CPUs it
+//! declines, and [`crate::ots`] runs the chains one after another through
+//! its one-chain function, which the tests check the lanes against.
+
+use crate::ots::ChainJob;
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
@@ -166,18 +174,17 @@ fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     compress_portable(state, blocks);
 }
 
-/// Advances chain `k` of `values` by `steps` WOTS chain steps from step
-/// 0 under chain index `k % WOTS_CHAINS`, in lockstep, and returns
-/// `true` if this CPU has a lockstep kernel; otherwise leaves `values`
-/// untouched and returns `false`. A step is `H(0x02 ‖ idx ‖ step ‖
-/// value)` with a big-endian 16-bit index and a one-byte step, the chain
-/// function of [`crate::ots`].
-pub(crate) fn try_wots_chains(values: &mut [Digest], steps: u8) -> bool {
+/// Runs every job of `jobs` in lockstep and returns `true` if this CPU
+/// has a lockstep kernel; otherwise leaves `jobs` untouched and returns
+/// `false`. A step is `H(0x02 ‖ idx ‖ step ‖ value)` with a big-endian
+/// 16-bit index and a one-byte step, the chain function of
+/// [`crate::ots`]; [`ChainJob`] says which steps each job runs.
+pub(crate) fn try_wots_chains(jobs: &mut [ChainJob]) -> bool {
     #[cfg(target_arch = "x86_64")]
-    return x86::try_wots_chains(values, steps);
+    return x86::try_wots_chains(jobs);
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (values, steps);
+        let _ = jobs;
         false
     }
 }
@@ -230,19 +237,21 @@ fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m128i, __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_or_si512, _mm512_ror_epi32,
-        _mm512_set1_epi32, _mm512_setzero_si512, _mm512_srli_epi32, _mm512_storeu_si512,
+        __m128i, __m512i, __mmask16, _mm512_add_epi32, _mm512_and_si512, _mm512_loadu_si512,
+        _mm512_mask_mov_epi32, _mm512_mask_storeu_epi32, _mm512_or_si512, _mm512_ror_epi32,
+        _mm512_set1_epi32, _mm512_setzero_si512, _mm512_slli_epi32, _mm512_srli_epi32,
         _mm512_ternarylogic_epi32, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16,
         _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32,
         _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
     };
     use std::sync::OnceLock;
 
-    use super::{Digest, H0, K};
-    use crate::ots::WOTS_CHAINS;
+    use super::{ChainJob, H0, K};
 
     /// Byte length of a WOTS chain step block before padding.
     const CHAIN_BLOCK_LEN: u32 = 36;
+    /// Byte length of a WOTS secret's block before padding.
+    const SECRET_BLOCK_LEN: u32 = 35;
 
     /// Compresses `blocks` into `state` and returns `true` if this CPU
     /// has the SHA extensions, SSSE3 and SSE4.1; otherwise leaves
@@ -346,38 +355,66 @@ mod x86 {
         _mm_sha256msg2_epu32(t, w3)
     }
 
-    /// Runs [`super::try_wots_chains`] 16 chains at a time and returns
-    /// `true` if this CPU has AVX-512F; otherwise leaves `values`
-    /// untouched and returns `false`. Detection runs once per process.
-    /// A last group of fewer than 16 chains fills the spare lanes with
-    /// zeros and drops their results.
-    pub(super) fn try_wots_chains(values: &mut [Digest], steps: u8) -> bool {
+    /// Runs [`super::try_wots_chains`] 16 jobs at a time and returns
+    /// `true` if this CPU has AVX-512F; otherwise leaves `jobs` untouched
+    /// and returns `false`. Detection runs once per process. Each group
+    /// runs as many steps as its longest job; a last group of fewer than
+    /// 16 jobs leaves its spare lanes at zero steps and drops them.
+    pub(super) fn try_wots_chains(jobs: &mut [ChainJob]) -> bool {
         static DETECTED: OnceLock<bool> = OnceLock::new();
         if !*DETECTED.get_or_init(|| is_x86_feature_detected!("avx512f")) {
             return false;
         }
-        for (group, values) in values.chunks_mut(16).enumerate() {
-            // Row 0: message word 0 of each lane without its step byte;
-            // rows 1..=8: the lane's chain value as big-endian words.
-            let mut rows = [[0u32; 16]; 9];
-            for (lane, value) in values.iter().enumerate() {
-                let idx = ((16 * group + lane) % WOTS_CHAINS) as u32;
-                rows[0][lane] = 0x0200_0000 | idx << 8;
-                for (row, word) in rows[1..].iter_mut().zip(value.chunks_exact(4)) {
+        for group in jobs.chunks_mut(16) {
+            let mut lanes = Lanes::default();
+            for (lane, job) in group.iter().enumerate() {
+                debug_assert!(job.capture <= job.steps && job.start <= u8::MAX - job.steps);
+                lanes.prefix[lane] = 0x0200_0000 | u32::from(job.chain) << 8 | u32::from(job.start);
+                // A WOTS chain has 15 steps, so `steps` indexes `ends`.
+                lanes.ends[usize::from(job.steps)] |= 1 << lane;
+                lanes.captures[usize::from(job.capture)] |= 1 << lane;
+                lanes.seeded |= u16::from(job.seeded) << lane;
+                for (row, word) in lanes.value.iter_mut().zip(job.value.chunks_exact(4)) {
                     row[lane] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
                 }
             }
+            let rounds = group.iter().map(|job| job.steps).max().unwrap_or(0);
             // SAFETY: `chains16` is compiled for avx512f, and
             // `is_x86_feature_detected!` confirmed avx512f on this CPU
             // (cached in `DETECTED`).
-            unsafe { chains16(&mut rows, steps) };
-            for (lane, value) in values.iter_mut().enumerate() {
-                for (row, word) in rows[1..].iter().zip(value.chunks_exact_mut(4)) {
-                    word.copy_from_slice(&row[lane].to_be_bytes());
+            unsafe { chains16(&mut lanes, rounds) };
+            for (lane, job) in group.iter_mut().enumerate() {
+                job.seeded = false;
+                for (rows, out) in [
+                    (&lanes.value, &mut job.value),
+                    (&lanes.captured, &mut job.captured),
+                ] {
+                    for (row, word) in rows.iter().zip(out.chunks_exact_mut(4)) {
+                        word.copy_from_slice(&row[lane].to_be_bytes());
+                    }
                 }
             }
         }
         true
+    }
+
+    /// Sixteen jobs of [`ChainJob`], one per 32-bit lane, a row per word.
+    #[derive(Default)]
+    struct Lanes {
+        /// Message word 0 of each lane's first step: `0x02`, the chain
+        /// index and the first step byte.
+        prefix: [u32; 16],
+        /// The chain values as big-endian words: the start values in,
+        /// the values after each lane's own count of steps out.
+        value: [[u32; 16]; 8],
+        /// Out: the values after each lane's `capture` steps.
+        captured: [[u32; 16]; 8],
+        /// Bit `lane` of entry `k`: that lane runs `k` steps.
+        ends: [u16; 16],
+        /// Bit `lane` of entry `k`: that lane captures after `k` steps.
+        captures: [u16; 16],
+        /// Bit `lane`: that lane's value is a key seed.
+        seeded: u16,
     }
 
     /// Repeats `$body` with `$j` bound to each of 0..16 in turn, written
@@ -394,49 +431,100 @@ mod x86 {
         };
     }
 
-    /// Advances 16 chains `steps` steps, one per 32-bit lane, laid out
-    /// as in `try_wots_chains`. A step block holds the previous digest
-    /// in message words 1..=8 and fixed padding in words 9..=15, so the
-    /// chain values stay in registers from one step to the next.
+    /// Runs the 16 jobs of `lanes` for `rounds` steps, the most any of
+    /// them takes. A step block holds the previous digest in message
+    /// words 1..=8 and fixed padding in words 9..=15, so the chain values
+    /// stay in registers from one step to the next. Every lane runs all
+    /// `rounds` steps; a lane's value goes back to memory once it has run
+    /// its own count (a lane of zero steps keeps its start value there),
+    /// and its captured value once it has run `capture` steps. The lane
+    /// masks are scalars, so they hold no vector register through the
+    /// rounds.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
-    fn chains16(rows: &mut [[u32; 16]; 9], steps: u8) {
-        let p = rows.as_mut_ptr().cast::<__m512i>();
-        // SAFETY: each row is 64 bytes, so the nine unaligned 64-byte
-        // loads stay inside `rows`. The intrinsics rely on the detection
-        // in `try_wots_chains`, the only caller.
-        let (prefix, mut value) = unsafe {
-            (
-                _mm512_loadu_si512(p),
-                [1, 2, 3, 4, 5, 6, 7, 8].map(|i| _mm512_loadu_si512(p.add(i))),
-            )
-        };
-        let h0 = H0.map(|h| splat(h));
-        for step in 0..steps {
+    fn chains16(lanes: &mut Lanes, rounds: u8) {
+        // SAFETY: each row is 64 bytes, so every unaligned 64-byte load
+        // stays inside `lanes`. The intrinsics rely on the detection in
+        // `try_wots_chains`, the only caller.
+        let load = |row: &[u32; 16]| unsafe { _mm512_loadu_si512(row.as_ptr().cast()) };
+        let prefix = load(&lanes.prefix);
+        let mut value = lanes.value.each_ref().map(load);
+        if lanes.seeded != 0 {
+            value = secrets16(prefix, value, lanes.seeded);
+            store_where(&mut lanes.value, lanes.seeded & lanes.ends[0], &value);
+        }
+        store_where(&mut lanes.captured, lanes.captures[0], &value);
+        for step in 0..rounds {
             let mut w = [_mm512_setzero_si512(); 16];
-            w[0] = _mm512_or_si512(prefix, splat(u32::from(step)));
+            w[0] = _mm512_add_epi32(prefix, splat(u32::from(step)));
             w[1..9].copy_from_slice(&value);
             w[9] = splat(0x8000_0000);
             w[15] = splat(CHAIN_BLOCK_LEN * 8);
-            let mut s = h0;
-            unroll16!(|j| round16(&mut s, _mm512_add_epi32(w[j], splat(K[j]))));
-            for k in K[16..].chunks_exact(16) {
-                unroll16!(|j| {
-                    w[j] = schedule16(&w, j);
-                    round16(&mut s, _mm512_add_epi32(w[j], splat(k[j])));
-                });
-            }
-            value = std::array::from_fn(|j| _mm512_add_epi32(s[j], h0[j]));
+            value = compress16(w);
+            let ran = usize::from(step) + 1;
+            store_where(&mut lanes.value, lanes.ends[ran], &value);
+            store_where(&mut lanes.captured, lanes.captures[ran], &value);
         }
-        // SAFETY: as for the loads above, the eight stores stay inside
-        // `rows`.
-        unsafe {
-            for (i, v) in value.into_iter().enumerate() {
-                _mm512_storeu_si512(p.add(i + 1), v);
-            }
+    }
+
+    /// Replaces the value of each lane in `seeded`, a key seed, with that
+    /// key's secret for the lane's chain: `H(0x03 ‖ seed ‖ chain index)`,
+    /// 35 bytes, so the seed sits one byte into the message words.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn secrets16(prefix: __m512i, seed: [__m512i; 8], seeded: __mmask16) -> [__m512i; 8] {
+        let chain = _mm512_and_si512(_mm512_srli_epi32::<8>(prefix), splat(0xFFFF));
+        let mut w = [_mm512_setzero_si512(); 16];
+        w[0] = _mm512_or_si512(splat(0x0300_0000), _mm512_srli_epi32::<8>(seed[0]));
+        for k in 1..8 {
+            w[k] = _mm512_or_si512(
+                _mm512_slli_epi32::<24>(seed[k - 1]),
+                _mm512_srli_epi32::<8>(seed[k]),
+            );
+        }
+        w[8] = _mm512_ternarylogic_epi32::<0xFE>(
+            _mm512_slli_epi32::<24>(seed[7]),
+            _mm512_slli_epi32::<8>(chain),
+            splat(0x80),
+        );
+        w[15] = splat(SECRET_BLOCK_LEN * 8);
+        let secret = compress16(w);
+        std::array::from_fn(|j| _mm512_mask_mov_epi32(seed[j], seeded, secret[j]))
+    }
+
+    /// One SHA-256 compression from the initial hash value in every lane:
+    /// the digest words of the one-block messages whose padded words are
+    /// `w`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn compress16(mut w: [__m512i; 16]) -> [__m512i; 8] {
+        let h0 = H0.map(|h| splat(h));
+        let mut st = h0;
+        unroll16!(|j| round16(&mut st, _mm512_add_epi32(w[j], splat(K[j]))));
+        for k in K[16..].chunks_exact(16) {
+            unroll16!(|j| {
+                w[j] = schedule16(&w, j);
+                round16(&mut st, _mm512_add_epi32(w[j], splat(k[j])));
+            });
+        }
+        std::array::from_fn(|j| _mm512_add_epi32(st[j], h0[j]))
+    }
+
+    /// Stores the lanes of `value` that `mask` selects into `rows`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store_where(rows: &mut [[u32; 16]; 8], mask: __mmask16, value: &[__m512i; 8]) {
+        if mask == 0 {
+            return;
+        }
+        for (row, &v) in rows.iter_mut().zip(value) {
+            // SAFETY: `row` is 64 bytes, so the masked unaligned 64-byte
+            // store stays inside it. The intrinsic relies on the detection
+            // in `try_wots_chains`, the only caller of `chains16`.
+            unsafe { _mm512_mask_storeu_epi32(row.as_mut_ptr().cast(), mask, v) }
         }
     }
 
@@ -595,7 +683,7 @@ mod tests {
     fn lockstep_chains_match_the_one_chain_function() {
         use crate::ots::{chain, WOTS_CHAINS};
         use rand::rngs::StdRng;
-        use rand::{RngCore, SeedableRng};
+        use rand::{Rng, RngCore, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(0x3075_c4a1);
         let mut ran = false;
@@ -603,29 +691,59 @@ mod tests {
         // groups; 67 is one whole key, every chain index once, and 134
         // two keys, whose indices wrap inside a group.
         for len in (1..=33).chain([WOTS_CHAINS, 2 * WOTS_CHAINS]) {
-            let starts: Vec<Digest> = (0..len)
-                .map(|_| {
-                    let mut start = [0u8; 32];
-                    rng.fill_bytes(&mut start);
-                    start
-                })
-                .collect();
-            for steps in 0..=15 {
-                let mut got = starts.clone();
-                if !try_wots_chains(&mut got, steps) {
+            // Sixteen batches with every lane at step 0 and the same count,
+            // 0 to 15, as key generation runs them; then sixteen with a
+            // random chain index, first step and count per lane. Every
+            // lane captures at a random point of its count, and every
+            // other lane (at random in the second half) starts from a
+            // key seed.
+            for round in 0..32u8 {
+                let jobs: Vec<ChainJob> = (0..len)
+                    .map(|k| {
+                        let mut value = [0u8; 32];
+                        rng.fill_bytes(&mut value);
+                        let (chain, start, steps, seeded) = if round < 16 {
+                            ((k % WOTS_CHAINS) as u16, 0, round, k % 2 == 1)
+                        } else {
+                            let start = rng.gen_range(0..=15);
+                            let steps = rng.gen_range(0..=15 - start);
+                            (rng.gen_range(0..=u16::MAX), start, steps, rng.gen_bool(0.5))
+                        };
+                        ChainJob {
+                            value,
+                            chain,
+                            start,
+                            steps,
+                            capture: rng.gen_range(0..=steps),
+                            seeded,
+                            captured: [0u8; 32],
+                        }
+                    })
+                    .collect();
+                let mut got = jobs.clone();
+                if !try_wots_chains(&mut got) {
                     continue;
                 }
                 ran = true;
-                let want: Vec<Digest> = starts
-                    .iter()
-                    .enumerate()
-                    .map(|(k, start)| chain(start, k % WOTS_CHAINS, 0, steps))
-                    .collect();
-                assert_eq!(got, want, "{len} chains, {steps} steps");
+                for (k, (job, got)) in jobs.iter().zip(&got).enumerate() {
+                    let idx = usize::from(job.chain);
+                    let first = if job.seeded {
+                        Sha256::digest_parts(&[&[0x03], &job.value, &job.chain.to_be_bytes()])
+                    } else {
+                        job.value
+                    };
+                    let want = ChainJob {
+                        value: chain(&first, idx, job.start, job.steps),
+                        captured: chain(&first, idx, job.start, job.capture),
+                        seeded: false,
+                        ..*job
+                    };
+                    assert_eq!(*got, want, "{len} chains, round {round}, lane {k}");
+                }
             }
         }
         if !ran {
-            eprintln!("no lockstep kernel on this CPU: key generation runs the one-chain function");
+            eprintln!("no lockstep kernel on this CPU: WOTS runs the one-chain function");
         }
     }
 

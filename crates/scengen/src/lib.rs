@@ -33,6 +33,8 @@
 //! parallelizes, through [`par_trials`], which is jobs-invariant by
 //! construction.
 
+use std::collections::HashSet;
+
 use autosec_adversary::graph::{AttackGraph, Capability, CapabilitySet};
 use autosec_core::campaign::DefensePosture;
 use autosec_runner::par_trials;
@@ -171,9 +173,19 @@ const ATTEMPTS_PER_CAMPAIGN: usize = 64;
 /// set is a pure function of `(graph topology, cfg)` — independent of
 /// job counts and wall clock.
 pub fn generate(graph: &AttackGraph, cfg: &GenConfig) -> Vec<GeneratedCampaign> {
+    let mut seen: HashSet<Vec<usize>> = HashSet::new();
+    generate_distinct(graph, cfg, |edges| seen.insert(edges.to_vec()))
+}
+
+/// [`generate`], keeping a walk only if `first_sight` says it has not
+/// been kept before (and records it).
+fn generate_distinct(
+    graph: &AttackGraph,
+    cfg: &GenConfig,
+    mut first_sight: impl FnMut(&[usize]) -> bool,
+) -> Vec<GeneratedCampaign> {
     let base = SimRng::seed(cfg.seed).fork("scengen/generate");
     let mut out: Vec<GeneratedCampaign> = Vec::new();
-    let mut seen: Vec<Vec<usize>> = Vec::new();
     let cap = cfg.count.saturating_mul(ATTEMPTS_PER_CAMPAIGN).max(1);
     for attempt in 0..cap {
         if out.len() >= cfg.count {
@@ -214,11 +226,9 @@ pub fn generate(graph: &AttackGraph, cfg: &GenConfig) -> Vec<GeneratedCampaign> 
                 continue;
             }
         }
-        if seen.contains(&candidate.edges) {
-            continue;
+        if first_sight(&candidate.edges) {
+            out.push(candidate);
         }
-        seen.push(candidate.edges.clone());
-        out.push(candidate);
     }
     out
 }
@@ -464,6 +474,32 @@ mod tests {
         walks.sort();
         walks.dedup();
         assert_eq!(walks.len(), set.len(), "duplicate walks survived");
+    }
+
+    #[test]
+    fn set_dedup_keeps_the_vec_scan_pool() {
+        // The pool and its order match a dedup that scans every kept
+        // walk, with and without an acceptance filter.
+        let g = shared_graph();
+        for seed in [1, 7, 42] {
+            for count in [1, 16, 256] {
+                for layer in [None, Some(ArchLayer::Network)] {
+                    let cfg = GenConfig {
+                        layer,
+                        ..GenConfig::new(count, 6, seed)
+                    };
+                    let mut kept: Vec<Vec<usize>> = Vec::new();
+                    let want = generate_distinct(g, &cfg, |edges| {
+                        let new = !kept.iter().any(|k| k == edges);
+                        if new {
+                            kept.push(edges.to_vec());
+                        }
+                        new
+                    });
+                    assert_eq!(generate(g, &cfg), want, "seed {seed}, count {count}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,10 +37,11 @@ pub struct FlowReport {
 /// must track that many roots (or rely on one global root, creating the
 /// single-anchor governance problem SSI avoids).
 pub fn iso15118_flow(rng: &mut SimRng, n_emsp_roots: usize) -> Result<FlowReport, SdvError> {
-    // Infrastructure setup.
-    let mut v2g_root = CertificateAuthority::root(rng, "v2g-root");
-    let mut cpo = v2g_root.issue_sub_ca(rng, "cpo-ca")?;
-    let mut emsp = v2g_root.issue_sub_ca(rng, "emsp-ca")?;
+    // Infrastructure setup. The root signs its own certificate and the
+    // two sub-CAs'; each sub-CA signs one end-entity certificate.
+    let mut v2g_root = CertificateAuthority::root(rng, "v2g-root", 3);
+    let mut cpo = v2g_root.issue_sub_ca(rng, "cpo-ca", 1)?;
+    let mut emsp = v2g_root.issue_sub_ca(rng, "emsp-ca", 1)?;
 
     let station_key = MssKeyPair::generate(rng, 2);
     let station_cert = cpo.issue_leaf("station-017", *station_key.public_key().as_bytes())?;

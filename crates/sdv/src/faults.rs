@@ -24,32 +24,53 @@ use autosec_ssi::prelude::*;
 use rand::RngCore;
 
 use crate::component::{Asil, HardwareNode, SoftwareComponent};
-use crate::platform::SdvPlatform;
+use crate::platform::{SdvPlatform, WalletCapacities};
 use crate::update::{UpdateManager, UpdatePackage};
 
 const NODES: usize = 3;
 const COMPONENTS: usize = 4;
 
-/// Signatures each wallet of the reference platform can make. After
-/// set-up only placement attempts sign, one presentation from the
-/// component and one from the node each; crashes and rollbacks sign
-/// nothing on the platform. Per wallet, at most:
-///
-/// - the OEM: one credential per node and component,
-///   `NODES + COMPONENTS`;
-/// - a component: its first placement, then one attempt per surviving
-///   node each time its host restarts, `1 + NODES * (NODES - 1) / 2`;
-/// - a node: one attempt per component for the first placement and per
-///   restart of each of the other nodes, `COMPONENTS * NODES`, the
-///   largest of the three.
-///
-/// 12 rounds up to 16 leaves, one 16-lane lockstep batch.
-const PLATFORM_SIGNATURES: usize = COMPONENTS * NODES;
+/// Signatures the OEM wallet of the reference platform makes: one
+/// credential per node and component it registers. After set-up only
+/// placement attempts sign, one presentation from the component and one
+/// from the node each; crashes and rollbacks sign nothing on the
+/// platform, and restarting a node that is already gone signs nothing.
+const OEM_SIGNATURES: usize = NODES + COMPONENTS;
+
+/// Signatures a node wallet makes under `restarts` node restarts: at
+/// most `⌈COMPONENTS/2⌉` first placements (round-robin over two nodes),
+/// then at most one attempt per displaced component per restart.
+const fn node_signatures(restarts: usize) -> usize {
+    COMPONENTS.div_ceil(2) + restarts * COMPONENTS
+}
+
+/// Signatures a component wallet makes under `restarts` node restarts:
+/// its first placement, then one attempt per surviving node each time
+/// its host restarts.
+const fn component_signatures(restarts: usize) -> usize {
+    1 + restarts * (NODES - 1)
+}
+
+// The most a list of effects can ask for, every node restarted once, fits
+// each role in one 16-lane lockstep batch of leaves. One restart, the
+// `sdv-restart` injection, rounds up to 8 + 3 x 8 + 4 x 4 = 48 leaves.
 const _: () = assert!(
-    NODES + COMPONENTS <= PLATFORM_SIGNATURES
-        && NODES * (NODES - 1) / 2 < PLATFORM_SIGNATURES
-        && PLATFORM_SIGNATURES <= 16
+    OEM_SIGNATURES <= 16 && node_signatures(NODES) <= 16 && component_signatures(NODES) <= 16
 );
+
+/// The capacities of the reference platform under the effects `active`.
+fn platform_capacities(active: &[&FaultEffect]) -> WalletCapacities {
+    let restarts = active
+        .iter()
+        .filter(|e| matches!(e, FaultEffect::RestartNode { .. }))
+        .count()
+        .min(NODES);
+    WalletCapacities {
+        oem: OEM_SIGNATURES,
+        node: node_signatures(restarts),
+        component: component_signatures(restarts),
+    }
+}
 
 /// A small SDV platform under node-crash / restart / rollback faults.
 #[derive(Debug, Clone, Default)]
@@ -90,8 +111,8 @@ fn skip_platform(rng: &mut SimRng) {
 
 /// Builds the reference platform with components placed round-robin on
 /// the first two nodes (the third is failover headroom).
-fn build_platform(rng: &mut SimRng, signatures: usize) -> SdvPlatform {
-    let (mut platform, mut oem) = SdvPlatform::with_capacity(rng, signatures);
+fn build_platform(rng: &mut SimRng, capacities: WalletCapacities) -> SdvPlatform {
+    let (mut platform, mut oem) = SdvPlatform::with_capacities(rng, capacities);
     for i in 0..NODES {
         platform
             .register_node(rng, hw_node(i), &mut oem)
@@ -144,25 +165,13 @@ impl FaultTarget for PlatformFaultTarget {
         "sdv-platform"
     }
 
+    /// Only a node fault builds the platform, each wallet sized to the
+    /// signatures its role makes under `effects`.
     fn apply(
         &mut self,
         effects: &[FaultEffect],
         defended: bool,
         rng: &mut SimRng,
-    ) -> InjectionRecord {
-        self.apply_sized(effects, defended, rng, PLATFORM_SIGNATURES)
-    }
-}
-
-impl PlatformFaultTarget {
-    /// [`FaultTarget::apply`] on a platform whose wallets hold
-    /// `signatures` leaves each. Only a node fault builds the platform.
-    fn apply_sized(
-        &self,
-        effects: &[FaultEffect],
-        defended: bool,
-        rng: &mut SimRng,
-        signatures: usize,
     ) -> InjectionRecord {
         let active = active_effects(effects);
         if active.is_empty() {
@@ -175,14 +184,16 @@ impl PlatformFaultTarget {
             )
         });
         let platform = if node_fault {
-            Some(build_platform(rng, signatures))
+            Some(build_platform(rng, platform_capacities(&active)))
         } else {
             skip_platform(rng);
             None
         };
         self.run_effects(&active, platform, defended, rng)
     }
+}
 
+impl PlatformFaultTarget {
     /// Applies `active` in order; `platform` is `Some` whenever a node
     /// fault is among them.
     fn run_effects(
@@ -293,11 +304,10 @@ mod tests {
         assert!(!undef.detected);
     }
 
-    #[test]
-    fn sized_platform_matches_the_default_under_the_worst_case() {
-        // Every node restarts (each restart re-places through the full
-        // ceremony), then a crash and a rollback: the most signatures one
-        // `apply` can make. The record must equal a 64-leaf platform's.
+    /// Every node restarts (each restart re-places through the full
+    /// ceremony), then a crash and a rollback: the most signatures one
+    /// `apply` can make.
+    fn worst_case() -> Vec<FaultEffect> {
         let mut worst: Vec<FaultEffect> = (0..NODES)
             .map(|node| FaultEffect::RestartNode { node })
             .collect();
@@ -305,32 +315,50 @@ mod tests {
             FaultEffect::CrashNode { node: 0 },
             FaultEffect::RollbackUpdate,
         ]);
+        worst
+    }
+
+    #[test]
+    fn sized_platform_matches_the_default_under_the_worst_case() {
+        // The record must equal a 64-leaf platform's.
         for defended in [true, false] {
-            let sized = apply(&worst, defended);
-            let full = PlatformFaultTarget.apply_sized(
-                &worst,
-                defended,
-                &mut SimRng::seed(2025).fork("sdv-fault"),
-                64,
-            );
-            assert_eq!(sized, full);
+            let sized = apply(&worst_case(), defended);
+            let mut rng = SimRng::seed(2025).fork("sdv-fault");
+            assert_eq!(sized, apply_eager(&worst_case(), defended, &mut rng));
         }
     }
 
-    /// The eager path: every active effect list builds the platform.
+    #[test]
+    fn role_capacities_follow_the_restarts() {
+        let roles = |effects: &[FaultEffect]| {
+            let c = platform_capacities(&active_effects(effects));
+            (c.oem, c.node, c.component)
+        };
+        assert_eq!(roles(&[FaultEffect::CrashNode { node: 0 }]), (7, 2, 1));
+        assert_eq!(roles(&[FaultEffect::RestartNode { node: 0 }]), (7, 6, 3));
+        assert_eq!(roles(&worst_case()), (7, 14, 7));
+        // A fourth restart hits a node already gone and signs nothing.
+        let mut more = worst_case();
+        more.push(FaultEffect::RestartNode { node: 1 });
+        assert_eq!(roles(&more), (7, 14, 7));
+    }
+
+    /// The eager path: every active effect list builds the platform, with
+    /// the default 64 leaves in every wallet.
     fn apply_eager(effects: &[FaultEffect], defended: bool, rng: &mut SimRng) -> InjectionRecord {
         let t = PlatformFaultTarget;
         let active = active_effects(effects);
         if active.is_empty() {
             return InjectionRecord::clean(t.layer(), t.name());
         }
-        let platform = build_platform(rng, PLATFORM_SIGNATURES);
+        let platform = build_platform(rng, WalletCapacities::all(64));
         t.run_effects(&active, Some(platform), defended, rng)
     }
 
     #[test]
     fn rollback_only_skips_the_platform_but_not_its_draws() {
-        let lists: [&[FaultEffect]; 5] = [
+        let worst = worst_case();
+        let lists: [&[FaultEffect]; 6] = [
             &[],
             &[FaultEffect::RollbackUpdate],
             &[FaultEffect::CrashNode { node: 0 }],
@@ -339,6 +367,7 @@ mod tests {
                 FaultEffect::RestartNode { node: 1 },
                 FaultEffect::RollbackUpdate,
             ],
+            &worst,
         ];
         for seed in [1, 2, 3, 7, 11, 42] {
             for defended in [true, false] {

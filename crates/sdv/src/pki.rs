@@ -55,10 +55,27 @@ impl std::fmt::Debug for CertificateAuthority {
     }
 }
 
+/// An MSS key that signs at least `certificates` certificates, rounded up
+/// to a power of two as [`autosec_ssi::Wallet::with_capacity`] does. It
+/// draws the same 32-byte seed from `rng` at any size.
+///
+/// # Panics
+///
+/// Panics if `certificates` is 0 or above `2^16`.
+fn ca_key(rng: &mut SimRng, certificates: usize) -> MssKeyPair {
+    assert!(certificates >= 1, "a CA signs at least its own certificate");
+    MssKeyPair::generate(rng, certificates.next_power_of_two().trailing_zeros() as u8)
+}
+
 impl CertificateAuthority {
-    /// Creates a self-signed root CA.
-    pub fn root(rng: &mut SimRng, name: &str) -> Self {
-        let mut keypair = MssKeyPair::generate(rng, 6);
+    /// Creates a self-signed root CA whose key signs `certificates`
+    /// certificates, its own included (rounded up to a power of two).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `certificates` is 0 or above `2^16`.
+    pub fn root(rng: &mut SimRng, name: &str, certificates: usize) -> Self {
+        let mut keypair = ca_key(rng, certificates);
         let pk = *keypair.public_key().as_bytes();
         let tbs = Certificate::tbs_bytes(name, name, &pk, true);
         let signature = keypair.sign(&tbs).expect("fresh key");
@@ -75,21 +92,30 @@ impl CertificateAuthority {
         }
     }
 
-    /// Issues a subordinate CA.
+    /// Issues a subordinate CA whose key signs `certificates`
+    /// certificates (rounded up to a power of two).
     ///
     /// # Errors
     ///
     /// [`SdvError::UpdateRejected`] if the CA key is exhausted (reused
     /// error type: rekey required).
-    pub fn issue_sub_ca(&mut self, rng: &mut SimRng, name: &str) -> Result<Self, SdvError> {
-        let keypair = MssKeyPair::generate(rng, 6);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `certificates` is 0 or above `2^16`.
+    pub fn issue_sub_ca(
+        &mut self,
+        rng: &mut SimRng,
+        name: &str,
+        certificates: usize,
+    ) -> Result<Self, SdvError> {
+        let keypair = ca_key(rng, certificates);
         let pk = *keypair.public_key().as_bytes();
         let tbs = Certificate::tbs_bytes(name, &self.name, &pk, true);
         let signature = self
             .keypair
             .sign(&tbs)
             .map_err(|e| SdvError::UpdateRejected(e.to_string()))?;
-        let _ = keypair.public_key();
         Ok(Self {
             name: name.to_owned(),
             keypair,
@@ -194,8 +220,8 @@ mod tests {
     #[test]
     fn three_level_chain_verifies() {
         let mut rng = rng();
-        let mut root = CertificateAuthority::root(&mut rng, "v2g-root");
-        let mut cpo = root.issue_sub_ca(&mut rng, "cpo-ca").unwrap();
+        let mut root = CertificateAuthority::root(&mut rng, "v2g-root", 2);
+        let mut cpo = root.issue_sub_ca(&mut rng, "cpo-ca", 1).unwrap();
         let station_key = MssKeyPair::generate(&mut rng, 2);
         let leaf = cpo
             .issue_leaf("station-017", *station_key.public_key().as_bytes())
@@ -208,8 +234,8 @@ mod tests {
     #[test]
     fn wrong_issuer_rejected() {
         let mut rng = rng();
-        let mut root_a = CertificateAuthority::root(&mut rng, "root-a");
-        let root_b = CertificateAuthority::root(&mut rng, "root-b");
+        let mut root_a = CertificateAuthority::root(&mut rng, "root-a", 2);
+        let root_b = CertificateAuthority::root(&mut rng, "root-b", 1);
         let key = MssKeyPair::generate(&mut rng, 2);
         let leaf = root_a
             .issue_leaf("leaf", *key.public_key().as_bytes())
@@ -221,7 +247,7 @@ mod tests {
     #[test]
     fn forged_leaf_rejected() {
         let mut rng = rng();
-        let mut root = CertificateAuthority::root(&mut rng, "root");
+        let mut root = CertificateAuthority::root(&mut rng, "root", 2);
         let key = MssKeyPair::generate(&mut rng, 2);
         let mut leaf = root
             .issue_leaf("station", *key.public_key().as_bytes())
@@ -234,7 +260,7 @@ mod tests {
     #[test]
     fn leaf_cannot_act_as_ca() {
         let mut rng = rng();
-        let mut root = CertificateAuthority::root(&mut rng, "root");
+        let mut root = CertificateAuthority::root(&mut rng, "root", 2);
         let mut k1 = MssKeyPair::generate(&mut rng, 2);
         let leaf1 = root
             .issue_leaf("station", *k1.public_key().as_bytes())
@@ -254,9 +280,33 @@ mod tests {
     }
 
     #[test]
+    fn a_ca_signs_what_it_was_sized_for_then_exhausts() {
+        let exhausted = SdvError::UpdateRejected("signing key exhausted".into());
+        for certificates in 1..=9usize {
+            let mut rng = rng();
+            let mut root = CertificateAuthority::root(&mut rng, "root", certificates);
+            // The self-signature took one leaf; the rest issue leaves.
+            let size = certificates.next_power_of_two();
+            for i in 1..size {
+                root.issue_leaf(&format!("leaf-{i}"), [i as u8; 32])
+                    .unwrap();
+            }
+            let err = root.issue_leaf("one-too-many", [0; 32]).unwrap_err();
+            assert_eq!(err, exhausted, "{certificates} certificates");
+            assert!(root.issue_sub_ca(&mut rng, "sub", 1).is_err());
+        }
+        let mut rng = rng();
+        let mut root = CertificateAuthority::root(&mut rng, "root", 2);
+        let mut sub = root.issue_sub_ca(&mut rng, "sub", 1).unwrap();
+        let leaf = sub.issue_leaf("station", [1; 32]).unwrap();
+        verify_chain(&[leaf, sub.certificate.clone()], &root.certificate).unwrap();
+        assert_eq!(sub.issue_leaf("again", [2; 32]).unwrap_err(), exhausted);
+    }
+
+    #[test]
     fn empty_chain_rejected() {
         let mut rng = rng();
-        let root = CertificateAuthority::root(&mut rng, "root");
+        let root = CertificateAuthority::root(&mut rng, "root", 1);
         assert!(verify_chain(&[], &root.certificate).is_err());
     }
 }

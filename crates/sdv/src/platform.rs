@@ -29,6 +29,30 @@ pub struct Placement {
     pub node: String,
 }
 
+/// Signatures each wallet a platform creates can make, by role, each
+/// rounded up as [`Wallet::with_capacity`] does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalletCapacities {
+    /// The OEM integrator: one credential per registration it issues.
+    pub oem: usize,
+    /// Each node: one presentation per placement attempt that reaches
+    /// its side of the ceremony.
+    pub node: usize,
+    /// Each component: one presentation per placement attempt.
+    pub component: usize,
+}
+
+impl WalletCapacities {
+    /// `signatures` for every role.
+    pub const fn all(signatures: usize) -> Self {
+        Self {
+            oem: signatures,
+            node: signatures,
+            component: signatures,
+        }
+    }
+}
+
 /// The vehicle's software/hardware platform with its trust fabric.
 pub struct SdvPlatform {
     registry: Registry,
@@ -44,8 +68,8 @@ pub struct SdvPlatform {
     nodes: HashMap<String, HardwareNode>,
     placements: Vec<Placement>,
     used_capacity: HashMap<String, u32>,
-    /// Signatures each wallet the platform creates can make.
-    wallet_capacity: usize,
+    /// Signatures each node and component wallet created later can make.
+    capacities: WalletCapacities,
     /// Count of signature verifications performed (for E8 accounting).
     pub auth_operations: usize,
 }
@@ -66,18 +90,16 @@ impl SdvPlatform {
     /// node and vendor credentials). Every wallet it creates holds the
     /// default 64 leaves.
     pub fn new(rng: &mut SimRng) -> (Self, Wallet) {
-        Self::with_capacity(rng, 1 << DEFAULT_KEY_HEIGHT)
+        Self::with_capacities(rng, WalletCapacities::all(1 << DEFAULT_KEY_HEIGHT))
     }
 
     /// [`SdvPlatform::new`] for a short-lived platform: the OEM wallet,
     /// and every node and component wallet registered later, can make
-    /// `signatures` signatures (rounded up as [`Wallet::with_capacity`]
-    /// does). The OEM signs one credential per registration; a node or
-    /// component signs one presentation per placement attempt that
-    /// reaches its side of the ceremony.
-    pub fn with_capacity(rng: &mut SimRng, signatures: usize) -> (Self, Wallet) {
+    /// the signatures `capacities` gives its role. Every wallet draws the
+    /// same 32-byte key seed whatever its capacity.
+    pub fn with_capacities(rng: &mut SimRng, capacities: WalletCapacities) -> (Self, Wallet) {
         let registry = Registry::new();
-        let oem = Wallet::with_capacity(rng, "oem-integrator", &registry, signatures);
+        let oem = Wallet::with_capacity(rng, "oem-integrator", &registry, capacities.oem);
         registry.add_trust_anchor(oem.did().clone(), "OEM");
         (
             Self {
@@ -90,7 +112,7 @@ impl SdvPlatform {
                 nodes: HashMap::new(),
                 placements: Vec::new(),
                 used_capacity: HashMap::new(),
-                wallet_capacity: signatures,
+                capacities,
                 auth_operations: 0,
             },
             oem,
@@ -114,7 +136,7 @@ impl SdvPlatform {
         node: HardwareNode,
         issuer: &mut Wallet,
     ) -> Result<(), SdvError> {
-        let wallet = Wallet::with_capacity(rng, &node.id, &self.registry, self.wallet_capacity);
+        let wallet = Wallet::with_capacity(rng, &node.id, &self.registry, self.capacities.node);
         let cred = issuer
             .issue(
                 wallet.did().clone(),
@@ -140,8 +162,8 @@ impl SdvPlatform {
         component: SoftwareComponent,
         vendor_issuer: &mut Wallet,
     ) -> Result<(), SdvError> {
-        let wallet =
-            Wallet::with_capacity(rng, &component.id, &self.registry, self.wallet_capacity);
+        let signatures = self.capacities.component;
+        let wallet = Wallet::with_capacity(rng, &component.id, &self.registry, signatures);
         let cred = vendor_issuer
             .issue(
                 wallet.did().clone(),
@@ -456,7 +478,7 @@ mod tests {
         // component and the node one presentation each. The node side
         // has its leaf, so the ceremony completes.
         let mut rng = SimRng::seed(2026);
-        let (mut p, mut oem) = SdvPlatform::with_capacity(&mut rng, 1);
+        let (mut p, mut oem) = SdvPlatform::with_capacities(&mut rng, WalletCapacities::all(1));
         p.register_node(&mut rng, node("hpc-0", 100, Asil::D), &mut oem)
             .unwrap();
         let mut vendor = Wallet::with_capacity(&mut rng, "tier1", p.registry(), 1);

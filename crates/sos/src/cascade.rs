@@ -135,17 +135,20 @@ impl CascadeAccumulator {
     }
 }
 
-/// Runs `trials` Monte-Carlo cascades from `entry`.
+/// Runs `trials` Monte-Carlo cascades from `entry`, trial `i` on
+/// `base.fork_idx(i)`, one after another: the serial reference for the
+/// parallel folds a sweep runs (E10 folds the same trials through
+/// `par_trials`).
 ///
 /// # Panics
 ///
 /// Panics if `entry` is out of range or `trials` is zero.
-pub fn simulate(graph: &SosGraph, entry: NodeId, trials: usize, rng: &mut SimRng) -> CascadeReport {
+#[cfg(test)]
+fn simulate(graph: &SosGraph, entry: NodeId, trials: usize, base: &SimRng) -> CascadeReport {
     assert!(trials > 0, "need at least one trial");
     let mut acc = CascadeAccumulator::new(graph);
-    for _ in 0..trials {
-        let mask = cascade_trial(graph, entry, rng);
-        acc.add(&mask);
+    for i in 0..trials {
+        acc.add(&cascade_trial(graph, entry, &mut base.fork_idx(i as u64)));
     }
     acc.report(entry)
 }
@@ -172,8 +175,7 @@ mod tests {
     fn entry_node_is_always_compromised() {
         let g = maas_reference();
         let entry = g.find("maas-platform").unwrap();
-        let mut rng = SimRng::seed(1);
-        let r = simulate(&g, entry, 200, &mut rng);
+        let r = simulate(&g, entry, 200, &SimRng::seed(1));
         assert_eq!(r.compromise_probability[entry.0], 1.0);
         assert!(r.expected_compromised >= 1.0);
     }
@@ -184,8 +186,7 @@ mod tests {
         // propagate down to braking/steering.
         let g = maas_reference();
         let entry = g.find("maas-platform").unwrap();
-        let mut rng = SimRng::seed(2);
-        let r = simulate(&g, entry, 2000, &mut rng);
+        let r = simulate(&g, entry, 2000, &SimRng::seed(2));
         assert!(
             r.safety_reach_probability > 0.0,
             "cascades must be able to reach safety functions"
@@ -200,9 +201,9 @@ mod tests {
     #[test]
     fn closer_entry_means_higher_safety_risk() {
         let g = maas_reference();
-        let mut rng = SimRng::seed(3);
-        let far = simulate(&g, g.find("maas-platform").unwrap(), 2000, &mut rng);
-        let near = simulate(&g, g.find("vehicle-os").unwrap(), 2000, &mut rng);
+        let base = SimRng::seed(3);
+        let far = simulate(&g, g.find("maas-platform").unwrap(), 2000, &base);
+        let near = simulate(&g, g.find("vehicle-os").unwrap(), 2000, &base);
         assert!(near.safety_reach_probability > far.safety_reach_probability);
     }
 
@@ -213,8 +214,7 @@ mod tests {
         let mut prev = -1.0;
         for scale in [0.5, 1.0, 1.5, 2.0] {
             let scaled = with_coupling_scale(&g, scale);
-            let mut rng = SimRng::seed(4);
-            let r = simulate(&scaled, entry, 1500, &mut rng);
+            let r = simulate(&scaled, entry, 1500, &SimRng::seed(4));
             assert!(
                 r.expected_compromised >= prev,
                 "scale {scale}: {} < {prev}",
@@ -228,8 +228,7 @@ mod tests {
     fn zero_coupling_confines_the_breach() {
         let g = with_coupling_scale(&maas_reference(), 0.0);
         let entry = g.find("cloud-backend").unwrap();
-        let mut rng = SimRng::seed(5);
-        let r = simulate(&g, entry, 300, &mut rng);
+        let r = simulate(&g, entry, 300, &SimRng::seed(5));
         assert_eq!(r.expected_compromised, 1.0);
         assert_eq!(r.safety_reach_probability, 0.0);
     }
@@ -266,7 +265,6 @@ mod tests {
     #[should_panic(expected = "entry node out of range")]
     fn bad_entry_panics() {
         let g = maas_reference();
-        let mut rng = SimRng::seed(6);
-        let _ = simulate(&g, NodeId(999), 10, &mut rng);
+        let _ = simulate(&g, NodeId(999), 10, &SimRng::seed(6));
     }
 }
