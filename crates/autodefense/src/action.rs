@@ -1,14 +1,12 @@
-//! Defense actions and the budget / rate limit they spend against.
+//! Defense action costs and the budget / rate limit they spend against.
 //!
-//! Every runtime move the closed-loop defender can make is a
-//! [`DefenseAction`] with a fixed cost in abstract defense dollars —
-//! the same unit the static `greedy_frontier` optimizer spends (one
-//! dollar per knob), so closed-loop and static allocations compare at
-//! equal total cost. Costs are multiples of 0.5, which keeps every
-//! budget sum exact in binary floating point: budget arithmetic is
-//! bit-deterministic by construction, not by tolerance.
-
-use autosec_adversary::DefenseKnob;
+//! Every runtime move the closed-loop defender can make has a fixed
+//! cost in abstract defense dollars — the same unit the static
+//! `greedy_frontier` optimizer spends (one dollar per knob), so
+//! closed-loop and static allocations compare at equal total cost.
+//! Costs are multiples of 0.5, which keeps every budget sum exact in
+//! binary floating point: budget arithmetic is bit-deterministic by
+//! construction, not by tolerance.
 
 /// Cost of toggling one defense knob on (a posture layer or a runtime
 /// knob) — matches the static optimizer's one-dollar-per-knob unit.
@@ -24,50 +22,6 @@ pub const MONITOR_COST: f64 = 0.5;
 pub const MONITOR_STEP: f64 = 0.15;
 /// Ceiling on total monitoring boost.
 pub const MONITOR_CAP: f64 = 0.45;
-
-/// One runtime defense move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefenseAction {
-    /// Toggle one defense knob on (posture layer or runtime knob).
-    Harden(DefenseKnob),
-    /// Rotate credentials: retire the tool behind attack-graph edge
-    /// `edge` (the attacker can never use it again this run).
-    RotateCredential {
-        /// Edge index into the attack graph.
-        edge: usize,
-    },
-    /// Execute the response playbook's isolation against the subject
-    /// behind `edge`.
-    IsolateSubject {
-        /// Edge index into the attack graph.
-        edge: usize,
-    },
-    /// Buy one monitoring increment ([`MONITOR_STEP`] extra detect
-    /// probability on every attempted edge, up to [`MONITOR_CAP`]).
-    BoostMonitoring,
-}
-
-impl DefenseAction {
-    /// Budget cost of the action.
-    pub fn cost(&self) -> f64 {
-        match self {
-            DefenseAction::Harden(_) => HARDEN_COST,
-            DefenseAction::RotateCredential { .. } => ROTATE_COST,
-            DefenseAction::IsolateSubject { .. } => ISOLATE_COST,
-            DefenseAction::BoostMonitoring => MONITOR_COST,
-        }
-    }
-
-    /// Stable display label (artifact / log value).
-    pub fn label(&self) -> String {
-        match self {
-            DefenseAction::Harden(k) => format!("harden:{}", k.label()),
-            DefenseAction::RotateCredential { edge } => format!("rotate:{edge}"),
-            DefenseAction::IsolateSubject { edge } => format!("isolate:{edge}"),
-            DefenseAction::BoostMonitoring => "monitor".to_owned(),
-        }
-    }
-}
 
 /// Spend tracker: total budget plus a per-turn action rate limit.
 ///
@@ -144,18 +98,11 @@ impl DefenseBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autosec_sim::ArchLayer;
 
     #[test]
     fn costs_are_half_dollar_multiples() {
         // Exact budget arithmetic depends on this.
-        for cost in [
-            HARDEN_COST,
-            ROTATE_COST,
-            ISOLATE_COST,
-            MONITOR_COST,
-            DefenseAction::BoostMonitoring.cost(),
-        ] {
+        for cost in [HARDEN_COST, ROTATE_COST, ISOLATE_COST, MONITOR_COST] {
             assert_eq!(cost * 2.0, (cost * 2.0).round(), "{cost}");
         }
     }
@@ -189,18 +136,5 @@ mod tests {
         assert!(b.try_prespend(1.0));
         assert!(b.try_prespend(1.0));
         assert!(!b.try_prespend(1.0), "budget still binds");
-    }
-
-    #[test]
-    fn action_labels_are_stable() {
-        assert_eq!(
-            DefenseAction::Harden(DefenseKnob::Layer(ArchLayer::Data)).label(),
-            "harden:layer:data"
-        );
-        assert_eq!(
-            DefenseAction::RotateCredential { edge: 3 }.label(),
-            "rotate:3"
-        );
-        assert_eq!(DefenseAction::BoostMonitoring.label(), "monitor");
     }
 }

@@ -1,12 +1,13 @@
 //! One closed-loop duel: the adaptive attacker vs the runtime
 //! defender, turn by turn.
 //!
-//! The attacker side is the PR 4 [`AttackerState`] stepped externally:
-//! it re-plans before every step exactly like
+//! The attacker side is the adversary crate's [`AttackerState`] stepped
+//! externally: it re-plans before every step exactly like
 //! [`adaptive_trial`](autosec_adversary::adaptive_trial). After every
 //! attempted step the defender takes a turn — it sees only **detected**
-//! steps (the alert stream), plus the silence itself — and may fire
-//! rule-table actions under its [`DefenseBudget`]:
+//! steps (the alert stream), plus the silence itself — and walks four
+//! rules in one fixed order, each firing at most once, under its
+//! [`DefenseBudget`] and [`RATE_LIMIT`] actions per turn:
 //!
 //! * execute a playbook isolation recommendation (ban the edge),
 //! * rotate credentials behind a repeat-alerting edge (ban it),
@@ -16,12 +17,14 @@
 //!   counter-stealth move, and the only rule that can fire while the
 //!   alert stream is silent).
 //!
-//! The defender consumes **no RNG draws**; a duel's randomness is the
-//! attacker's fixed two draws per attempted step. A defender whose
-//! budget is zero (or already fully pre-spent on deployment) therefore
-//! replays `adaptive_trial` bit-identically on the same stream — the
-//! property the E23 equal-cost comparison and the zero-budget fleet
-//! test pin down.
+//! Every firing condition is a pure function of the defender's
+//! observation state (alert counts, playbook recommendations,
+//! monitoring level), so the defender consumes **no RNG draws**; a
+//! duel's randomness is the attacker's fixed two draws per attempted
+//! step. A defender whose budget is zero (or already fully pre-spent
+//! on deployment) therefore replays `adaptive_trial` bit-identically on
+//! the same stream — the property the E23 equal-cost comparison and the
+//! zero-budget fleet test pin down.
 
 use autosec_adversary::{
     detector_for, AttackConfig, AttackGraph, AttackerState, DefenseKnob, StepReport,
@@ -34,10 +37,12 @@ use autosec_sim::{ArchLayer, SimDuration, SimRng, SimTime};
 use crate::action::{
     DefenseBudget, HARDEN_COST, ISOLATE_COST, MONITOR_COST, MONITOR_STEP, ROTATE_COST,
 };
-use crate::policy::{DefenderConfig, RuleId, N_RULES};
 
 /// Alerts on one edge before the rotate-credentials rule triggers.
 pub const ROTATE_THRESHOLD: u32 = 2;
+
+/// Runtime actions allowed per defender turn.
+pub const RATE_LIMIT: usize = 2;
 
 /// Monitoring purchases allowed per duel
 /// ([`crate::action::MONITOR_CAP`] / [`MONITOR_STEP`], kept as an
@@ -53,8 +58,23 @@ pub struct DuelConfig {
     /// The attacker profile (budget, stealth weight, runtime knobs the
     /// defender may already have pre-deployed).
     pub attack: AttackConfig,
-    /// The defender policy and budget.
-    pub defense: DefenderConfig,
+    /// Total defense dollars (shared by deployment and runtime moves).
+    pub budget: f64,
+    /// Knobs to harden at deployment time, in priority order, one
+    /// [`HARDEN_COST`] each while budget lasts.
+    pub pre_spend: Vec<DefenseKnob>,
+}
+
+impl DuelConfig {
+    /// A pure-reactive defender against `attack`: no pre-deployment,
+    /// the whole `budget` held for runtime moves.
+    pub fn reactive(attack: AttackConfig, budget: f64) -> Self {
+        Self {
+            attack,
+            budget,
+            pre_spend: Vec::new(),
+        }
+    }
 }
 
 /// Outcome of one duel.
@@ -74,8 +94,6 @@ pub struct DuelRun {
     pub spend: f64,
     /// Defense actions taken (deployment + runtime).
     pub actions: usize,
-    /// Firing count per [`RuleId`] (index order).
-    pub rules_fired: [u32; N_RULES],
 }
 
 /// The defender's observation + actuation state during a duel.
@@ -88,9 +106,7 @@ struct DefenderState {
     layer_alerts: [u32; 6],
     isolate_queue: [bool; MAX_EDGES],
     monitor_purchases: usize,
-    rules_fired: [u32; N_RULES],
     actions: usize,
-    runtime_order: Vec<RuleId>,
 }
 
 impl DefenderState {
@@ -98,20 +114,18 @@ impl DefenderState {
         let mut d = Self {
             posture: DefensePosture::none(),
             attack: cfg.attack,
-            budget: DefenseBudget::new(cfg.defense.budget, cfg.defense.rate_limit),
+            budget: DefenseBudget::new(cfg.budget, RATE_LIMIT),
             soc: ResponseEngine::new(),
             edge_alerts: [0; MAX_EDGES],
             layer_alerts: [0; 6],
             isolate_queue: [false; MAX_EDGES],
             monitor_purchases: 0,
-            rules_fired: [0; N_RULES],
             actions: 0,
-            runtime_order: cfg.defense.weights.runtime_order(),
         };
         // Deployment phase: harden the configured priority knobs while
         // budget lasts, before the incident clock starts (exempt from
         // the runtime rate limit).
-        for knob in &cfg.defense.pre_spend {
+        for knob in &cfg.pre_spend {
             if !d.budget.try_prespend(HARDEN_COST) {
                 break;
             }
@@ -120,13 +134,12 @@ impl DefenderState {
                 DefenseKnob::ActiveResponse => d.attack.active_response = true,
                 DefenseKnob::AlertCorrelation => d.attack.alert_correlation = true,
             }
-            d.fired(RuleId::DeployPriority);
+            d.fired();
         }
         d
     }
 
-    fn fired(&mut self, rule: RuleId) {
-        self.rules_fired[rule.index()] += 1;
+    fn fired(&mut self) {
         self.actions += 1;
     }
 
@@ -148,21 +161,15 @@ impl DefenderState {
         }
     }
 
-    /// One defender turn: walk the runtime rules in priority order,
-    /// each firing at most once, under the budget's rate limit.
+    /// One defender turn: isolate, rotate, harden, monitor, each
+    /// firing at most once, under the budget's rate limit — so when the
+    /// limit binds, the earlier rule wins.
     fn turn(&mut self, graph: &AttackGraph, attacker: &mut AttackerState) {
         self.budget.begin_turn();
-        let order = std::mem::take(&mut self.runtime_order);
-        for rule in &order {
-            match rule {
-                RuleId::IsolatePlaybook => self.try_isolate(attacker),
-                RuleId::RotateRepeat => self.try_rotate(graph, attacker),
-                RuleId::HardenAlerting => self.try_harden(),
-                RuleId::BoostMonitoring => self.try_monitor(),
-                RuleId::DeployPriority => {}
-            }
-        }
-        self.runtime_order = order;
+        self.try_isolate(attacker);
+        self.try_rotate(graph, attacker);
+        self.try_harden();
+        self.try_monitor();
     }
 
     /// Execute the lowest-index pending playbook isolation.
@@ -175,7 +182,7 @@ impl DefenderState {
         if self.budget.try_spend(ISOLATE_COST) {
             attacker.ban_edge(edge);
             self.isolate_queue[edge] = false;
-            self.fired(RuleId::IsolatePlaybook);
+            self.fired();
         }
     }
 
@@ -194,7 +201,7 @@ impl DefenderState {
         let Some((edge, _)) = best else { return };
         if self.budget.try_spend(ROTATE_COST) {
             attacker.ban_edge(edge);
-            self.fired(RuleId::RotateRepeat);
+            self.fired();
         }
     }
 
@@ -210,7 +217,7 @@ impl DefenderState {
         let Some((layer, _)) = best else { return };
         if self.budget.try_spend(HARDEN_COST) {
             self.posture.set(layer, true);
-            self.fired(RuleId::HardenAlerting);
+            self.fired();
         }
     }
 
@@ -224,7 +231,7 @@ impl DefenderState {
         if self.budget.try_spend(MONITOR_COST) {
             self.monitor_purchases += 1;
             self.attack.monitor_boost += MONITOR_STEP;
-            self.fired(RuleId::BoostMonitoring);
+            self.fired();
         }
     }
 }
@@ -269,7 +276,6 @@ pub fn duel_trial(graph: &AttackGraph, cfg: &DuelConfig, rng: &mut SimRng) -> Du
         alerts,
         spend: defender.budget.spent(),
         actions: defender.actions,
-        rules_fired: defender.rules_fired,
     }
 }
 
@@ -329,10 +335,7 @@ mod tests {
     #[test]
     fn zero_budget_duel_replays_adaptive_trial_bit_identically() {
         let g = loud_graph();
-        let cfg = DuelConfig {
-            attack: AttackConfig::new(8),
-            defense: DefenderConfig::reactive(0.0),
-        };
+        let cfg = DuelConfig::reactive(AttackConfig::new(8), 0.0);
         for i in 0..200 {
             let duel = duel_trial(&g, &cfg, &mut SimRng::seed(11).fork_idx(i));
             let solo = adaptive_trial(
@@ -363,11 +366,8 @@ mod tests {
         let (posture, static_cfg) = resolve_knobs(&knobs, &attack);
         let cfg = DuelConfig {
             attack,
-            defense: DefenderConfig {
-                budget: knobs.len() as f64,
-                pre_spend: knobs.to_vec(),
-                ..DefenderConfig::reactive(0.0)
-            },
+            budget: knobs.len() as f64,
+            pre_spend: knobs.to_vec(),
         };
         for i in 0..200 {
             let duel = duel_trial(&g, &cfg, &mut SimRng::seed(12).fork_idx(i));
@@ -382,14 +382,8 @@ mod tests {
     #[test]
     fn reactive_budget_suppresses_breaches_on_a_loud_graph() {
         let g = loud_graph();
-        let open = DuelConfig {
-            attack: AttackConfig::new(8),
-            defense: DefenderConfig::reactive(0.0),
-        };
-        let defended = DuelConfig {
-            attack: AttackConfig::new(8),
-            defense: DefenderConfig::reactive(6.0),
-        };
+        let open = DuelConfig::reactive(AttackConfig::new(8), 0.0);
+        let defended = DuelConfig::reactive(AttackConfig::new(8), 6.0);
         let trials = 300;
         let count = |cfg: &DuelConfig| {
             (0..trials)
@@ -407,13 +401,13 @@ mod tests {
     #[test]
     fn duels_are_deterministic_per_stream() {
         let g = loud_graph();
-        let cfg = DuelConfig {
-            attack: AttackConfig {
+        let cfg = DuelConfig::reactive(
+            AttackConfig {
                 stealth_weight: 0.4,
                 ..AttackConfig::new(8)
             },
-            defense: DefenderConfig::reactive(4.0),
-        };
+            4.0,
+        );
         for i in 0..50 {
             let a = duel_trial(&g, &cfg, &mut SimRng::seed(14).fork_idx(i));
             let b = duel_trial(&g, &cfg, &mut SimRng::seed(14).fork_idx(i));
@@ -425,14 +419,43 @@ mod tests {
     fn spend_never_exceeds_budget() {
         let g = loud_graph();
         for budget in [0.0, 0.5, 1.0, 2.5, 6.0] {
-            let cfg = DuelConfig {
-                attack: AttackConfig::new(8),
-                defense: DefenderConfig::reactive(budget),
-            };
+            let cfg = DuelConfig::reactive(AttackConfig::new(8), budget);
             for i in 0..100 {
                 let run = duel_trial(&g, &cfg, &mut SimRng::seed(15).fork_idx(i));
                 assert!(run.spend <= budget, "budget {budget}: spent {}", run.spend);
             }
+        }
+    }
+
+    #[test]
+    fn a_binding_rate_limit_keeps_the_earlier_rules() {
+        // One turn in which all four rules qualify: a playbook isolation
+        // is queued on edge 0, edge 1 has alerted ROTATE_THRESHOLD times,
+        // the SoS layer has alerted, and no monitoring is bought yet. A
+        // limit of k actions must fire exactly the first k rules of the
+        // order isolate, rotate, harden, monitor.
+        let g = loud_graph();
+        let order = ["isolate", "rotate", "harden", "monitor"];
+        for limit in 1..=order.len() {
+            let mut d = DefenderState::new(&DuelConfig::reactive(AttackConfig::new(8), 10.0));
+            d.budget = DefenseBudget::new(10.0, limit);
+            d.isolate_queue[0] = true;
+            d.edge_alerts[1] = ROTATE_THRESHOLD;
+            d.layer_alerts[ArchLayer::SystemOfSystems as usize] = 1;
+            let mut attacker = AttackerState::new();
+            d.turn(&g, &mut attacker);
+            let fired: Vec<&str> = [
+                attacker.banned().contains(0),
+                attacker.banned().contains(1),
+                d.posture.enabled(ArchLayer::SystemOfSystems),
+                d.monitor_purchases == 1,
+            ]
+            .into_iter()
+            .zip(order)
+            .filter_map(|(hit, rule)| hit.then_some(rule))
+            .collect();
+            assert_eq!(fired, order[..limit], "rate limit {limit}");
+            assert_eq!(d.actions, limit);
         }
     }
 }

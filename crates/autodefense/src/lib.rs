@@ -20,27 +20,27 @@
 //! * **Buy monitoring** (raise detect probability everywhere — the
 //!   counter-stealth move) — [`action::MONITOR_COST`].
 //!
-//! Actions are chosen by a deterministic weighted **rule table**
-//! ([`policy`]) under a per-turn **rate limit** and total budget
-//! ([`action::DefenseBudget`]); a feedback-learning pass
-//! ([`policy::learn_weights`]) reweights the rules from observed duel
-//! outcomes. The defender draws **no randomness**: a duel's RNG
-//! consumption is exactly the adaptive attacker's two draws per step
-//! ([`duel`]), which makes every tournament artifact bit-identical
-//! across `--jobs` ([`tournament`]) and lets a fully pre-spent or
-//! zero-budget defender replay the static-posture run bit-for-bit —
-//! the equal-cost anchor of experiment E23 and the `--defender off`
-//! equivalence property in the fleet.
+//! Each turn the defender tries isolate, rotate, harden and monitor in
+//! that fixed order ([`duel`]), under a per-turn **rate limit**
+//! ([`duel::RATE_LIMIT`]) and a total budget
+//! ([`action::DefenseBudget`]). The order is not learned: on E22's
+//! calibrated graph (seeds 42 and 7, both attacker profiles, defender
+//! budgets 1–20) every one of the 24 orders of the four rules leaves
+//! the breach rate between 99.4% and 100%, so no reordering can move
+//! the outcome. The defender draws **no randomness**: a duel's RNG
+//! consumption is exactly the adaptive attacker's two draws per step,
+//! which makes every tournament artifact bit-identical across `--jobs`
+//! ([`tournament`]) and lets a fully pre-spent or zero-budget defender
+//! replay the static-posture run bit-for-bit — the equal-cost anchor of
+//! experiment E23 and the `--defender off` equivalence property in the
+//! fleet.
 
 pub mod action;
 pub mod duel;
-pub mod policy;
 pub mod tournament;
 
 pub use action::{
-    DefenseAction, DefenseBudget, HARDEN_COST, ISOLATE_COST, MONITOR_CAP, MONITOR_COST,
-    MONITOR_STEP, ROTATE_COST,
+    DefenseBudget, HARDEN_COST, ISOLATE_COST, MONITOR_CAP, MONITOR_COST, MONITOR_STEP, ROTATE_COST,
 };
 pub use duel::{duel_trial, DuelConfig, DuelRun, MONITOR_MAX_PURCHASES, ROTATE_THRESHOLD};
-pub use policy::{learn_weights, DefenderConfig, RuleId, RuleWeights, N_RULES};
 pub use tournament::{run_cell, summarize, CellSummary};

@@ -70,7 +70,6 @@ pub fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::DefenderConfig;
     use autosec_adversary::{calibrated_graph, AttackConfig, CalibrationConfig};
 
     fn small_graph() -> AttackGraph {
@@ -83,13 +82,13 @@ mod tests {
     #[test]
     fn cells_are_jobs_invariant() {
         let g = small_graph();
-        let cfg = DuelConfig {
-            attack: AttackConfig {
+        let cfg = DuelConfig::reactive(
+            AttackConfig {
                 stealth_weight: 0.4,
                 ..AttackConfig::new(8)
             },
-            defense: DefenderConfig::reactive(4.0),
-        };
+            4.0,
+        );
         let base = SimRng::seed(22).fork("tournament/cell");
         let a = run_cell(&g, &cfg, 120, 1, &base);
         let b = run_cell(&g, &cfg, 120, 4, &base);
@@ -103,13 +102,13 @@ mod tests {
         let g = small_graph();
         let base = SimRng::seed(23).fork("tournament/cell");
         let rate = |budget: f64| {
-            let cfg = DuelConfig {
-                attack: AttackConfig {
+            let cfg = DuelConfig::reactive(
+                AttackConfig {
                     stealth_weight: 0.4,
                     ..AttackConfig::new(10)
                 },
-                defense: DefenderConfig::reactive(budget),
-            };
+                budget,
+            );
             run_cell(&g, &cfg, 150, 2, &base).breach_rate
         };
         let open = rate(0.0);

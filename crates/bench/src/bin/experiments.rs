@@ -213,8 +213,8 @@ const _: () = assert!(MAX_VEHICLES <= u32::MAX as usize);
 
 /// The largest `fleet --ticks`. At `--snapshot-every 1` the run keeps
 /// one snapshot per tick (about 190 bytes each), and `--json` renders
-/// them all as one JSON tree, about 9 KB per snapshot, before writing
-/// it: 100 000 ticks peak near 0.9 GB.
+/// them all as one JSON tree, about 5 KB per snapshot, before writing
+/// it: 20 000 ticks peak near 100 MB, 100 000 near 0.5 GB.
 const MAX_TICKS: usize = 100_000;
 
 /// The largest `generate --count`. The default graph holds only 13 714
@@ -458,9 +458,10 @@ const FLEET: Grammar<FleetArgs> = Grammar {
         },
         Flag {
             names: &["--attack-rate"],
-            help: "per-vehicle per-tick attack probability (default 0.0005)",
+            help: "per-vehicle per-tick attack probability in [0, 1] (default
+                   0.0005)",
             takes: Takes::Value("F", |a, v| {
-                let rate = finite(v, |r| r >= 0.0, "a finite nonnegative rate");
+                let rate = finite(v, |r| (0.0..=1.0).contains(&r), "a probability in [0, 1]");
                 set(&mut a.cfg.attack_rate, rate)
             }),
         },
@@ -1212,12 +1213,13 @@ mod tests {
 
     #[test]
     fn fleet_attack_rate_rejects_nan_negative_and_garbage() {
-        for bad in ["NaN", "nan", "-0.5", "inf", "rate"] {
+        for bad in ["NaN", "nan", "-0.5", "inf", "rate", "1.0000001", "1e308"] {
             let err = fleet(&["--attack-rate", bad]).unwrap_err();
             assert!(err.contains("--attack-rate"), "{bad}: {err}");
-            assert!(err.contains("finite nonnegative"), "{bad}: {err}");
+            assert!(err.contains("a probability in [0, 1]"), "{bad}: {err}");
         }
         assert_eq!(fleet(&["--attack-rate", "0"]).unwrap().cfg.attack_rate, 0.0);
+        assert_eq!(fleet(&["--attack-rate", "1"]).unwrap().cfg.attack_rate, 1.0);
         let ok = fleet(&["--attack-rate", "2.5e-3"]).unwrap();
         assert!((ok.cfg.attack_rate - 2.5e-3).abs() < 1e-12);
     }
@@ -1509,7 +1511,13 @@ mod tests {
                 "fleet",
                 "--attack-rate",
                 "-1",
-                "expected a finite nonnegative rate",
+                "expected a probability in [0, 1]",
+            ),
+            (
+                "fleet",
+                "--attack-rate",
+                "1e308",
+                "expected a probability in [0, 1]",
             ),
             (
                 "fleet",

@@ -153,8 +153,8 @@ pub fn e2_lrp_rounds_table(ctx: &RunCtx) -> Table {
 
 /// E2b table: enlargement attack vs UWB-ED residual sweep.
 ///
-/// Each residual point's [`TRIALS`] trials fan out over [`par_trials`]
-/// on a residual-specific substream.
+/// Each residual point's `ctx.trials(TRIALS)` trials fan out over
+/// [`par_trials`] on a residual-specific substream.
 pub fn e2b_enlargement_table(ctx: &RunCtx) -> Table {
     let mut t = Table::new(
         "E2b",
@@ -163,6 +163,7 @@ pub fn e2b_enlargement_table(ctx: &RunCtx) -> Table {
     );
     let det = EnlargementDetector::new(EnlargementConfig::default());
     let base = ctx.rng("e2b-enlargement");
+    let trials = ctx.trials(TRIALS);
     for residual in [0.0, 0.05, 0.1, 0.2, 0.3, 0.5] {
         let atk = OvershadowAttack {
             delay_m: 15.0,
@@ -170,14 +171,14 @@ pub fn e2b_enlargement_table(ctx: &RunCtx) -> Table {
             residual,
         };
         let stream = base.fork(&format!("residual-{residual:.2}"));
-        let outcomes = par_trials(ctx.jobs, TRIALS, &stream, |_, mut rng| {
+        let outcomes = par_trials(ctx.jobs, trials, &stream, |_, mut rng| {
             let out = det.measure(25.0, Some(&atk), &mut rng);
             (out.enlarged, out.detected)
         });
         let enlarged = outcomes.iter().filter(|o| o.0).count();
         let detected = outcomes.iter().filter(|o| o.1).count();
         let dangerous = outcomes.iter().filter(|o| o.0 && !o.1).count();
-        let pct = |x: usize| format!("{:.1}%", x as f64 / TRIALS as f64 * 100.0);
+        let pct = |x: usize| format!("{:.1}%", x as f64 / trials as f64 * 100.0);
         t.push_row(vec![
             format!("{residual:.2}"),
             pct(enlarged),

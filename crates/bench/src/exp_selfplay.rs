@@ -3,10 +3,9 @@
 //!
 //! E22 sweeps the tournament matrix: two adaptive-attacker profiles
 //! (the E17 silent planner and a noisy `stealth_weight`-discounted
-//! variant) against the closed-loop runtime defender at increasing
-//! defense budgets, under the default rule table and under weights
-//! relearned from duel outcomes ([`learn_weights`]). E23 is the
-//! equal-cost anchor: at every greedy-frontier budget K the closed-loop
+//! variant) against the closed-loop runtime defender, which walks its
+//! four rules in one fixed order, at increasing defense budgets. E23 is
+//! the equal-cost anchor: at every greedy-frontier budget K the closed-loop
 //! defender that pre-spends the frontier's own K knobs must do at least
 //! as well as the static allocation — and on the same evaluation
 //! streams a fully pre-spent duel replays the static run bit for bit,
@@ -22,7 +21,7 @@ use autosec_adversary::{
     calibrated_graph, evaluate_with, greedy_frontier, AttackConfig, AttackGraph, CalibrationConfig,
     DefenseKnob,
 };
-use autosec_autodefense::{learn_weights, run_cell, CellSummary, DefenderConfig, DuelConfig};
+use autosec_autodefense::{run_cell, CellSummary, DuelConfig};
 use autosec_runner::RunCtx;
 
 use crate::Table;
@@ -32,9 +31,6 @@ pub const CALIB_TRIALS: usize = 120;
 
 /// Duels per tournament cell (E22) and per frontier point (E23).
 pub const DUEL_TRIALS: usize = 320;
-
-/// Training duels for the feedback-learning pass.
-pub const LEARN_TRIALS: usize = 240;
 
 /// Attack-step budget for every duel (the E16/E17 value).
 pub const STEP_BUDGET: usize = 10;
@@ -67,11 +63,11 @@ fn profiles() -> [(&'static str, AttackConfig); 2] {
     ]
 }
 
-fn cell_row(attacker: &str, budget: f64, policy: &str, cell: &CellSummary) -> Vec<String> {
+fn cell_row(attacker: &str, budget: f64, cell: &CellSummary) -> Vec<String> {
     vec![
         attacker.to_owned(),
         format!("{budget}"),
-        policy.to_owned(),
+        "reactive".to_owned(),
         format!("{:.1}%", cell.breach_rate * 100.0),
         format!("{:.2}", cell.mean_depth),
         format!("{:.2}", cell.mean_ttb),
@@ -81,11 +77,10 @@ fn cell_row(attacker: &str, budget: f64, policy: &str, cell: &CellSummary) -> Ve
 }
 
 /// E22 table: the self-play tournament matrix. Rows sweep (attacker
-/// profile × defender budget) under the reactive rule table, then
-/// repeat the noisy profile under weights learned from a training
-/// batch at the middle budget. Cells within one profile share trial
-/// streams (common random numbers), so reading down a column shows
-/// what each defense dollar buys against identical attacker luck.
+/// profile × defender budget) against the reactive defender. Cells
+/// within one profile share trial streams (common random numbers), so
+/// reading down a column shows what each defense dollar buys against
+/// identical attacker luck.
 pub fn e22_tournament_table(ctx: &RunCtx) -> Table {
     let mut t = Table::new(
         "E22",
@@ -107,41 +102,10 @@ pub fn e22_tournament_table(ctx: &RunCtx) -> Table {
     for (name, attack) in profiles() {
         let duels = ctx.rng(&format!("e22/duels/{name}"));
         for budget in DEFENDER_BUDGETS {
-            let cfg = DuelConfig {
-                attack,
-                defense: DefenderConfig::reactive(budget),
-            };
+            let cfg = DuelConfig::reactive(attack, budget);
             let cell = run_cell(&graph, &cfg, trials, ctx.jobs, &duels);
-            t.push_row(cell_row(name, budget, "reactive", &cell));
+            t.push_row(cell_row(name, budget, &cell));
         }
-    }
-
-    // Feedback learning: reweight the rule table from a training batch
-    // against the noisy attacker at the middle budget, then re-sweep
-    // that profile on the same evaluation streams as its reactive rows.
-    let (name, attack) = profiles()[1];
-    let train_cfg = DuelConfig {
-        attack,
-        defense: DefenderConfig::reactive(DEFENDER_BUDGETS[3]),
-    };
-    let weights = learn_weights(
-        &graph,
-        &train_cfg,
-        ctx.trials(LEARN_TRIALS),
-        ctx.jobs,
-        &ctx.rng("e22/train"),
-    );
-    let duels = ctx.rng(&format!("e22/duels/{name}"));
-    for budget in DEFENDER_BUDGETS {
-        let cfg = DuelConfig {
-            attack,
-            defense: DefenderConfig {
-                weights,
-                ..DefenderConfig::reactive(budget)
-            },
-        };
-        let cell = run_cell(&graph, &cfg, trials, ctx.jobs, &duels);
-        t.push_row(cell_row(name, budget, "learned", &cell));
     }
     t
 }
@@ -207,11 +171,8 @@ pub fn e23_equal_cost_table(ctx: &RunCtx) -> Table {
         // frontier's own knobs at deployment time.
         let closed_cfg = DuelConfig {
             attack: AttackConfig::new(STEP_BUDGET),
-            defense: DefenderConfig {
-                budget: k as f64,
-                pre_spend: knobs.to_vec(),
-                ..DefenderConfig::reactive(0.0)
-            },
+            budget: k as f64,
+            pre_spend: knobs.to_vec(),
         };
         let closed = run_cell(&graph, &closed_cfg, trials, ctx.jobs, &eval);
         let verdict = if closed.breach_rate < static_success {
@@ -227,11 +188,8 @@ pub fn e23_equal_cost_table(ctx: &RunCtx) -> Table {
             evaluate_with(&graph, knobs, &noisy_attack, trials, ctx.jobs, &noisy_eval);
         let noisy_cfg = DuelConfig {
             attack: noisy_attack,
-            defense: DefenderConfig {
-                budget: k as f64,
-                pre_spend: knobs[..k / 2].to_vec(),
-                ..DefenderConfig::reactive(0.0)
-            },
+            budget: k as f64,
+            pre_spend: knobs[..k / 2].to_vec(),
         };
         let noisy_closed = run_cell(&graph, &noisy_cfg, trials, ctx.jobs, &noisy_eval);
         t.push_row(vec![
@@ -263,14 +221,20 @@ mod tests {
     }
 
     #[test]
-    fn e22_covers_both_profiles_and_the_learned_policy() {
+    fn e22_covers_both_profiles_at_every_budget() {
         let t = e22_tournament_table(&small_ctx());
-        assert_eq!(t.rows.len(), 3 * DEFENDER_BUDGETS.len());
-        assert!(t
-            .rows
-            .iter()
-            .any(|r| r[0] == "silent" && r[2] == "reactive"));
-        assert!(t.rows.iter().any(|r| r[0] == "noisy" && r[2] == "learned"));
+        assert_eq!(t.rows.len(), 2 * DEFENDER_BUDGETS.len());
+        for (profile, rows) in ["silent", "noisy"]
+            .into_iter()
+            .zip(t.rows.chunks(DEFENDER_BUDGETS.len()))
+        {
+            for (r, budget) in rows.iter().zip(DEFENDER_BUDGETS) {
+                assert_eq!(
+                    [r[0].as_str(), r[1].as_str(), r[2].as_str()],
+                    [profile, budget.to_string().as_str(), "reactive"]
+                );
+            }
+        }
     }
 
     #[test]

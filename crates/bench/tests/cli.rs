@@ -45,7 +45,17 @@ fn suite_rejects_zero_jobs_and_zero_deadline() {
 fn fleet_rejects_a_nan_attack_rate() {
     rejects(
         &["fleet", "--attack-rate", "nan"],
-        "invalid --attack-rate \"nan\": expected a finite nonnegative rate",
+        "invalid --attack-rate \"nan\": expected a probability in [0, 1]",
+    );
+}
+
+/// The rate is a probability, so a value above 1 is refused rather
+/// than run as 1.
+#[test]
+fn fleet_rejects_an_attack_rate_above_one() {
+    rejects(
+        &["fleet", "--attack-rate", "1e308"],
+        "invalid --attack-rate \"1e308\": expected a probability in [0, 1]",
     );
 }
 

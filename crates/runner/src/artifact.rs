@@ -352,12 +352,14 @@ impl ArtifactStore {
     }
 
     fn render(&self, v: &Value) -> String {
+        let stripped;
         let v = if self.canonical {
-            strip_volatile(v)
+            stripped = strip_volatile(v);
+            &stripped
         } else {
-            v.clone()
+            v
         };
-        serde_json::to_string_pretty(&v).expect("value serialization is infallible")
+        serde_json::to_string_pretty(v).expect("value serialization is infallible")
     }
 
     /// Writes `<slug>.json` for one completed record; returns the path.
