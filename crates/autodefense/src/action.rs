@@ -20,8 +20,6 @@ pub const ISOLATE_COST: f64 = 0.5;
 pub const MONITOR_COST: f64 = 0.5;
 /// Detect-probability added per monitoring purchase.
 pub const MONITOR_STEP: f64 = 0.15;
-/// Ceiling on total monitoring boost.
-pub const MONITOR_CAP: f64 = 0.45;
 
 /// Spend tracker: total budget plus a per-turn action rate limit.
 ///

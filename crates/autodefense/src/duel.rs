@@ -44,9 +44,9 @@ pub const ROTATE_THRESHOLD: u32 = 2;
 /// Runtime actions allowed per defender turn.
 pub const RATE_LIMIT: usize = 2;
 
-/// Monitoring purchases allowed per duel
-/// ([`crate::action::MONITOR_CAP`] / [`MONITOR_STEP`], kept as an
-/// integer so the cap check never depends on float division).
+/// Monitoring purchases allowed per duel. At [`MONITOR_STEP`] (0.15)
+/// each, this caps the total detect-probability boost at 0.45; the cap
+/// is a purchase count so the check never depends on float arithmetic.
 pub const MONITOR_MAX_PURCHASES: usize = 3;
 
 /// Attack-graph edge capacity (mirrors `EdgeSet`'s 32-edge bound).

@@ -40,7 +40,7 @@ pub mod duel;
 pub mod tournament;
 
 pub use action::{
-    DefenseBudget, HARDEN_COST, ISOLATE_COST, MONITOR_CAP, MONITOR_COST, MONITOR_STEP, ROTATE_COST,
+    DefenseBudget, HARDEN_COST, ISOLATE_COST, MONITOR_COST, MONITOR_STEP, ROTATE_COST,
 };
 pub use duel::{duel_trial, DuelConfig, DuelRun, MONITOR_MAX_PURCHASES, ROTATE_THRESHOLD};
 pub use tournament::{run_cell, summarize, CellSummary};

@@ -64,7 +64,6 @@ struct Args {
     resume: bool,
     out: String,
     isolate: IsolateMode,
-    retries: u32,
     budgets: ResourceBudgets,
     /// Hidden worker mode: run exactly one experiment and hand the
     /// artifact back through `--out` (set by the supervising parent,
@@ -315,14 +314,6 @@ const SUITE: Grammar<Args> = Grammar {
             help: "record a panicking or overtime experiment in the manifest
                    and continue instead of aborting (exit 1 if anything failed)",
             takes: Takes::Switch(|a| a.keep_going = true),
-        },
-        Flag {
-            names: &["--retries"],
-            help: "re-run a failed/timed-out/killed experiment up to N extra
-                   times, with exponential backoff jittered from the run's
-                   seeded substream (deterministic, jobs-invariant); the
-                   manifest records the attempt count",
-            takes: Takes::Value("N", |a, v| set(&mut a.retries, unsigned(v))),
         },
         Flag {
             names: &["--deadline-secs", "-d"],
@@ -1069,7 +1060,6 @@ fn main() -> ExitCode {
         keep_going: args.keep_going,
         deadline_override: args.deadline_secs.map(Duration::from_secs),
         skip,
-        retries: args.retries,
         isolation,
     };
 
@@ -1467,7 +1457,6 @@ mod tests {
             ("", "--deadline-secs", "0", POSITIVE),
             ("", "--deadline-secs", "-1", POSITIVE),
             ("", "--isolate", "maybe", "expected on, off or auto"),
-            ("", "--retries", "-1", UNSIGNED),
             ("", "--rss-limit-mb", "0", POSITIVE),
             ("", "--cpu-limit-secs", "0", POSITIVE),
             ("fleet", "--vehicles", "x", POSITIVE),

@@ -20,12 +20,11 @@
 //! E26 extends the same claim to the process-isolated runner: units
 //! stand in for supervised worker children, a seeded kill stream
 //! decides which attempts die (and whether by OOM or CPU ceiling), and
-//! the retry budget from [`retry_delay`]'s schedule decides how many
-//! chances each unit gets. Units that converge within the budget
-//! contribute exactly their clean trial values, so the survivor
-//! estimate tracks the clean one while the kill/retry bookkeeping —
-//! including the backoff schedule itself — stays byte-identical for
-//! every `--jobs` value.
+//! each killed unit gets up to [`E26_RERUNS`] more attempts, as a user
+//! re-running `--filter failed:<manifest>` would give it. Units that
+//! converge within that budget contribute exactly their clean trial
+//! values, so the survivor estimate tracks the clean one while the
+//! kill bookkeeping stays byte-identical for every `--jobs` value.
 //!
 //! The module also hosts the hidden `x0-chaos` probe: an experiment
 //! registered only when `AUTOSEC_CHAOS` is set, which panics, sleeps,
@@ -33,7 +32,7 @@
 //! drive a real suite through `--keep-going`, `--resume`, and the
 //! process-isolation budgets without polluting the normal registry.
 
-use autosec_runner::{par_trials, retry_delay, try_par_trials, RunCtx, TrialOutcome};
+use autosec_runner::{par_trials, try_par_trials, RunCtx, TrialOutcome};
 use autosec_sim::{RunningStats, SimRng};
 
 use crate::Table;
@@ -137,14 +136,15 @@ pub const E26_UNITS: usize = 48;
 /// estimate.
 pub const E26_TRIALS_PER_UNIT: usize = 12;
 
-/// Retry budget per unit, mirroring `--retries 3` on the real runner.
-pub const E26_RETRIES: u32 = 3;
+/// Re-runs a killed unit gets, mirroring up to three
+/// `--filter failed:<manifest>` passes over a real suite run.
+pub const E26_RERUNS: u32 = 3;
 
 /// Per-attempt kill probabilities swept by E26. Rate 0.0 is the clean
 /// control every other row is compared against.
 pub const E26_KILL_RATES: [f64; 5] = [0.0, 0.10, 0.20, 0.35, 0.50];
 
-/// One simulated supervised unit: up to `1 + E26_RETRIES` attempts,
+/// One simulated supervised unit: up to `1 + E26_RERUNS` attempts,
 /// each killed with probability `rate`; a killed attempt dies by OOM
 /// or CPU ceiling on a fair coin from the same stream.
 ///
@@ -154,7 +154,7 @@ pub const E26_KILL_RATES: [f64; 5] = [0.0, 0.10, 0.20, 0.35, 0.50];
 fn supervise_unit(chaos: &SimRng, unit: usize, rate: f64) -> (u32, bool, u32, u32) {
     let unit_stream = chaos.fork_idx(unit as u64);
     let (mut oom, mut cpu) = (0u32, 0u32);
-    for attempt in 0..=E26_RETRIES {
+    for attempt in 0..=E26_RERUNS {
         let mut attempt_stream = unit_stream.fork_idx(u64::from(attempt));
         if !attempt_stream.chance(rate) {
             return (attempt + 1, true, oom, cpu);
@@ -165,19 +165,16 @@ fn supervise_unit(chaos: &SimRng, unit: usize, rate: f64) -> (u32, bool, u32, u3
             cpu += 1;
         }
     }
-    (E26_RETRIES + 1, false, oom, cpu)
+    (E26_RERUNS + 1, false, oom, cpu)
 }
 
 /// E26 table: survivor convergence under injected worker kills with a
-/// seeded retry budget.
+/// budget of [`E26_RERUNS`] re-runs per unit.
 ///
-/// Columns per kill rate: units converged within the retry budget,
+/// Columns per kill rate: units converged within the re-run budget,
 /// total attempts spent, kill counts by cause (OOM / CPU), trial
-/// coverage, survivor mean breach depth, its absolute bias against the
-/// rate-0 clean estimate, and the retry backoff schedule in
-/// milliseconds (from [`retry_delay`], the same pure function the real
-/// runner sleeps on — identical on every row and for every `--jobs`
-/// value, which is exactly the point).
+/// coverage, survivor mean breach depth, and its absolute bias against
+/// the rate-0 clean estimate.
 ///
 /// Determinism structure mirrors E18: all rates share one `mc` trial
 /// stream (parallel via [`par_trials`]), while the per-rate
@@ -195,7 +192,6 @@ pub fn e26_isolation_table(ctx: &RunCtx) -> Table {
             "coverage",
             "mean depth",
             "bias vs clean",
-            "backoff ms",
         ],
     );
     let base = ctx.rng("e26-isolation");
@@ -203,14 +199,6 @@ pub fn e26_isolation_table(ctx: &RunCtx) -> Table {
     let units = ctx.trials(E26_UNITS);
     let total = units * E26_TRIALS_PER_UNIT;
     let clean: Vec<f64> = par_trials(ctx.jobs, total, &mc, |_i, mut rng| breach_depth(&mut rng));
-    let backoff = (0..E26_RETRIES)
-        .map(|k| {
-            retry_delay(ctx.seed, "e26-isolation", k)
-                .as_millis()
-                .to_string()
-        })
-        .collect::<Vec<_>>()
-        .join("/");
     let mut clean_mean = 0.0;
     for rate in E26_KILL_RATES {
         let chaos = base.fork(&format!("kills/{rate:.2}"));
@@ -240,7 +228,6 @@ pub fn e26_isolation_table(ctx: &RunCtx) -> Table {
             format!("{:.1}%", stats.count() as f64 / total as f64 * 100.0),
             format!("{:.3}", stats.mean()),
             format!("{:.3}", (stats.mean() - clean_mean).abs()),
-            backoff.clone(),
         ]);
     }
     t
@@ -288,16 +275,13 @@ fn chaos_sleep(total: std::time::Duration) {
 ///   supervisor kills it mid-leak);
 /// - `spin:<secs>` — busy-loops that long (CPU-budget fodder: burns
 ///   CPU-seconds at wall rate so a `--cpu-limit-secs` ceiling fires);
-/// - `flaky:<path>` — panics and drops a marker file on the first
-///   attempt, succeeds once the marker exists (retry fodder);
 /// - anything else — succeeds immediately.
 ///
 /// CI sets `AUTOSEC_CHAOS=panic` to verify `--keep-going` records the
 /// failure while healthy artifacts stay bit-identical, then flips it to
 /// `ok` and `--resume`s the run to completion. The isolation job uses
 /// `sleep:`/`alloc:`/`spin:` to land `timed_out`/`oom_killed`/
-/// `cpu_exceeded` for real, and `flaky:` to prove `--retries` goes
-/// green.
+/// `cpu_exceeded` for real.
 pub fn x0_chaos_table(_ctx: &RunCtx) -> Table {
     let mode = std::env::var("AUTOSEC_CHAOS").unwrap_or_default();
     if mode == "panic" {
@@ -335,12 +319,6 @@ pub fn x0_chaos_table(_ctx: &RunCtx) -> Table {
             }
         }
         std::hint::black_box(x);
-    }
-    if let Some(path) = mode.strip_prefix("flaky:") {
-        if !std::path::Path::new(path).exists() {
-            let _ = std::fs::write(path, "first attempt\n");
-            panic!("chaos probe: flaky first attempt (AUTOSEC_CHAOS=flaky)");
-        }
     }
     let mut t = Table::new("X0", "chaos probe", &["mode", "outcome"]);
     t.push_row(vec![mode, "survived".to_owned()]);
@@ -427,9 +405,9 @@ mod tests {
 
     #[test]
     fn e26_is_jobs_invariant() {
-        // The acceptance bar: the kill/retry bookkeeping — including
-        // the backoff schedule column — must be byte-identical across
-        // --jobs values, not just the survivor estimates.
+        // The acceptance bar: the kill bookkeeping must be
+        // byte-identical across --jobs values, not just the survivor
+        // estimates.
         let serial = e26_isolation_table(&ctx());
         let parallel = e26_isolation_table(&RunCtx::new(42, 4).with_trials_scale(0.25));
         assert_eq!(serial, parallel);
@@ -446,7 +424,7 @@ mod tests {
 
     #[test]
     fn e26_survivors_converge_under_heavy_kills() {
-        // Even at a 50% per-attempt kill rate, the retry budget keeps
+        // Even at a 50% per-attempt kill rate, the re-run budget keeps
         // most units alive and the survivor mean near the clean one.
         let t = e26_isolation_table(&RunCtx::new(42, 1));
         let last = t.rows.last().expect("rows");
@@ -455,7 +433,7 @@ mod tests {
         let converged: usize = last[1].split('/').next().unwrap().parse().unwrap();
         assert!(
             converged * 100 >= E26_UNITS * 80,
-            "retry budget should rescue most units: {converged}/{E26_UNITS}"
+            "re-run budget should rescue most units: {converged}/{E26_UNITS}"
         );
     }
 
@@ -472,21 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn e26_backoff_column_is_the_real_retry_schedule() {
-        let t = e26_isolation_table(&ctx());
-        let want = (0..E26_RETRIES)
-            .map(|k| retry_delay(42, "e26-isolation", k).as_millis().to_string())
-            .collect::<Vec<_>>()
-            .join("/");
-        for row in &t.rows {
-            assert_eq!(row[7], want, "schedule must match retry_delay exactly");
-        }
-        // Sanity: the schedule actually backs off.
-        let ms: Vec<u128> = want.split('/').map(|s| s.parse().unwrap()).collect();
-        assert!(ms.windows(2).all(|w| w[1] > w[0]), "not increasing: {want}");
-    }
-
-    #[test]
     fn supervise_unit_is_deterministic_and_counts_attempts() {
         let chaos = SimRng::seed(9).fork("kills/0.50");
         for unit in 0..32 {
@@ -494,7 +457,7 @@ mod tests {
             let b = supervise_unit(&chaos, unit, 0.5);
             assert_eq!(a, b, "unit {unit}");
             let (attempts, ok, oom, cpu) = a;
-            assert!((1..=E26_RETRIES + 1).contains(&attempts));
+            assert!((1..=E26_RERUNS + 1).contains(&attempts));
             // Every non-final attempt died exactly once, by one cause.
             let kills = oom + cpu;
             assert_eq!(kills, if ok { attempts - 1 } else { attempts });

@@ -67,7 +67,6 @@ fn cell_row(attacker: &str, budget: f64, cell: &CellSummary) -> Vec<String> {
     vec![
         attacker.to_owned(),
         format!("{budget}"),
-        "reactive".to_owned(),
         format!("{:.1}%", cell.breach_rate * 100.0),
         format!("{:.2}", cell.mean_depth),
         format!("{:.2}", cell.mean_ttb),
@@ -88,7 +87,6 @@ pub fn e22_tournament_table(ctx: &RunCtx) -> Table {
         &[
             "attacker",
             "def budget",
-            "policy",
             "breach",
             "depth",
             "ttb",
@@ -230,8 +228,8 @@ mod tests {
         {
             for (r, budget) in rows.iter().zip(DEFENDER_BUDGETS) {
                 assert_eq!(
-                    [r[0].as_str(), r[1].as_str(), r[2].as_str()],
-                    [profile, budget.to_string().as_str(), "reactive"]
+                    [r[0].as_str(), r[1].as_str()],
+                    [profile, budget.to_string().as_str()]
                 );
             }
         }

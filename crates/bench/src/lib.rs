@@ -425,7 +425,7 @@ pub fn registry() -> Registry {
         reg(
             "X0",
             "x0-chaos",
-            "hidden chaos probe (AUTOSEC_CHAOS: panic | sleep:<ms> | alloc:<mb> | spin:<secs> | flaky:<path> | ok)",
+            "hidden chaos probe (AUTOSEC_CHAOS: panic | sleep:<ms> | alloc:<mb> | spin:<secs> | ok)",
             &["chaos"],
             &[],
             Cheap,

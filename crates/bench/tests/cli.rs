@@ -124,7 +124,6 @@ fn every_flag_missing_its_value_and_every_help_exit_2() {
                 "--trials-scale",
                 "--deadline-secs",
                 "--isolate",
-                "--retries",
                 "--rss-limit-mb",
                 "--cpu-limit-secs",
                 "--worker-one",

@@ -14,8 +14,8 @@
 //! - [`targets`] — the per-layer [`FaultTarget`](autosec_sim::FaultTarget)
 //!   registry; each layer crate contributes one adapter
 //! - [`recovery`] — the [`RecoveryEngine`] running detect → isolate →
-//!   reconfigure → verify over a plan, with MTTR, availability and
-//!   degradation-curve metrics
+//!   reconfigure → verify over a plan, with MTTR and availability
+//!   metrics
 //!
 //! The injection vocabulary itself ([`autosec_sim::FaultEffect`],
 //! [`autosec_sim::ChannelFault`], [`autosec_sim::FaultTarget`]) lives

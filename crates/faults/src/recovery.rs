@@ -9,8 +9,8 @@
 //! and repair is verified — retried up to a bounded number of attempts.
 //! Undetected faults degrade service silently for the rest of the
 //! horizon, which is exactly what makes detection worth measuring:
-//! MTTR, availability and the degradation curve all come out of this
-//! loop.
+//! MTTR and availability (the time average of composite health) both
+//! come out of this loop.
 
 use autosec_ids::response::{ResponseAction, ResponseEngine};
 use autosec_ids::Alert;
@@ -179,18 +179,6 @@ impl RecoveryReport {
             .map(|i| i.health_at(t, self.horizon, self.relief))
             .product()
     }
-
-    /// Samples composite service health at `samples` evenly spaced
-    /// instants — the degradation/recovery curve. Health at an instant
-    /// is the product of every active incident's residual health.
-    pub fn degradation_curve(&self, samples: usize) -> Vec<(f64, f64)> {
-        (0..samples)
-            .map(|k| {
-                let t = SimTime::from_ps(self.horizon.as_ps() * k as u64 / samples.max(1) as u64);
-                (t.as_ms_f64(), self.composite_health(t))
-            })
-            .collect()
-    }
 }
 
 /// The detector identity a layer's fault alert is attributed to —
@@ -307,7 +295,6 @@ mod tests {
         assert!(report.incidents.is_empty());
         assert_eq!(report.availability(), 1.0);
         assert_eq!(report.mttr_ms(), 0.0);
-        assert!(report.degradation_curve(8).iter().all(|&(_, h)| h == 1.0));
     }
 
     #[test]
@@ -367,8 +354,15 @@ mod tests {
             SimTime::from_ms(100),
         );
         let report = RecoveryEngine::new(false).run(&plan, &base());
-        let curve = report.degradation_curve(20);
-        assert_eq!(curve[0].1, 1.0, "healthy before onset");
-        assert!(curve.last().unwrap().1 < 1.0, "silent fault never clears");
+        let late = SimTime::from_ps(report.horizon.as_ps() * 19 / 20);
+        assert_eq!(
+            report.composite_health(SimTime::from_ps(0)),
+            1.0,
+            "healthy before onset"
+        );
+        assert!(
+            report.composite_health(late) < 1.0,
+            "silent fault never clears"
+        );
     }
 }

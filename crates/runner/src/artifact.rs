@@ -81,7 +81,7 @@ impl RunStatus {
     }
 
     /// Whether this entry counts as a suite failure (anything but `ok`
-    /// and `skipped`). Failures are retryable under `--retries` and
+    /// and `skipped`). Failures are re-run by `--resume` and
     /// re-selectable via the `failed:` pseudo-filter.
     pub fn is_failure(&self) -> bool {
         !matches!(self, RunStatus::Ok | RunStatus::Skipped)
@@ -99,9 +99,6 @@ pub struct ExperimentRecord {
     pub duration: Duration,
     /// How the run ended.
     pub status: RunStatus,
-    /// Execution attempts consumed (1 without `--retries`; the final
-    /// attempt produced `status`).
-    pub attempts: u32,
     /// The produced table; present exactly when `status` is
     /// [`RunStatus::Ok`].
     pub table: Option<Table>,
@@ -114,7 +111,6 @@ impl ExperimentRecord {
             id: id.to_owned(),
             duration,
             status,
-            attempts: 1,
             table: None,
         }
     }
@@ -192,12 +188,6 @@ impl ExperimentRecord {
         Self::base(slug, id, Duration::ZERO, RunStatus::Skipped)
     }
 
-    /// This record with its attempt count (clamped to at least 1).
-    pub fn with_attempts(mut self, attempts: u32) -> Self {
-        self.attempts = attempts.max(1);
-        self
-    }
-
     /// The artifact body: id, seed, jobs, trials scale, duration, and
     /// the table.
     ///
@@ -237,9 +227,6 @@ impl ExperimentRecord {
                 Value::from(self.duration.as_secs_f64() * 1e3),
             ),
         ];
-        if self.attempts > 1 {
-            pairs.push(("attempts", Value::from(self.attempts)));
-        }
         match &self.status {
             RunStatus::Ok => {
                 let table = self.table.as_ref().expect("ok record has a table");
@@ -729,23 +716,6 @@ mod tests {
         let entry = &m.to_json()["experiments"][0];
         assert_eq!(entry["status"].as_str(), Some("timed_out"));
         assert_eq!(entry["overtime_detached"].as_bool(), Some(true));
-    }
-
-    #[test]
-    fn attempts_key_appears_only_after_retries() {
-        let single = record(1);
-        assert_eq!(single.attempts, 1);
-        let m = RunManifest {
-            seed: 1,
-            jobs: 1,
-            trials_scale: 1.0,
-            filter: None,
-            records: vec![record(1), record(2).with_attempts(3)],
-        };
-        let v = m.to_json();
-        assert!(v["experiments"][0].get("attempts").is_none());
-        assert_eq!(v["experiments"][1]["attempts"].as_u64(), Some(3));
-        assert_eq!(record(1).with_attempts(0).attempts, 1, "clamped");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   [`TrialOutcome`]s instead of unwinding.
 //! - [`suite`] — the fault-tolerant suite runner: per-experiment
 //!   `catch_unwind`, cost-derived soft deadlines, keep-going
-//!   degradation, seeded retry backoff, and resume skip sets.
+//!   degradation, and resume skip sets.
 //! - [`proc`] — process-level supervision: suite entries in spawned
 //!   worker children that deadlines SIGKILL for real, with peak-RSS
 //!   and CPU-seconds budgets enforced by `/proc` polling plus rlimit
@@ -40,10 +40,11 @@
 //! Failure handling is as deterministic as success: a panicking trial
 //! is quarantined into the same slot with the same message for every
 //! `--jobs` value, a panicking experiment never perturbs its
-//! neighbors' RNG streams, a resumed run reuses artifacts only when
-//! `(seed, trials-scale, filter set)` all match, and the retry
-//! backoff schedule is a pure function of `(seed, slug, attempt)` —
-//! see [`proc::retry_delay`].
+//! neighbors' RNG streams, and a resumed run reuses artifacts only
+//! when `(seed, trials-scale, filter set)` all match. Each suite entry
+//! runs once: an experiment is a pure function of `(seed,
+//! trials-scale)`, so a failed entry is re-run through `--resume` or
+//! `--filter failed:<manifest>`, never inside the same run.
 
 pub mod artifact;
 pub mod ctx;
@@ -62,8 +63,7 @@ pub use artifact::{
 pub use ctx::{RunCtx, DEFAULT_SEED};
 pub use par::{panic_message, par_trials, silence_panics, try_par_trials, TrialOutcome};
 pub use proc::{
-    apply_worker_rlimits, retry_delay, worker_failure_path, IsolateMode, ResourceBudgets,
-    WorkerSpec,
+    apply_worker_rlimits, worker_failure_path, IsolateMode, ResourceBudgets, WorkerSpec,
 };
 pub use registry::{Cost, Experiment, Registry};
 pub use suite::{run_suite, Isolation, SuiteOptions, SuiteReport};

@@ -21,19 +21,11 @@
 //! [`ArtifactStore`](crate::ArtifactStore) JSON handoff, so healthy
 //! artifacts are bit-identical to in-process execution by
 //! construction.
-//!
-//! [`retry_delay`] computes the `--retries` backoff schedule from the
-//! run's own seeded substream: a pure function of
-//! `(seed, slug, attempt)`, so the schedule is deterministic and
-//! jobs-invariant — the property E26 pins in CI.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
-
-use autosec_sim::SimRng;
-use rand::RngCore;
 
 /// Where suite entries execute (`--isolate on|off|auto`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -330,30 +322,6 @@ pub fn worker_failure_path(handoff_dir: &Path, slug: &str) -> PathBuf {
     handoff_dir.join(format!("{slug}.panic.txt"))
 }
 
-/// Smallest backoff step (attempt 0 averages one base).
-pub const RETRY_BASE: Duration = Duration::from_millis(100);
-/// Backoff ceiling regardless of attempt count.
-pub const RETRY_CAP: Duration = Duration::from_secs(5);
-
-/// The backoff before re-running `slug` after failed attempt
-/// `attempt` (0-based): `RETRY_BASE · 2^attempt · (0.5 + u)` with
-/// `u ∈ [0, 1)` drawn from the run's own seeded substream, capped at
-/// [`RETRY_CAP`].
-///
-/// A pure function of `(seed, slug, attempt)` — never of wall clock,
-/// thread timing, or `--jobs` — so a retry schedule is reproducible
-/// across machines and parallelism levels.
-pub fn retry_delay(seed: u64, slug: &str, attempt: u32) -> Duration {
-    let base_ms = RETRY_BASE.as_millis() as u64 * (1u64 << attempt.min(16));
-    let mut rng = SimRng::seed(seed)
-        .fork("suite/retry")
-        .fork(slug)
-        .fork_idx(u64::from(attempt));
-    let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-    let jittered = (base_ms as f64 * (0.5 + unit)).round() as u64;
-    Duration::from_millis(jittered).min(RETRY_CAP)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,35 +484,5 @@ mod tests {
         let cpu = probe_cpu_secs(pid).expect("own stat readable");
         assert!(cpu >= 0.0);
         assert!(probe_peak_rss_mb(u32::MAX - 1).is_none(), "dead pid");
-    }
-
-    #[test]
-    fn retry_delay_is_deterministic_and_jittered() {
-        let a = retry_delay(42, "e1-depth", 0);
-        assert_eq!(a, retry_delay(42, "e1-depth", 0), "pure function");
-        // Jitter keeps attempt 0 within [0.5, 1.5) bases.
-        assert!(a >= RETRY_BASE / 2 && a < RETRY_BASE * 3 / 2, "{a:?}");
-        // Different slugs and seeds decorrelate.
-        assert_ne!(retry_delay(42, "e1-depth", 0), retry_delay(42, "e2-lrp", 0));
-        assert_ne!(
-            retry_delay(42, "e1-depth", 0),
-            retry_delay(43, "e1-depth", 0)
-        );
-    }
-
-    #[test]
-    fn retry_delay_backs_off_exponentially_and_caps() {
-        for attempt in 0..10 {
-            let d = retry_delay(7, "x", attempt);
-            let base = RETRY_BASE * 2u32.pow(attempt.min(16));
-            assert!(d >= (base / 2).min(RETRY_CAP), "attempt {attempt}: {d:?}");
-            assert!(
-                d <= RETRY_CAP.max(base * 3 / 2).min(RETRY_CAP),
-                "attempt {attempt}: {d:?}"
-            );
-        }
-        // By attempt 7 the un-jittered base (12.8 s) is past the cap.
-        assert_eq!(retry_delay(7, "x", 7), RETRY_CAP);
-        assert_eq!(retry_delay(7, "x", 30), RETRY_CAP, "shift never overflows");
     }
 }

@@ -14,16 +14,15 @@
 //! - budget violations are first-class outcomes: a child killed over
 //!   its peak-RSS budget records `oom_killed`, one over its
 //!   CPU-seconds budget records `cpu_exceeded`, and both are
-//!   retryable;
+//!   re-run by `--resume` or `failed:<manifest>` like any failure;
 //! - with `keep_going`, failures degrade the run instead of ending it:
 //!   untouched experiments produce bit-identical artifacts to a clean
 //!   run, because trial RNG streams never depend on what other
 //!   experiments did — and a worker child's artifact is identical to
 //!   in-process output by construction (same pure function of seed);
-//! - [`SuiteOptions::retries`] re-runs failed entries with
-//!   exponential backoff whose jitter comes from the run's own seeded
-//!   substream ([`retry_delay`]) — the schedule is a pure function of
-//!   `(seed, slug, attempt)`, deterministic and jobs-invariant;
+//! - each entry runs once: every experiment is a pure function of
+//!   `(seed, trials-scale)`, so an immediate re-run would fail the
+//!   same way;
 //! - a `skip` set (computed by the caller from a prior manifest via
 //!   [`ResumeState`](crate::ResumeState)) turns already-completed
 //!   experiments into `skipped` records, which is how `--resume`
@@ -46,9 +45,7 @@ use serde_json::Value;
 use crate::artifact::ExperimentRecord;
 use crate::ctx::RunCtx;
 use crate::par::{panic_message, silence_panics};
-use crate::proc::{
-    retry_delay, supervise, worker_failure_path, KillReason, ResourceBudgets, WorkerSpec,
-};
+use crate::proc::{supervise, worker_failure_path, KillReason, ResourceBudgets, WorkerSpec};
 use crate::registry::Experiment;
 use crate::table::Table;
 
@@ -63,7 +60,7 @@ pub struct Isolation {
     /// unbudgeted.
     pub budgets: ResourceBudgets,
     /// Directory for per-experiment handoff subdirectories
-    /// (`<root>/<slug>/`), recreated per attempt.
+    /// (`<root>/<slug>/`), recreated per run.
     pub handoff_root: PathBuf,
 }
 
@@ -80,9 +77,6 @@ pub struct SuiteOptions {
     /// Slugs to skip because a prior run's artifact already covers
     /// them (`--resume`).
     pub skip: BTreeSet<String>,
-    /// Extra attempts for failed entries (`--retries N`); each re-run
-    /// waits [`retry_delay`] first. 0 = at most one attempt.
-    pub retries: u32,
     /// `Some` switches entries from supervised threads to supervised
     /// child processes (`--isolate on`).
     pub isolation: Option<Isolation>,
@@ -301,7 +295,7 @@ fn exit_signal(_status: &std::process::ExitStatus) -> Option<i32> {
     None
 }
 
-/// Maps one attempt's verdict to its record.
+/// Maps one run's verdict to its record.
 fn verdict_record(
     exp: &Experiment,
     elapsed: Duration,
@@ -356,21 +350,11 @@ pub fn run_suite(
             ExperimentRecord::skipped(exp.slug, exp.id)
         } else {
             let deadline = opts.deadline_for(exp);
-            let mut attempt: u32 = 0;
-            loop {
-                let (elapsed, verdict) = match &opts.isolation {
-                    Some(iso) => run_isolated(exp, ctx, deadline, iso),
-                    None => run_supervised(exp, ctx, deadline),
-                };
-                let record =
-                    verdict_record(exp, elapsed, deadline, verdict).with_attempts(attempt + 1);
-                if record.status.is_failure() && attempt < opts.retries {
-                    std::thread::sleep(retry_delay(ctx.seed, exp.slug, attempt));
-                    attempt += 1;
-                    continue;
-                }
-                break record;
-            }
+            let (elapsed, verdict) = match &opts.isolation {
+                Some(iso) => run_isolated(exp, ctx, deadline, iso),
+                None => run_supervised(exp, ctx, deadline),
+            };
+            verdict_record(exp, elapsed, deadline, verdict)
         };
         let failed = record.status.is_failure();
         on_record(&record);
@@ -557,48 +541,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(fixed.deadline_for(exp), Duration::from_secs(1));
-    }
-
-    #[test]
-    fn retries_rerun_failures_until_green() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static CALLS: AtomicU32 = AtomicU32::new(0);
-        let mut r = Registry::new();
-        r.register(Experiment::new(
-            "T5",
-            "t5-flaky",
-            "fails twice then succeeds",
-            &[],
-            Cost::Cheap,
-            |_| {
-                if CALLS.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("flaky wobble");
-                }
-                Table::new("T5", "ok", &["a"])
-            },
-        ));
-        let opts = SuiteOptions {
-            keep_going: true,
-            retries: 3,
-            ..Default::default()
-        };
-        let report = run_suite(&r.all(), &RunCtx::new(42, 1), &opts, |_| {});
-        assert!(report.all_ok());
-        assert_eq!(report.records[0].status, RunStatus::Ok);
-        assert_eq!(report.records[0].attempts, 3, "two failures + one success");
-    }
-
-    #[test]
-    fn exhausted_retries_keep_the_final_failure() {
-        let reg = toy_registry();
-        let opts = SuiteOptions {
-            keep_going: true,
-            retries: 1,
-            ..Default::default()
-        };
-        let report = run_suite(&reg.select("t2-panic"), &RunCtx::new(42, 1), &opts, |_| {});
-        assert_eq!(report.records[0].attempts, 2);
-        assert!(report.records[0].status.is_failure());
     }
 
     // Process-isolation plumbing tested with /bin/sh standing in for

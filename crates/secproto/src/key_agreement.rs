@@ -2,9 +2,8 @@
 //!
 //! From a pairwise (or group) Connectivity Association Key (CAK), the
 //! elected key server distributes Secure Association Keys (SAKs) derived
-//! via HKDF with a fresh key-server nonce. The model counts messages and
-//! tracks key storage — the S1/S2/S3 comparison's "key storage within the
-//! zone controller" concern is computed from here.
+//! via HKDF with a fresh key-server nonce. The S1/S2/S3 comparison's
+//! zone-controller key count lives in [`crate::scenarios`].
 
 use autosec_crypto::Hkdf;
 
@@ -57,27 +56,6 @@ impl ConnectivityAssociation {
             ca_name: self.name.clone(),
         }
     }
-
-    /// MKA messages needed to distribute a SAK to `n_members` (one
-    /// MKPDU from the key server per member, plus one acknowledgment
-    /// each).
-    pub fn distribution_messages(n_members: usize) -> usize {
-        2 * n_members.saturating_sub(1)
-    }
-}
-
-/// Computes the number of long-term pairwise keys each device must hold
-/// in a hop-by-hop deployment (S1) versus end-to-end (S2/S3):
-///
-/// - hop-by-hop: every on-path device stores the keys of its adjacent
-///   links;
-/// - end-to-end: only the two endpoints store the association key.
-pub fn keys_at_intermediate(hop_by_hop: bool, flows_through: usize) -> usize {
-    if hop_by_hop {
-        flows_through
-    } else {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -107,21 +85,5 @@ mod tests {
         let mut a1 = ConnectivityAssociation::new("z", b"cak");
         let mut a2 = ConnectivityAssociation::new("z", b"cak");
         assert_eq!(a1.distribute_sak(b"n").sak, a2.distribute_sak(b"n").sak);
-    }
-
-    #[test]
-    fn message_count_scales_with_members() {
-        assert_eq!(ConnectivityAssociation::distribution_messages(2), 2);
-        assert_eq!(ConnectivityAssociation::distribution_messages(5), 8);
-        assert_eq!(ConnectivityAssociation::distribution_messages(1), 0);
-        assert_eq!(ConnectivityAssociation::distribution_messages(0), 0);
-    }
-
-    #[test]
-    fn key_storage_models() {
-        // A zone controller forwarding 10 flows hop-by-hop stores 10
-        // session keys; end-to-end it stores none.
-        assert_eq!(keys_at_intermediate(true, 10), 10);
-        assert_eq!(keys_at_intermediate(false, 10), 0);
     }
 }
