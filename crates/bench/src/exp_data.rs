@@ -1,7 +1,7 @@
 //! E9: the Fig. 8 kill chain versus defense configuration, plus the
 //! attack-surface growth curve of §V-B3.
 
-use autosec_data::killchain::{Attacker, KillChainStage};
+use autosec_data::killchain::{Attacker, KillChainReport, KillChainStage};
 use autosec_data::service::{DefenseConfig, TelemetryBackend};
 use autosec_data::surface::SurfaceInventory;
 use autosec_runner::{par_trials, RunCtx};
@@ -9,9 +9,12 @@ use autosec_sim::SimRng;
 
 use crate::Table;
 
-/// Seed every E9 kill-chain configuration replays — pinned so the
-/// published table stays byte-stable across harness changes.
+/// Seed of the E9 fleet build — pinned so the published table stays
+/// byte-stable across harness changes.
 const KILLCHAIN_SEED: u64 = 38;
+
+/// Records in the E9 fleet.
+const KILLCHAIN_RECORDS: usize = 5000;
 
 /// The defense configurations E9 sweeps, labelled.
 pub fn defense_matrix() -> Vec<(&'static str, DefenseConfig)> {
@@ -35,10 +38,30 @@ pub fn defense_matrix() -> Vec<(&'static str, DefenseConfig)> {
 
 /// E9 main table.
 ///
-/// Each defense configuration replays the same pinned-seed kill chain
-/// independently, so the six runs fan out over [`par_trials`] and the
-/// rows match the historical serial output for every `ctx.jobs`.
+/// The 5000-record fleet is one pinned-seed build that every defense
+/// configuration attacks through [`TelemetryBackend::with_defenses`]:
+/// the records and the stream after the build are the same for every
+/// row, only the routes and the defense toggles differ. The six rows fan
+/// out over [`par_trials`] and match the historical serial output for
+/// every `ctx.jobs`.
 pub fn e9_killchain_table(ctx: &RunCtx) -> Table {
+    let matrix = defense_matrix();
+    let mut rng = SimRng::seed(KILLCHAIN_SEED);
+    let fleet = TelemetryBackend::build(KILLCHAIN_RECORDS, DefenseConfig::none(), &mut rng);
+    let rows = par_trials(
+        ctx.jobs,
+        matrix.len(),
+        &ctx.rng("e9-killchain"),
+        |i, _rng| {
+            let (label, cfg) = matrix[i];
+            let report = Attacker::new().execute(&fleet.with_defenses(cfg), &mut rng.clone());
+            killchain_row(label, &report)
+        },
+    );
+    killchain_table(rows)
+}
+
+fn killchain_table(rows: Vec<Vec<String>>) -> Table {
     let mut t = Table::new(
         "E9",
         "Fig. 8 — CARIAD kill chain vs defense configuration",
@@ -50,29 +73,24 @@ pub fn e9_killchain_table(ctx: &RunCtx) -> Table {
             "records lost",
         ],
     );
-    let matrix = defense_matrix();
-    let base = ctx.rng("e9-killchain");
-    let rows = par_trials(ctx.jobs, matrix.len(), &base, |i, _rng| {
-        let (label, cfg) = matrix[i];
-        let mut rng = SimRng::seed(KILLCHAIN_SEED);
-        let backend = TelemetryBackend::build(5000, cfg, &mut rng);
-        let r = Attacker::new().execute(&backend, &mut rng);
-        vec![
-            label.to_owned(),
-            format!("{}/{}", r.completed.len(), KillChainStage::ALL.len()),
-            r.blocked_at
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "-".into()),
-            r.detected_at
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "-".into()),
-            r.records_exfiltrated.to_string(),
-        ]
-    });
     for row in rows {
         t.push_row(row);
     }
     t
+}
+
+fn killchain_row(label: &str, r: &KillChainReport) -> Vec<String> {
+    vec![
+        label.to_owned(),
+        format!("{}/{}", r.completed.len(), KillChainStage::ALL.len()),
+        r.blocked_at
+            .map(|s| s.to_string())
+            .unwrap_or_else(|| "-".into()),
+        r.detected_at
+            .map(|s| s.to_string())
+            .unwrap_or_else(|| "-".into()),
+        r.records_exfiltrated.to_string(),
+    ]
 }
 
 /// E9 companion: attack-surface score versus connected cloud services,
@@ -114,6 +132,34 @@ mod tests {
                 "none" | "detection-only" => assert!(lost > 0, "{row:?}"),
                 _ => assert_eq!(lost, 0, "{row:?}"),
             }
+        }
+    }
+
+    /// The per-row build the shared fleet replaces: each configuration
+    /// builds its own backend from the pinned seed.
+    fn rebuilt_killchain_table(ctx: &RunCtx) -> Table {
+        let matrix = defense_matrix();
+        let rows = par_trials(
+            ctx.jobs,
+            matrix.len(),
+            &ctx.rng("e9-killchain"),
+            |i, _rng| {
+                let (label, cfg) = matrix[i];
+                let mut rng = SimRng::seed(KILLCHAIN_SEED);
+                let backend = TelemetryBackend::build(KILLCHAIN_RECORDS, cfg, &mut rng);
+                killchain_row(label, &Attacker::new().execute(&backend, &mut rng))
+            },
+        );
+        killchain_table(rows)
+    }
+
+    #[test]
+    fn shared_fleet_rows_match_a_build_per_row() {
+        for jobs in [1, 4] {
+            let ctx = RunCtx::new(42, jobs);
+            let shared = e9_killchain_table(&ctx);
+            assert_eq!(shared.rows.len(), defense_matrix().len());
+            assert_eq!(shared, rebuilt_killchain_table(&ctx), "jobs {jobs}");
         }
     }
 

@@ -10,6 +10,7 @@
 //! knob breaks which stage of the kill chain.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use autosec_sim::SimRng;
 
@@ -90,8 +91,9 @@ impl DefenseConfig {
 #[derive(Debug)]
 pub struct TelemetryBackend {
     routes: Vec<Route>,
-    /// Fleet records, keyed by VIN.
-    records: HashMap<String, VehicleRecord>,
+    /// Fleet records, keyed by VIN; shared by every posture of the
+    /// same backend ([`TelemetryBackend::with_defenses`]).
+    records: Arc<HashMap<String, VehicleRecord>>,
     /// The cloud master key (present in process memory unless vaulted).
     master_key: [u8; 16],
     /// Defense posture.
@@ -104,36 +106,27 @@ impl TelemetryBackend {
     /// Builds a backend holding `fleet_size` vehicle records.
     pub fn build(fleet_size: usize, defenses: DefenseConfig, rng: &mut SimRng) -> Self {
         let fleet = generate_fleet(fleet_size, 20, rng);
-        let mut routes = vec![
-            Route {
-                path: "/api/v1/telemetry".into(),
-                kind: RouteKind::Api,
-                requires_auth: true,
-            },
-            Route {
-                path: "/api/v1/vehicles".into(),
-                kind: RouteKind::Api,
-                requires_auth: true,
-            },
-            Route {
-                path: "/info".into(),
-                kind: RouteKind::Info,
-                requires_auth: false,
-            },
-        ];
-        if !defenses.debug_endpoints_disabled {
-            routes.push(Route {
-                path: "/actuator/heapdump".into(),
-                kind: RouteKind::HeapDump,
-                requires_auth: false, // the actual misconfiguration
-            });
-        }
         Self {
-            routes,
-            records: fleet.into_iter().map(|v| (v.vin.clone(), v)).collect(),
+            routes: routes_for(defenses),
+            records: Arc::new(fleet.into_iter().map(|v| (v.vin.clone(), v)).collect()),
             master_key: [0xC1; 16],
             defenses,
             framework: "Spring",
+        }
+    }
+
+    /// This backend under the posture `defenses`: the same records and
+    /// master key, the routes `defenses` leaves. The records are shared,
+    /// not copied, and nothing is drawn, so a backend built once serves
+    /// every posture as [`TelemetryBackend::build`] with the same stream
+    /// would.
+    pub fn with_defenses(&self, defenses: DefenseConfig) -> Self {
+        Self {
+            routes: routes_for(defenses),
+            records: Arc::clone(&self.records),
+            master_key: self.master_key,
+            defenses,
+            framework: self.framework,
         }
     }
 
@@ -177,6 +170,35 @@ impl TelemetryBackend {
             Vec::new()
         }
     }
+}
+
+/// The routes a backend under `defenses` serves.
+fn routes_for(defenses: DefenseConfig) -> Vec<Route> {
+    let mut routes = vec![
+        Route {
+            path: "/api/v1/telemetry".into(),
+            kind: RouteKind::Api,
+            requires_auth: true,
+        },
+        Route {
+            path: "/api/v1/vehicles".into(),
+            kind: RouteKind::Api,
+            requires_auth: true,
+        },
+        Route {
+            path: "/info".into(),
+            kind: RouteKind::Info,
+            requires_auth: false,
+        },
+    ];
+    if !defenses.debug_endpoints_disabled {
+        routes.push(Route {
+            path: "/actuator/heapdump".into(),
+            kind: RouteKind::HeapDump,
+            requires_auth: false, // the actual misconfiguration
+        });
+    }
+    routes
 }
 
 /// A minted API access token.
@@ -239,6 +261,36 @@ mod tests {
     fn wrong_key_rejected() {
         let b = TelemetryBackend::build(10, DefenseConfig::none(), &mut rng());
         assert!(b.mint_user_token(&[0u8; 16]).is_none());
+    }
+
+    #[test]
+    fn with_defenses_serves_what_a_fresh_build_serves() {
+        let shared = TelemetryBackend::build(10, DefenseConfig::none(), &mut rng());
+        let mut scoped = DefenseConfig::none();
+        scoped.scoped_keys = true;
+        let mut no_debug = DefenseConfig::none();
+        no_debug.debug_endpoints_disabled = true;
+        for d in [DefenseConfig::hardened(), scoped, no_debug] {
+            let fresh = TelemetryBackend::build(10, d, &mut rng());
+            let posed = shared.with_defenses(d);
+            assert_eq!(posed.routes(), fresh.routes());
+            assert_eq!(posed.defenses, d);
+            assert_eq!(posed.heap_dump(), fresh.heap_dump());
+            let key = [0xC1; 16];
+            assert_eq!(posed.mint_user_token(&key), fresh.mint_user_token(&key));
+            assert!(
+                Arc::ptr_eq(&posed.records, &shared.records),
+                "shared, not copied"
+            );
+        }
+        let all = AccessToken { all_users: true };
+        let fresh = TelemetryBackend::build(10, DefenseConfig::none(), &mut rng());
+        let records = |b: &TelemetryBackend| {
+            let mut v: Vec<VehicleRecord> = b.export(&all).into_iter().cloned().collect();
+            v.sort_by(|a, b| a.vin.cmp(&b.vin));
+            v
+        };
+        assert_eq!(records(&shared.with_defenses(scoped)), records(&fresh));
     }
 
     #[test]

@@ -6,17 +6,24 @@
 //!
 //! - [`FaultEffect::CrashNode`] — the node dies and nothing re-places
 //!   its components; health is the fraction of placements that survive.
-//! - [`FaultEffect::RestartNode`] — the node dies and
-//!   [`SdvPlatform::fail_node`] re-places its components through the
-//!   full mutual-authentication ceremony; only stranded components cost
-//!   health.
+//! - [`FaultEffect::RestartNode`] — the node dies and its components are
+//!   re-placed by the platform's placement rule, the one
+//!   [`SdvPlatform::fail_node`] runs behind the mutual-authentication
+//!   ceremony; only stranded components cost health.
 //! - [`FaultEffect::RollbackUpdate`] — a signed-but-stale (downgrade)
 //!   OTA package is pushed; a defended platform's [`UpdateManager`]
 //!   rejects it, an undefended one installs the stale image.
 //!
-//! A rollback never builds the platform: no platform state reaches its
-//! record. The platform's key-seed draws are made either way, so the
-//! caller's stream ends in the same state with or without a node fault.
+//! The fault target places without keys. Its platform's wallets are
+//! honest and hold every signature the effects can ask for, so every
+//! presentation of the ceremony verifies and the outcome depends only
+//! on compatibility and capacity: the rule alone gives the same record.
+//! The platform's eight key-seed draws are still made, so the caller's
+//! stream ends where a keyed build would leave it. The keyed platform
+//! is kept in the tests as the reference (E8 and E8b still run the
+//! full ceremony).
+//!
+//! [`SdvPlatform::fail_node`]: crate::platform::SdvPlatform::fail_node
 
 use autosec_sim::inject::{FaultEffect, FaultTarget, InjectionRecord};
 use autosec_sim::{ArchLayer, SimRng};
@@ -24,53 +31,12 @@ use autosec_ssi::prelude::*;
 use rand::RngCore;
 
 use crate::component::{Asil, HardwareNode, SoftwareComponent};
-use crate::platform::{SdvPlatform, WalletCapacities};
+use crate::platform::{Deployment, Placement};
 use crate::update::{UpdateManager, UpdatePackage};
+use crate::SdvError;
 
 const NODES: usize = 3;
 const COMPONENTS: usize = 4;
-
-/// Signatures the OEM wallet of the reference platform makes: one
-/// credential per node and component it registers. After set-up only
-/// placement attempts sign, one presentation from the component and one
-/// from the node each; crashes and rollbacks sign nothing on the
-/// platform, and restarting a node that is already gone signs nothing.
-const OEM_SIGNATURES: usize = NODES + COMPONENTS;
-
-/// Signatures a node wallet makes under `restarts` node restarts: at
-/// most `⌈COMPONENTS/2⌉` first placements (round-robin over two nodes),
-/// then at most one attempt per displaced component per restart.
-const fn node_signatures(restarts: usize) -> usize {
-    COMPONENTS.div_ceil(2) + restarts * COMPONENTS
-}
-
-/// Signatures a component wallet makes under `restarts` node restarts:
-/// its first placement, then one attempt per surviving node each time
-/// its host restarts.
-const fn component_signatures(restarts: usize) -> usize {
-    1 + restarts * (NODES - 1)
-}
-
-// The most a list of effects can ask for, every node restarted once, fits
-// each role in one 16-lane lockstep batch of leaves. One restart, the
-// `sdv-restart` injection, rounds up to 8 + 3 x 8 + 4 x 4 = 48 leaves.
-const _: () = assert!(
-    OEM_SIGNATURES <= 16 && node_signatures(NODES) <= 16 && component_signatures(NODES) <= 16
-);
-
-/// The capacities of the reference platform under the effects `active`.
-fn platform_capacities(active: &[&FaultEffect]) -> WalletCapacities {
-    let restarts = active
-        .iter()
-        .filter(|e| matches!(e, FaultEffect::RestartNode { .. }))
-        .count()
-        .min(NODES);
-    WalletCapacities {
-        oem: OEM_SIGNATURES,
-        node: node_signatures(restarts),
-        component: component_signatures(restarts),
-    }
-}
 
 /// A small SDV platform under node-crash / restart / rollback faults.
 #[derive(Debug, Clone, Default)]
@@ -96,12 +62,12 @@ fn hw_node(i: usize) -> HardwareNode {
     }
 }
 
-/// Wallets [`build_platform`] creates: the OEM's, then one per node and
+/// Wallets the keyed platform creates: the OEM's, then one per node and
 /// per component. Creating a wallet draws one 32-byte key seed;
 /// registering, issuing and placing draw nothing.
 const PLATFORM_WALLETS: usize = 1 + NODES + COMPONENTS;
 
-/// Advances `rng` exactly as [`build_platform`] would, without building.
+/// Advances `rng` exactly as building the keyed platform would.
 fn skip_platform(rng: &mut SimRng) {
     let mut seed = [0u8; 32];
     for _ in 0..PLATFORM_WALLETS {
@@ -109,24 +75,45 @@ fn skip_platform(rng: &mut SimRng) {
     }
 }
 
-/// Builds the reference platform with components placed round-robin on
-/// the first two nodes (the third is failover headroom).
-fn build_platform(rng: &mut SimRng, capacities: WalletCapacities) -> SdvPlatform {
-    let (mut platform, mut oem) = SdvPlatform::with_capacities(rng, capacities);
+/// Admits every pair: the ceremony's outcome on honest wallets that
+/// hold enough signatures.
+fn no_keys(_component: &str, _node: &str) -> Result<(), SdvError> {
+    Ok(())
+}
+
+/// The reference platform's placements: components round-robin on the
+/// first two nodes (the third is failover headroom).
+fn reference_deployment() -> Deployment {
+    let mut deployment = Deployment::default();
     for i in 0..NODES {
-        platform
-            .register_node(rng, hw_node(i), &mut oem)
-            .expect("static node registers");
+        deployment.add_node(hw_node(i));
     }
     for i in 0..COMPONENTS {
-        platform
-            .register_component(rng, component(i), &mut oem)
-            .expect("static component registers");
-        platform
-            .place(&format!("svc-{i}"), &format!("hpc-{}", i % 2))
+        deployment.add_component(component(i));
+        deployment
+            .place(&format!("svc-{i}"), &format!("hpc-{}", i % 2), &mut no_keys)
             .expect("initial placement fits");
     }
-    platform
+    deployment
+}
+
+/// What the effect loop reads of a platform and does to it: the keyless
+/// [`Deployment`] here, the keyed platform in the tests' reference.
+trait NodeFaults {
+    fn placements(&self) -> &[Placement];
+    /// Fails `node` and re-places its components; returns how many are
+    /// stranded.
+    fn restart(&mut self, node: &str) -> usize;
+}
+
+impl NodeFaults for Deployment {
+    fn placements(&self) -> &[Placement] {
+        Deployment::placements(self)
+    }
+
+    fn restart(&mut self, node: &str) -> usize {
+        self.fail_node(node, &mut no_keys).map_or(0, |s| s.len())
+    }
 }
 
 /// Applies a downgrade OTA push; returns (health multiplier, rejected).
@@ -165,8 +152,8 @@ impl FaultTarget for PlatformFaultTarget {
         "sdv-platform"
     }
 
-    /// Only a node fault builds the platform, each wallet sized to the
-    /// signatures its role makes under `effects`.
+    /// Draws the keyed platform's key seeds, then runs `effects` on its
+    /// placements without keys.
     fn apply(
         &mut self,
         effects: &[FaultEffect],
@@ -177,29 +164,17 @@ impl FaultTarget for PlatformFaultTarget {
         if active.is_empty() {
             return InjectionRecord::clean(self.layer(), self.name());
         }
-        let node_fault = active.iter().any(|e| {
-            matches!(
-                e,
-                FaultEffect::CrashNode { .. } | FaultEffect::RestartNode { .. }
-            )
-        });
-        let platform = if node_fault {
-            Some(build_platform(rng, platform_capacities(&active)))
-        } else {
-            skip_platform(rng);
-            None
-        };
-        self.run_effects(&active, platform, defended, rng)
+        skip_platform(rng);
+        self.run_effects(&active, reference_deployment(), defended, rng)
     }
 }
 
 impl PlatformFaultTarget {
-    /// Applies `active` in order; `platform` is `Some` whenever a node
-    /// fault is among them.
+    /// Applies `active` in order to `platform`.
     fn run_effects(
         &self,
         active: &[&FaultEffect],
-        mut platform: Option<SdvPlatform>,
+        mut platform: impl NodeFaults,
         defended: bool,
         rng: &mut SimRng,
     ) -> InjectionRecord {
@@ -209,7 +184,6 @@ impl PlatformFaultTarget {
         for e in active {
             match **e {
                 FaultEffect::CrashNode { node } => {
-                    let platform = platform.as_ref().expect("node faults build the platform");
                     let name = format!("hpc-{}", node % NODES);
                     let lost = platform
                         .placements()
@@ -221,9 +195,8 @@ impl PlatformFaultTarget {
                     notes.push(format!("{name} crashed, {lost} components down"));
                 }
                 FaultEffect::RestartNode { node } => {
-                    let platform = platform.as_mut().expect("node faults build the platform");
                     let name = format!("hpc-{}", node % NODES);
-                    let stranded = platform.fail_node(&name).map_or(0, |s| s.len());
+                    let stranded = platform.restart(&name);
                     health *= 1.0 - stranded as f64 / COMPONENTS as f64;
                     detected |= defended;
                     notes.push(format!("{name} restarted, {stranded} stranded"));
@@ -263,11 +236,109 @@ fn active_effects(effects: &[FaultEffect]) -> Vec<&FaultEffect> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::{SdvPlatform, WalletCapacities};
 
     fn apply(effects: &[FaultEffect], defended: bool) -> InjectionRecord {
         let mut t = PlatformFaultTarget;
         let mut rng = SimRng::seed(2025).fork("sdv-fault");
         t.apply(effects, defended, &mut rng)
+    }
+
+    // The keyed reference: the platform with its wallets, credentials and
+    // the full ceremony, each wallet sized to the signatures its role
+    // makes under the effects.
+
+    /// Signatures the OEM wallet of the keyed platform makes: one
+    /// credential per node and component it registers. After set-up only
+    /// placement attempts sign, one presentation from the component and
+    /// one from the node each; crashes and rollbacks sign nothing on the
+    /// platform, and restarting a node that is already gone signs nothing.
+    const OEM_SIGNATURES: usize = NODES + COMPONENTS;
+
+    /// Signatures a node wallet makes under `restarts` node restarts: at
+    /// most `⌈COMPONENTS/2⌉` first placements (round-robin over two
+    /// nodes), then at most one attempt per displaced component per
+    /// restart.
+    const fn node_signatures(restarts: usize) -> usize {
+        COMPONENTS.div_ceil(2) + restarts * COMPONENTS
+    }
+
+    /// Signatures a component wallet makes under `restarts` node
+    /// restarts: its first placement, then one attempt per surviving
+    /// node each time its host restarts.
+    const fn component_signatures(restarts: usize) -> usize {
+        1 + restarts * (NODES - 1)
+    }
+
+    // The most a list of effects can ask for, every node restarted once,
+    // fits each role in one 16-lane lockstep batch of leaves.
+    const _: () = assert!(
+        OEM_SIGNATURES <= 16 && node_signatures(NODES) <= 16 && component_signatures(NODES) <= 16
+    );
+
+    /// The capacities of the keyed platform under the effects `active`.
+    fn platform_capacities(active: &[&FaultEffect]) -> WalletCapacities {
+        let restarts = active
+            .iter()
+            .filter(|e| matches!(e, FaultEffect::RestartNode { .. }))
+            .count()
+            .min(NODES);
+        WalletCapacities {
+            oem: OEM_SIGNATURES,
+            node: node_signatures(restarts),
+            component: component_signatures(restarts),
+        }
+    }
+
+    /// Builds the keyed platform with the reference placements.
+    fn build_platform(rng: &mut SimRng, capacities: WalletCapacities) -> SdvPlatform {
+        let (mut platform, mut oem) = SdvPlatform::with_capacities(rng, capacities);
+        for i in 0..NODES {
+            platform
+                .register_node(rng, hw_node(i), &mut oem)
+                .expect("static node registers");
+        }
+        for i in 0..COMPONENTS {
+            platform
+                .register_component(rng, component(i), &mut oem)
+                .expect("static component registers");
+            platform
+                .place(&format!("svc-{i}"), &format!("hpc-{}", i % 2))
+                .expect("initial placement fits");
+        }
+        platform
+    }
+
+    impl NodeFaults for SdvPlatform {
+        fn placements(&self) -> &[Placement] {
+            SdvPlatform::placements(self)
+        }
+
+        fn restart(&mut self, node: &str) -> usize {
+            self.fail_node(node).map_or(0, |s| s.len())
+        }
+    }
+
+    /// `apply` on the keyed platform, built for every active effect list
+    /// with the wallet capacities `capacities` gives the list.
+    fn apply_keyed(
+        effects: &[FaultEffect],
+        defended: bool,
+        rng: &mut SimRng,
+        capacities: fn(&[&FaultEffect]) -> WalletCapacities,
+    ) -> InjectionRecord {
+        let t = PlatformFaultTarget;
+        let active = active_effects(effects);
+        if active.is_empty() {
+            return InjectionRecord::clean(t.layer(), t.name());
+        }
+        let platform = build_platform(rng, capacities(&active));
+        t.run_effects(&active, platform, defended, rng)
+    }
+
+    /// The keyed platform with the default 64 leaves in every wallet.
+    fn apply_eager(effects: &[FaultEffect], defended: bool, rng: &mut SimRng) -> InjectionRecord {
+        apply_keyed(effects, defended, rng, |_| WalletCapacities::all(64))
     }
 
     #[test]
@@ -304,9 +375,9 @@ mod tests {
         assert!(!undef.detected);
     }
 
-    /// Every node restarts (each restart re-places through the full
-    /// ceremony), then a crash and a rollback: the most signatures one
-    /// `apply` can make.
+    /// Every node restarts (on the keyed platform each restart re-places
+    /// through the full ceremony), then a crash and a rollback: the most
+    /// signatures one list of effects can make.
     fn worst_case() -> Vec<FaultEffect> {
         let mut worst: Vec<FaultEffect> = (0..NODES)
             .map(|node| FaultEffect::RestartNode { node })
@@ -320,9 +391,10 @@ mod tests {
 
     #[test]
     fn sized_platform_matches_the_default_under_the_worst_case() {
-        // The record must equal a 64-leaf platform's.
+        // The sized platform's record must equal a 64-leaf platform's.
         for defended in [true, false] {
-            let sized = apply(&worst_case(), defended);
+            let mut rng = SimRng::seed(2025).fork("sdv-fault");
+            let sized = apply_keyed(&worst_case(), defended, &mut rng, platform_capacities);
             let mut rng = SimRng::seed(2025).fork("sdv-fault");
             assert_eq!(sized, apply_eager(&worst_case(), defended, &mut rng));
         }
@@ -341,18 +413,6 @@ mod tests {
         let mut more = worst_case();
         more.push(FaultEffect::RestartNode { node: 1 });
         assert_eq!(roles(&more), (7, 14, 7));
-    }
-
-    /// The eager path: every active effect list builds the platform, with
-    /// the default 64 leaves in every wallet.
-    fn apply_eager(effects: &[FaultEffect], defended: bool, rng: &mut SimRng) -> InjectionRecord {
-        let t = PlatformFaultTarget;
-        let active = active_effects(effects);
-        if active.is_empty() {
-            return InjectionRecord::clean(t.layer(), t.name());
-        }
-        let platform = build_platform(rng, WalletCapacities::all(64));
-        t.run_effects(&active, Some(platform), defended, rng)
     }
 
     #[test]
@@ -384,6 +444,42 @@ mod tests {
                         after(&mut eager),
                         "stream after seed {seed}, defended {defended}, {effects:?}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keyless_placement_matches_the_keyed_reference() {
+        // Every list of up to two platform effects: the record and the
+        // next draw equal the sized keyed platform's.
+        let singles: Vec<FaultEffect> = (0..NODES)
+            .flat_map(|node| {
+                [
+                    FaultEffect::CrashNode { node },
+                    FaultEffect::RestartNode { node },
+                ]
+            })
+            .chain([FaultEffect::RollbackUpdate])
+            .collect();
+        let mut lists: Vec<Vec<FaultEffect>> = vec![Vec::new()];
+        for a in &singles {
+            lists.push(vec![*a]);
+            for b in &singles {
+                lists.push(vec![*a, *b]);
+            }
+        }
+        assert_eq!(lists.len(), 1 + 7 + 7 * 7);
+        for seed in [3, 7, 42] {
+            for defended in [true, false] {
+                for effects in &lists {
+                    let mut keyless = SimRng::seed(seed);
+                    let mut keyed = SimRng::seed(seed);
+                    let got = PlatformFaultTarget.apply(effects, defended, &mut keyless);
+                    let want = apply_keyed(effects, defended, &mut keyed, platform_capacities);
+                    let at = format!("seed {seed}, defended {defended}, {effects:?}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(keyless.next_u64(), keyed.next_u64(), "stream after {at}");
                 }
             }
         }

@@ -10,6 +10,11 @@
 //! software may have to be placed on other components" — is
 //! [`SdvPlatform::fail_node`], which re-places every hosted component
 //! with the full authentication ceremony.
+//!
+//! The placement rule itself (compatibility, capacity, re-placement in
+//! node-id order) lives apart from the keys, in `Deployment`; the
+//! ceremony is the gate the platform passes it. The fault target runs
+//! the same rule without keys (see [`crate::faults`]).
 
 use std::collections::HashMap;
 
@@ -53,217 +58,64 @@ impl WalletCapacities {
     }
 }
 
-/// The vehicle's software/hardware platform with its trust fabric.
-pub struct SdvPlatform {
-    registry: Registry,
-    /// Wallet per component (held by the component's vendor stack).
-    component_wallets: HashMap<String, Wallet>,
-    /// Wallet per node.
-    node_wallets: HashMap<String, Wallet>,
-    /// Vendor credentials per component.
-    component_credentials: HashMap<String, VerifiableCredential>,
-    /// Platform credentials per node.
-    node_credentials: HashMap<String, VerifiableCredential>,
+/// The components and nodes a platform knows, where each component
+/// runs, and the placement rule that moves them, without the credential
+/// ceremony that gates it. [`SdvPlatform`] runs the ceremony as the
+/// `gate` of every placement attempt; the fault target runs the rule
+/// with a gate that always lets the pair through.
+#[derive(Debug, Default)]
+pub(crate) struct Deployment {
     components: HashMap<String, SoftwareComponent>,
     nodes: HashMap<String, HardwareNode>,
     placements: Vec<Placement>,
     used_capacity: HashMap<String, u32>,
-    /// Signatures each node and component wallet created later can make.
-    capacities: WalletCapacities,
-    /// Count of signature verifications performed (for E8 accounting).
-    pub auth_operations: usize,
 }
 
-impl std::fmt::Debug for SdvPlatform {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SdvPlatform")
-            .field("components", &self.components.len())
-            .field("nodes", &self.nodes.len())
-            .field("placements", &self.placements.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl SdvPlatform {
-    /// Creates a platform whose trust registry has one OEM anchor.
-    /// Returns the platform and the OEM wallet (the integrator who signs
-    /// node and vendor credentials). Every wallet it creates holds the
-    /// default 64 leaves.
-    pub fn new(rng: &mut SimRng) -> (Self, Wallet) {
-        Self::with_capacities(rng, WalletCapacities::all(1 << DEFAULT_KEY_HEIGHT))
-    }
-
-    /// [`SdvPlatform::new`] for a short-lived platform: the OEM wallet,
-    /// and every node and component wallet registered later, can make
-    /// the signatures `capacities` gives its role. Every wallet draws the
-    /// same 32-byte key seed whatever its capacity.
-    pub fn with_capacities(rng: &mut SimRng, capacities: WalletCapacities) -> (Self, Wallet) {
-        let registry = Registry::new();
-        let oem = Wallet::with_capacity(rng, "oem-integrator", &registry, capacities.oem);
-        registry.add_trust_anchor(oem.did().clone(), "OEM");
-        (
-            Self {
-                registry,
-                component_wallets: HashMap::new(),
-                node_wallets: HashMap::new(),
-                component_credentials: HashMap::new(),
-                node_credentials: HashMap::new(),
-                components: HashMap::new(),
-                nodes: HashMap::new(),
-                placements: Vec::new(),
-                used_capacity: HashMap::new(),
-                capacities,
-                auth_operations: 0,
-            },
-            oem,
-        )
-    }
-
-    /// The shared trust registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Registers a hardware node, credentialed by `issuer` (normally the
-    /// OEM anchor).
-    ///
-    /// # Errors
-    ///
-    /// Propagates wallet/credential failures.
-    pub fn register_node(
-        &mut self,
-        rng: &mut SimRng,
-        node: HardwareNode,
-        issuer: &mut Wallet,
-    ) -> Result<(), SdvError> {
-        let wallet = Wallet::with_capacity(rng, &node.id, &self.registry, self.capacities.node);
-        let cred = issuer
-            .issue(
-                wallet.did().clone(),
-                serde_json::json!({"type": "platform-node", "id": (&node.id)}),
-                None,
-            )
-            .map_err(|e| SdvError::AuthFailed(e.to_string()))?;
-        self.node_credentials.insert(node.id.clone(), cred);
-        self.node_wallets.insert(node.id.clone(), wallet);
+impl Deployment {
+    pub(crate) fn add_node(&mut self, node: HardwareNode) {
         self.used_capacity.insert(node.id.clone(), 0);
         self.nodes.insert(node.id.clone(), node);
-        Ok(())
     }
 
-    /// Registers a software component, credentialed by `vendor_issuer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates wallet/credential failures.
-    pub fn register_component(
-        &mut self,
-        rng: &mut SimRng,
-        component: SoftwareComponent,
-        vendor_issuer: &mut Wallet,
-    ) -> Result<(), SdvError> {
-        let signatures = self.capacities.component;
-        let wallet = Wallet::with_capacity(rng, &component.id, &self.registry, signatures);
-        let cred = vendor_issuer
-            .issue(
-                wallet.did().clone(),
-                serde_json::json!({
-                    "type": "software-release",
-                    "id": (&component.id),
-                    "version": component.version_string(),
-                }),
-                None,
-            )
-            .map_err(|e| SdvError::AuthFailed(e.to_string()))?;
-        self.component_credentials
-            .insert(component.id.clone(), cred);
-        self.component_wallets.insert(component.id.clone(), wallet);
+    pub(crate) fn add_component(&mut self, component: SoftwareComponent) {
         self.components.insert(component.id.clone(), component);
-        Ok(())
     }
 
-    /// Current placements.
-    pub fn placements(&self) -> &[Placement] {
+    pub(crate) fn placements(&self) -> &[Placement] {
         &self.placements
     }
 
-    /// Node hosting `component`, if deployed.
-    pub fn host_of(&self, component: &str) -> Option<&str> {
-        self.placements
-            .iter()
-            .find(|p| p.component == component)
-            .map(|p| p.node.as_str())
-    }
-
-    /// Mutual authentication between a component and a node: each side
-    /// verifies the other's presentation against the registry and trust
-    /// anchors.
-    fn mutual_auth(&mut self, component: &str, node: &str) -> Result<(), SdvError> {
-        let comp_cred = self
-            .component_credentials
-            .get(component)
-            .ok_or_else(|| SdvError::NotFound(format!("component credential {component}")))?
-            .clone();
-        let node_cred = self
-            .node_credentials
-            .get(node)
-            .ok_or_else(|| SdvError::NotFound(format!("node credential {node}")))?
-            .clone();
-
-        // Node challenges the component.
-        let challenge_n = b"node-challenge";
-        let comp_wallet = self
-            .component_wallets
-            .get_mut(component)
-            .ok_or_else(|| SdvError::NotFound(format!("component wallet {component}")))?;
-        let vp = VerifiablePresentation::create(comp_wallet, vec![comp_cred], challenge_n)
-            .map_err(|e| SdvError::AuthFailed(e.to_string()))?;
-        vp.verify(&self.registry, challenge_n, 0)
-            .map_err(|e| SdvError::AuthFailed(format!("component side: {e}")))?;
-        self.auth_operations += 1;
-
-        // Component challenges the node.
-        let challenge_c = b"component-challenge";
-        let node_wallet = self
-            .node_wallets
-            .get_mut(node)
-            .ok_or_else(|| SdvError::NotFound(format!("node wallet {node}")))?;
-        let vp = VerifiablePresentation::create(node_wallet, vec![node_cred], challenge_c)
-            .map_err(|e| SdvError::AuthFailed(e.to_string()))?;
-        vp.verify(&self.registry, challenge_c, 0)
-            .map_err(|e| SdvError::AuthFailed(format!("node side: {e}")))?;
-        self.auth_operations += 1;
-        Ok(())
-    }
-
-    /// Deploys `component` onto `node` with the full zero-trust ceremony.
-    ///
-    /// # Errors
-    ///
-    /// [`SdvError::NotFound`], [`SdvError::AuthFailed`],
-    /// [`SdvError::Incompatible`], or [`SdvError::NoCapacity`].
-    pub fn place(&mut self, component: &str, node: &str) -> Result<(), SdvError> {
+    /// Deploys `component` onto `node` once `gate` admits the pair:
+    /// both must be known, then the gate runs, then compatibility and
+    /// capacity are checked and committed.
+    pub(crate) fn place<G>(
+        &mut self,
+        component: &str,
+        node: &str,
+        gate: &mut G,
+    ) -> Result<(), SdvError>
+    where
+        G: FnMut(&str, &str) -> Result<(), SdvError>,
+    {
         let comp = self
             .components
             .get(component)
-            .ok_or_else(|| SdvError::NotFound(format!("component {component}")))?
-            .clone();
+            .ok_or_else(|| SdvError::NotFound(format!("component {component}")))?;
         let hw = self
             .nodes
             .get(node)
-            .ok_or_else(|| SdvError::NotFound(format!("node {node}")))?
-            .clone();
+            .ok_or_else(|| SdvError::NotFound(format!("node {node}")))?;
 
-        self.mutual_auth(component, node)?;
-        compatibility(&comp, &hw).map_err(SdvError::Incompatible)?;
+        gate(component, node)?;
+        compatibility(comp, hw).map_err(SdvError::Incompatible)?;
+        let cost = comp.compute_cost;
         let used = self.used_capacity.get(node).copied().unwrap_or(0);
-        if used + comp.compute_cost > hw.compute_capacity {
+        if used + cost > hw.compute_capacity {
             return Err(SdvError::NoCapacity);
         }
         // Displace any previous placement of the component.
         self.remove_placement(component);
-        self.used_capacity
-            .insert(node.to_owned(), used + comp.compute_cost);
+        self.used_capacity.insert(node.to_owned(), used + cost);
         self.placements.push(Placement {
             component: component.to_owned(),
             node: node.to_owned(),
@@ -287,14 +139,12 @@ impl SdvPlatform {
     }
 
     /// Fails a node: every component it hosted is re-placed onto the
-    /// first compatible node with capacity, trying nodes in id order
-    /// (full ceremony each time). Returns components that could not be
-    /// re-placed.
-    ///
-    /// # Errors
-    ///
-    /// [`SdvError::NotFound`] for an unknown node.
-    pub fn fail_node(&mut self, node: &str) -> Result<Vec<String>, SdvError> {
+    /// first node, in id order, that [`Deployment::place`] accepts
+    /// through `gate`. Returns components that could not be re-placed.
+    pub(crate) fn fail_node<G>(&mut self, node: &str, gate: &mut G) -> Result<Vec<String>, SdvError>
+    where
+        G: FnMut(&str, &str) -> Result<(), SdvError>,
+    {
         if !self.nodes.contains_key(node) {
             return Err(SdvError::NotFound(format!("node {node}")));
         }
@@ -316,18 +166,234 @@ impl SdvPlatform {
         let mut candidate_nodes: Vec<String> = self.nodes.keys().cloned().collect();
         candidate_nodes.sort_unstable();
         for comp in displaced {
-            let mut placed = false;
-            for n in &candidate_nodes {
-                if self.place(&comp, n).is_ok() {
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
+            if !candidate_nodes
+                .iter()
+                .any(|n| self.place(&comp, n, gate).is_ok())
+            {
                 stranded.push(comp);
             }
         }
         Ok(stranded)
+    }
+}
+
+/// The key material of the mutual-authentication ceremony.
+struct Trust {
+    registry: Registry,
+    /// Wallet per component (held by the component's vendor stack).
+    component_wallets: HashMap<String, Wallet>,
+    /// Wallet per node.
+    node_wallets: HashMap<String, Wallet>,
+    /// Vendor credentials per component.
+    component_credentials: HashMap<String, VerifiableCredential>,
+    /// Platform credentials per node.
+    node_credentials: HashMap<String, VerifiableCredential>,
+}
+
+impl Trust {
+    /// Mutual authentication between a component and a node: each side
+    /// verifies the other's presentation against the registry and trust
+    /// anchors. Each verification that passes adds one to `auths`.
+    fn mutual_auth(
+        &mut self,
+        component: &str,
+        node: &str,
+        auths: &mut usize,
+    ) -> Result<(), SdvError> {
+        let comp_cred = self
+            .component_credentials
+            .get(component)
+            .ok_or_else(|| SdvError::NotFound(format!("component credential {component}")))?
+            .clone();
+        let node_cred = self
+            .node_credentials
+            .get(node)
+            .ok_or_else(|| SdvError::NotFound(format!("node credential {node}")))?
+            .clone();
+
+        // Node challenges the component.
+        let challenge_n = b"node-challenge";
+        let comp_wallet = self
+            .component_wallets
+            .get_mut(component)
+            .ok_or_else(|| SdvError::NotFound(format!("component wallet {component}")))?;
+        let vp = VerifiablePresentation::create(comp_wallet, vec![comp_cred], challenge_n)
+            .map_err(|e| SdvError::AuthFailed(e.to_string()))?;
+        vp.verify(&self.registry, challenge_n, 0)
+            .map_err(|e| SdvError::AuthFailed(format!("component side: {e}")))?;
+        *auths += 1;
+
+        // Component challenges the node.
+        let challenge_c = b"component-challenge";
+        let node_wallet = self
+            .node_wallets
+            .get_mut(node)
+            .ok_or_else(|| SdvError::NotFound(format!("node wallet {node}")))?;
+        let vp = VerifiablePresentation::create(node_wallet, vec![node_cred], challenge_c)
+            .map_err(|e| SdvError::AuthFailed(e.to_string()))?;
+        vp.verify(&self.registry, challenge_c, 0)
+            .map_err(|e| SdvError::AuthFailed(format!("node side: {e}")))?;
+        *auths += 1;
+        Ok(())
+    }
+}
+
+/// The vehicle's software/hardware platform with its trust fabric.
+pub struct SdvPlatform {
+    trust: Trust,
+    deployment: Deployment,
+    /// Signatures each node and component wallet created later can make.
+    capacities: WalletCapacities,
+    /// Count of signature verifications performed (for E8 accounting).
+    pub auth_operations: usize,
+}
+
+impl std::fmt::Debug for SdvPlatform {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SdvPlatform")
+            .field("components", &self.deployment.components.len())
+            .field("nodes", &self.deployment.nodes.len())
+            .field("placements", &self.deployment.placements.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl SdvPlatform {
+    /// Creates a platform whose trust registry has one OEM anchor.
+    /// Returns the platform and the OEM wallet (the integrator who signs
+    /// node and vendor credentials). Every wallet it creates holds the
+    /// default 64 leaves.
+    pub fn new(rng: &mut SimRng) -> (Self, Wallet) {
+        Self::with_capacities(rng, WalletCapacities::all(1 << DEFAULT_KEY_HEIGHT))
+    }
+
+    /// [`SdvPlatform::new`] for a short-lived platform: the OEM wallet,
+    /// and every node and component wallet registered later, can make
+    /// the signatures `capacities` gives its role. Every wallet draws the
+    /// same 32-byte key seed whatever its capacity.
+    pub fn with_capacities(rng: &mut SimRng, capacities: WalletCapacities) -> (Self, Wallet) {
+        let registry = Registry::new();
+        let oem = Wallet::with_capacity(rng, "oem-integrator", &registry, capacities.oem);
+        registry.add_trust_anchor(oem.did().clone(), "OEM");
+        (
+            Self {
+                trust: Trust {
+                    registry,
+                    component_wallets: HashMap::new(),
+                    node_wallets: HashMap::new(),
+                    component_credentials: HashMap::new(),
+                    node_credentials: HashMap::new(),
+                },
+                deployment: Deployment::default(),
+                capacities,
+                auth_operations: 0,
+            },
+            oem,
+        )
+    }
+
+    /// The shared trust registry.
+    pub fn registry(&self) -> &Registry {
+        &self.trust.registry
+    }
+
+    /// Registers a hardware node, credentialed by `issuer` (normally the
+    /// OEM anchor).
+    ///
+    /// # Errors
+    ///
+    /// Propagates wallet/credential failures.
+    pub fn register_node(
+        &mut self,
+        rng: &mut SimRng,
+        node: HardwareNode,
+        issuer: &mut Wallet,
+    ) -> Result<(), SdvError> {
+        let trust = &mut self.trust;
+        let wallet = Wallet::with_capacity(rng, &node.id, &trust.registry, self.capacities.node);
+        let cred = issuer
+            .issue(
+                wallet.did().clone(),
+                serde_json::json!({"type": "platform-node", "id": (&node.id)}),
+                None,
+            )
+            .map_err(|e| SdvError::AuthFailed(e.to_string()))?;
+        trust.node_credentials.insert(node.id.clone(), cred);
+        trust.node_wallets.insert(node.id.clone(), wallet);
+        self.deployment.add_node(node);
+        Ok(())
+    }
+
+    /// Registers a software component, credentialed by `vendor_issuer`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates wallet/credential failures.
+    pub fn register_component(
+        &mut self,
+        rng: &mut SimRng,
+        component: SoftwareComponent,
+        vendor_issuer: &mut Wallet,
+    ) -> Result<(), SdvError> {
+        let trust = &mut self.trust;
+        let signatures = self.capacities.component;
+        let wallet = Wallet::with_capacity(rng, &component.id, &trust.registry, signatures);
+        let cred = vendor_issuer
+            .issue(
+                wallet.did().clone(),
+                serde_json::json!({
+                    "type": "software-release",
+                    "id": (&component.id),
+                    "version": component.version_string(),
+                }),
+                None,
+            )
+            .map_err(|e| SdvError::AuthFailed(e.to_string()))?;
+        trust
+            .component_credentials
+            .insert(component.id.clone(), cred);
+        trust.component_wallets.insert(component.id.clone(), wallet);
+        self.deployment.add_component(component);
+        Ok(())
+    }
+
+    /// Current placements.
+    pub fn placements(&self) -> &[Placement] {
+        self.deployment.placements()
+    }
+
+    /// Node hosting `component`, if deployed.
+    pub fn host_of(&self, component: &str) -> Option<&str> {
+        self.placements()
+            .iter()
+            .find(|p| p.component == component)
+            .map(|p| p.node.as_str())
+    }
+
+    /// Deploys `component` onto `node` with the full zero-trust ceremony.
+    ///
+    /// # Errors
+    ///
+    /// [`SdvError::NotFound`], [`SdvError::AuthFailed`],
+    /// [`SdvError::Incompatible`], or [`SdvError::NoCapacity`].
+    pub fn place(&mut self, component: &str, node: &str) -> Result<(), SdvError> {
+        let (trust, auths) = (&mut self.trust, &mut self.auth_operations);
+        self.deployment
+            .place(component, node, &mut |c, n| trust.mutual_auth(c, n, auths))
+    }
+
+    /// Fails a node: every component it hosted is re-placed onto the
+    /// first compatible node with capacity, trying nodes in id order
+    /// (full ceremony each time). Returns components that could not be
+    /// re-placed.
+    ///
+    /// # Errors
+    ///
+    /// [`SdvError::NotFound`] for an unknown node.
+    pub fn fail_node(&mut self, node: &str) -> Result<Vec<String>, SdvError> {
+        let (trust, auths) = (&mut self.trust, &mut self.auth_operations);
+        self.deployment
+            .fail_node(node, &mut |c, n| trust.mutual_auth(c, n, auths))
     }
 }
 

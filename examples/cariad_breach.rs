@@ -38,11 +38,12 @@ fn main() {
         ("fully hardened", DefenseConfig::hardened()),
     ];
 
-    let fleet = 800_000 / 100; // scaled-down synthetic fleet
+    // One scaled-down synthetic fleet; every configuration attacks the
+    // same records.
+    let mut rng = SimRng::seed(38);
+    let fleet = TelemetryBackend::build(800_000 / 100, DefenseConfig::none(), &mut rng);
     for (label, cfg) in configs {
-        let mut rng = SimRng::seed(38);
-        let backend = TelemetryBackend::build(fleet, cfg, &mut rng);
-        let report = Attacker::new().execute(&backend, &mut rng);
+        let report = Attacker::new().execute(&fleet.with_defenses(cfg), &mut rng);
 
         print!("{label:<28} | chain: ");
         for stage in KillChainStage::ALL {
