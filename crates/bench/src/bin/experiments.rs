@@ -216,12 +216,14 @@ const _: () = assert!(MAX_VEHICLES <= u32::MAX as usize);
 /// it: 20 000 ticks peak near 100 MB, 100 000 near 0.5 GB.
 const MAX_TICKS: usize = 100_000;
 
-/// The largest `generate --count`. The default graph holds only 13 714
-/// distinct walks of up to six steps, so a larger request mostly spends
-/// its 64 attempts per campaign on repeats: on a 2-vCPU Xeon 4096
-/// campaigns compose in about 0.02 s, and 16384 requests take 1.1 s to
-/// keep all 13 714. Every kept campaign is then replayed `--trials` times
-/// under two postures.
+/// The largest `generate --count` and `fleet --campaign generated:N`,
+/// which composes its pool the same way. The default graph holds only
+/// 13 714 distinct walks of up to six steps, so a larger request mostly
+/// spends its 64 attempts per campaign on repeats: on a 2-vCPU Xeon
+/// 4096 campaigns compose in about 0.02 s, and 16384 requests take
+/// 1.1 s to keep all 13 714 (a fleet asking for 100 000 spent 6.4 s).
+/// `generate` then replays every kept campaign `--trials` times under
+/// two postures.
 const MAX_CAMPAIGNS: usize = 4096;
 
 /// The largest `generate --trials`: `par_trials` keeps one result per
@@ -434,8 +436,8 @@ const FLEET: Grammar<FleetArgs> = Grammar {
         Flag {
             names: &["--fidelity"],
             help: "attack-resolution tier (default calibrated; see below)",
-            takes: Takes::Value("live|calibrated|mixed:K", |a, v| {
-                let expected = "live, calibrated or mixed:K (K >= 1)";
+            takes: Takes::Value("live|calibrated", |a, v| {
+                let expected = "live or calibrated";
                 set(&mut a.cfg.fidelity, Fidelity::parse(v).ok_or(expected))
             }),
         },
@@ -443,8 +445,12 @@ const FLEET: Grammar<FleetArgs> = Grammar {
             names: &["--campaign"],
             help: "where attack pressure comes from (default fixed; see below)",
             takes: Takes::Value("fixed|generated:N", |a, v| {
-                let expected = "fixed or generated:N (N >= 1)";
-                set(&mut a.cfg.campaign, CampaignMode::parse(v).ok_or(expected))
+                let expected = "fixed or generated:N (1 <= N <= 4096)";
+                let campaign = CampaignMode::parse(v).filter(|c| match c {
+                    CampaignMode::Generated { count } => *count <= MAX_CAMPAIGNS,
+                    CampaignMode::Fixed => true,
+                });
+                set(&mut a.cfg.campaign, campaign.ok_or(expected))
             }),
         },
         Flag {
@@ -486,15 +492,14 @@ const FLEET: Grammar<FleetArgs> = Grammar {
   continuous attack, fault and defense pressure for the given number of
   ticks. --fidelity picks the attack-resolution tier: 'calibrated'
   (default) resolves attacks against an outcome table calibrated from
-  the live scenario models, 'live' replays every model end to end, and
-  'mixed:K' (K >= 1) runs calibrated state with ~every Kth resolution
-  shadowed by a live replay feeding a drift statistic.
+  the live scenario models, and 'live' replays every model end to end.
 
   --campaign picks where direct attack pressure comes from: 'fixed'
-  (default) replays the paper's step catalog, 'generated:N' (N >= 1)
-  composes a pool of N capability-consistent multi-step campaigns from
-  the calibrated attack graph (seeded by --seed) and replays those.
-  Generated runs stay bit-identical across --shards and --fidelity.
+  (default) replays the paper's step catalog, 'generated:N'
+  (1 <= N <= 4096, as for generate --count) composes a pool of N
+  capability-consistent multi-step campaigns from the calibrated attack
+  graph (seeded by --seed) and replays those. Generated runs stay
+  bit-identical across --shards and --fidelity.
 
   --defender arms the fleet-wide defense policy: 'static' spends
   --defender-budget up front hardening layers, 'closed-loop' holds it
@@ -712,14 +717,6 @@ fn fleet_main(args: FleetArgs) -> ExitCode {
         totals.recoveries,
         totals.backend_breaches
     );
-    if report.drift.probes > 0 {
-        println!(
-            "drift: {} live probes, agreement {:.4}, success gap {:+.4}",
-            report.drift.probes,
-            report.drift.agreement_rate(),
-            report.drift.success_gap()
-        );
-    }
     if let Some(d) = &report.defender {
         let dj = d.to_json();
         println!(
@@ -1245,17 +1242,22 @@ mod tests {
         assert_eq!(ticks, MAX_TICKS as u64);
         let a = gen(&["--count", "4096", "--trials", "1000000"]).unwrap();
         assert_eq!((a.cfg.count, a.trials), (MAX_CAMPAIGNS, MAX_TRIALS));
+        let a = fleet(&["--campaign", "generated:4096"]).unwrap();
+        let count = MAX_CAMPAIGNS;
+        assert_eq!(a.cfg.campaign, CampaignMode::Generated { count });
         assert_eq!(suite(&["-t", "50"]).unwrap().trials_scale, MAX_TRIALS_SCALE);
     }
 
     #[test]
     fn fleet_fidelity_rejects_zero_period() {
-        let err = fleet(&["--fidelity", "mixed:0"]).unwrap_err();
-        assert!(err.contains("mixed:K (K >= 1)"), "{err}");
-        let err = fleet(&["--fidelity", "tables"]).unwrap_err();
-        assert!(err.contains("--fidelity"), "{err}");
-        let ok = fleet(&["--fidelity", "mixed:16"]).unwrap();
-        assert_eq!(ok.cfg.fidelity, Fidelity::Mixed { every: 16 });
+        for bad in ["mixed:0", "mixed:4", "tables"] {
+            assert_eq!(
+                fleet(&["--fidelity", bad]).unwrap_err(),
+                format!("invalid --fidelity {bad:?}: expected live or calibrated")
+            );
+        }
+        let ok = fleet(&["--fidelity", "live"]).unwrap();
+        assert_eq!(ok.cfg.fidelity, Fidelity::Live);
     }
 
     #[test]
@@ -1292,9 +1294,12 @@ mod tests {
         assert_eq!(ok.cfg.campaign, CampaignMode::Generated { count: 12 });
         let ok = fleet(&["--campaign", "fixed"]).unwrap();
         assert_eq!(ok.cfg.campaign, CampaignMode::Fixed);
-        for bad in ["generated:0", "generated", "scripted"] {
+        for bad in ["generated:0", "generated:4097", "generated", "scripted"] {
             let err = fleet(&["--campaign", bad]).unwrap_err();
-            assert!(err.contains("fixed or generated:N"), "{bad}: {err}");
+            assert!(
+                err.contains("fixed or generated:N (1 <= N <= 4096)"),
+                "{bad}: {err}"
+            );
         }
     }
 
@@ -1487,14 +1492,14 @@ mod tests {
             (
                 "fleet",
                 "--fidelity",
-                "mixed:0",
-                "expected live, calibrated or mixed:K (K >= 1)",
+                "mixed:4",
+                "expected live or calibrated",
             ),
             (
                 "fleet",
                 "--campaign",
                 "generated:0",
-                "expected fixed or generated:N (N >= 1)",
+                "expected fixed or generated:N (1 <= N <= 4096)",
             ),
             (
                 "fleet",

@@ -104,6 +104,10 @@ fn oversized_sizes_exit_2() {
         "invalid --count \"1000000000000\": expected a positive integer up to 4096",
     );
     rejects(
+        &["fleet", "--campaign", "generated:4097"],
+        "invalid --campaign \"generated:4097\": expected fixed or generated:N (1 <= N <= 4096)",
+    );
+    rejects(
         &["--trials-scale", "1e30", "E2"],
         "invalid --trials-scale \"1e30\": expected a positive number up to 50",
     );

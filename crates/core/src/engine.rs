@@ -339,8 +339,9 @@ impl ScenarioEngine for StepOutcomeTable {
     }
     /// Two Bernoulli draws against the calibrated cell: success, then
     /// alert. Active fault effects in `ctx` do not modulate a table
-    /// lookup (they do modulate live execution) — the fidelity gap the
-    /// mixed-mode drift probes measure.
+    /// lookup (they do modulate live execution). E21 compares the
+    /// table with the live models fault-free only, so that gap is not
+    /// measured.
     fn resolve(&self, idx: usize, ctx: &PostureCtx<'_>, rng: &mut SimRng) -> StepOutcome {
         let stats = self.stats_for(idx, ctx.posture);
         let succeeded = rng.chance(stats.success);

@@ -1,7 +1,7 @@
 //! HKDF-SHA256 (RFC 5869): extract-then-expand key derivation.
 //!
-//! Used across the workbench to derive session keys (MACsec SAKs, SECOC
-//! session keys, CANsec keys) from long-term pairwise secrets.
+//! Derives session keys from long-term pre-shared secrets (the DTLS
+//! record keys of `autosec-secproto`).
 
 use crate::hmac::HmacSha256;
 use crate::CryptoError;
@@ -73,18 +73,6 @@ impl Hkdf {
     ) -> Result<Vec<u8>, CryptoError> {
         Self::extract(salt, ikm).expand(info, len)
     }
-
-    /// Convenience: derives a fixed 16-byte (AES-128) key.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: 16 is always a valid length.
-    pub fn derive_key16(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; 16] {
-        let v = Self::derive(salt, ikm, info, 16).expect("16 bytes is always valid");
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&v);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +128,8 @@ mod tests {
 
     #[test]
     fn info_separates_keys() {
-        let a = Hkdf::derive_key16(b"salt", b"secret", b"key-a");
-        let b = Hkdf::derive_key16(b"salt", b"secret", b"key-b");
+        let a = Hkdf::derive(b"salt", b"secret", b"key-a", 16).unwrap();
+        let b = Hkdf::derive(b"salt", b"secret", b"key-b", 16).unwrap();
         assert_ne!(a, b);
     }
 

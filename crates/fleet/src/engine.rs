@@ -7,7 +7,7 @@
 //!    vehicle ingests one telemetry frame and steps its state machine:
 //!    fault onsets from the [`FaultPlan`] hit an exposed subset through
 //!    the real per-layer [`target_for`] adapters; rare direct attacks
-//!    resolve through the run's [`ScenarioEngine`] (see *fidelity*
+//!    resolve through the run's one attack resolver (see *fidelity*
 //!    below); and epidemic V2X infection spreads with pressure
 //!    proportional to the previous tick's compromised fraction,
 //!    resolved against the calibrated ghost-object edge of the attack
@@ -35,9 +35,8 @@
 //!    the action, and the action is applied back (filter/rekey relief,
 //!    isolation, limp-home). A verified repair clears the strikes after
 //!    that tick's responses.
-//! 2. **Merge** — the shards' outputs are additive: totals, drift
-//!    counters and the answered alerts, tallied per layer for the
-//!    closed-loop defender.
+//! 2. **Merge** — the shards' outputs are additive: totals and the
+//!    answered alerts, tallied per layer for the closed-loop defender.
 //! 3. **Backend phase** — the Fig. 8 kill chain runs as a live breach
 //!    process on its own fleet-level RNG stream: while the backend is
 //!    breached, infection pressure doubles (bulk telemetry access).
@@ -47,7 +46,8 @@
 //! Direct attacks are the hot path's only expensive event: a live
 //! [`ScenarioStep`](autosec_core::scenario::ScenarioStep) replays its
 //! whole model (~ms), which caps fleet throughput far below the
-//! state-machine floor. [`Fidelity`] picks the resolution tier:
+//! state-machine floor. [`Fidelity`] picks the resolution tier of a
+//! fixed-campaign run:
 //!
 //! - [`Fidelity::Calibrated`] (default) — attacks resolve against a
 //!   [`StepOutcomeTable`] calibrated from the live models at
@@ -55,12 +55,12 @@
 //!   distribution at the calibrated posture.
 //! - [`Fidelity::Live`] — every attack replays the live model, the
 //!   pre-table behaviour (same per-vehicle draw sequence).
-//! - [`Fidelity::Mixed`]`{ every }` — state evolves exactly as
-//!   `Calibrated` (snapshots are bit-identical to it for any `every`),
-//!   but roughly one in `every` resolutions is *shadowed* by a live
-//!   replay on a dedicated forked substream (`fleet/drift`), feeding
-//!   the run's [`DriftStats`] — a continuous measurement of what the
-//!   table abstraction costs.
+//!
+//! A [`CampaignMode::Generated`] run walks its campaign pool over the
+//! attack graph at either fidelity and holds neither tier. Each run
+//! holds exactly the one resolver it uses, chosen at construction.
+//! How far the table strays from the live models is audited by E21
+//! (`e21-fidelity-drift`), not by the fleet.
 //!
 //! ## Determinism contract
 //!
@@ -68,12 +68,11 @@
 //! tick inputs are pure functions of the *previous* tick's census;
 //! a vehicle's alerts are answered in order against its own strikes
 //! only; shard outputs merge by addition; the backend stream is
-//! engine-level; drift probes draw from their own `fork_idx(id)` /
-//! `fork_idx(tick)` substreams and are triggered by `(id, tick)`
-//! arithmetic, not by any global counter. Therefore a run is
-//! bit-identical at any `--shards` count — in every fidelity mode —
-//! the property [`FleetReport::canonical_json`] exposes and CI diffs.
+//! engine-level. Therefore a run is bit-identical at any `--shards`
+//! count — in every fidelity and campaign mode — the property
+//! [`FleetReport::canonical_json`] exposes and CI diffs.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use autosec_adversary::{calibrated_graph, AttackGraph, CalibrationConfig, EdgeSource, ProbPoint};
@@ -104,7 +103,8 @@ const REALERT_P: f64 = 0.3;
 /// telemetry access lets the attacker target V2X sessions).
 const BREACH_PRESSURE_MULT: f64 = 2.0;
 
-/// Which tier of the two-tier scenario engine resolves direct attacks.
+/// Which tier of the two-tier scenario engine resolves fixed-campaign
+/// attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Every attack replays the live scenario model end to end.
@@ -112,25 +112,14 @@ pub enum Fidelity {
     /// Every attack resolves against the calibrated
     /// [`StepOutcomeTable`] (two Bernoulli draws).
     Calibrated,
-    /// Table-driven state evolution (snapshots identical to
-    /// [`Fidelity::Calibrated`]), with roughly one in `every`
-    /// resolutions shadowed by a live replay feeding [`DriftStats`].
-    Mixed {
-        /// Probe period: a resolution is shadowed when
-        /// `(vehicle_id + tick) % every == 0` — shard-invariant by
-        /// construction. Must be positive.
-        every: u64,
-    },
 }
 
 impl Fidelity {
-    /// Stable label for artifacts and the CLI: `live`, `calibrated`,
-    /// or `mixed:K`.
-    pub fn label(&self) -> String {
+    /// Stable label for artifacts and the CLI: `live` or `calibrated`.
+    pub fn label(&self) -> &'static str {
         match self {
-            Fidelity::Live => "live".to_owned(),
-            Fidelity::Calibrated => "calibrated".to_owned(),
-            Fidelity::Mixed { every } => format!("mixed:{every}"),
+            Fidelity::Live => "live",
+            Fidelity::Calibrated => "calibrated",
         }
     }
 
@@ -139,11 +128,7 @@ impl Fidelity {
         match s {
             "live" => Some(Fidelity::Live),
             "calibrated" => Some(Fidelity::Calibrated),
-            _ => s
-                .strip_prefix("mixed:")
-                .and_then(|k| k.parse::<u64>().ok())
-                .filter(|&k| k > 0)
-                .map(|every| Fidelity::Mixed { every }),
+            _ => None,
         }
     }
 }
@@ -340,84 +325,6 @@ fn layer_index(layer: ArchLayer) -> usize {
         .expect("layer is in ALL")
 }
 
-/// Mixed-fidelity drift accounting: how often the table's resolution
-/// of an attack agreed with a shadow live replay of the same attack.
-///
-/// Counters are additive (shard merge is order-independent) and every
-/// probe is a pure function of `(seed, vehicle_id, tick)` — so drift
-/// numbers are as shard-invariant as the snapshots they ride beside.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DriftStats {
-    /// Resolutions shadowed by a live replay.
-    pub probes: u64,
-    /// Probes where table and live agreed on `(succeeded, detected)`.
-    pub agreements: u64,
-    /// Probes the table resolved as a success.
-    pub table_successes: u64,
-    /// Probes the live replay resolved as a success.
-    pub live_successes: u64,
-    /// Probes the table resolved as detected.
-    pub table_detects: u64,
-    /// Probes the live replay resolved as detected.
-    pub live_detects: u64,
-}
-
-impl DriftStats {
-    /// Records one shadowed resolution.
-    pub fn record(&mut self, table: (bool, bool), live: (bool, bool)) {
-        self.probes += 1;
-        if table == live {
-            self.agreements += 1;
-        }
-        self.table_successes += u64::from(table.0);
-        self.live_successes += u64::from(live.0);
-        self.table_detects += u64::from(table.1);
-        self.live_detects += u64::from(live.1);
-    }
-
-    /// Folds another block in (addition only).
-    pub fn absorb(&mut self, other: &DriftStats) {
-        self.probes += other.probes;
-        self.agreements += other.agreements;
-        self.table_successes += other.table_successes;
-        self.live_successes += other.live_successes;
-        self.table_detects += other.table_detects;
-        self.live_detects += other.live_detects;
-    }
-
-    /// Fraction of probes where both outcome bits agreed (1 when no
-    /// probes ran).
-    pub fn agreement_rate(&self) -> f64 {
-        if self.probes == 0 {
-            1.0
-        } else {
-            self.agreements as f64 / self.probes as f64
-        }
-    }
-
-    /// Absolute success-rate gap between the two tiers over the probed
-    /// sample (0 when no probes ran).
-    pub fn success_gap(&self) -> f64 {
-        if self.probes == 0 {
-            0.0
-        } else {
-            (self.table_successes as f64 - self.live_successes as f64).abs() / self.probes as f64
-        }
-    }
-
-    /// Canonical JSON body.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "probes": self.probes,
-            "agreements": self.agreements,
-            "table_successes": self.table_successes,
-            "live_successes": self.live_successes,
-            "table_detects": self.table_detects,
-            "live_detects": self.live_detects,
-        })
-    }
-}
-
 /// A fault onset resolved to a fleet-level **reference injection**.
 ///
 /// Running the real per-layer adapter for every exposed vehicle would
@@ -465,15 +372,19 @@ pub struct TickInputs {
     pub active_faults: [Vec<FaultEffect>; 6],
 }
 
-/// The mixed-fidelity shadow-probe context.
-struct ProbeEnv<'a> {
-    /// The live tier the probes replay against.
-    live: &'a LiveScenarioEngine,
-    /// The dedicated drift stream (`root.fork("fleet/drift")`); probes
-    /// fork it by vehicle id then tick.
-    base: SimRng,
-    /// Probe period.
-    every: u64,
+/// What resolves a run's direct attacks: chosen once in
+/// [`FleetEngine::with_parts`] from the campaign mode and fidelity.
+#[derive(Clone)]
+enum Resolver {
+    /// A fixed-campaign [`Fidelity::Live`] run: every attack replays
+    /// its step.
+    Live(Arc<LiveScenarioEngine>),
+    /// A fixed-campaign [`Fidelity::Calibrated`] run: two draws
+    /// against the table.
+    Table(StepOutcomeTable),
+    /// A [`CampaignMode::Generated`] run at either fidelity: each
+    /// attack walks one campaign of the pool over the graph.
+    Walk(Vec<GeneratedCampaign>),
 }
 
 /// Per-tick environment for the per-vehicle step. Everything here is
@@ -482,13 +393,10 @@ struct ProbeEnv<'a> {
 /// recomputed.
 struct StepEnv<'a> {
     cfg: &'a FleetConfig,
-    /// The tier resolving direct attacks this run.
-    engine: &'a dyn ScenarioEngine,
-    /// Present in mixed fidelity only.
-    probe: Option<ProbeEnv<'a>>,
-    /// Present in generated-campaign mode only: the graph the walks
-    /// replay over and the generated pool.
-    generated: Option<(&'a AttackGraph, &'a [GeneratedCampaign])>,
+    /// What resolves direct attacks this run.
+    resolver: &'a Resolver,
+    /// The graph a generated campaign walks over.
+    graph: &'a AttackGraph,
     /// The posture in force this tick (the configured posture unless a
     /// defender hardened layers).
     posture: DefensePosture,
@@ -647,50 +555,23 @@ fn step_vehicle(
             // snapshots are identical across fidelity modes and shard
             // counts by the same argument as every other vehicle draw.
             if env.cfg.attack_rate > 0.0 && cols.rng[i].chance(env.cfg.attack_rate) {
-                if let Some((graph, pool)) = env.generated {
-                    out.counters.attacks_attempted += 1;
-                    let si = (cols.rng[i].next_u64() % pool.len() as u64) as usize;
-                    let campaign = &pool[si];
-                    let walk = campaign.walk(graph, &env.posture, &mut cols.rng[i], |layer| {
-                        out.alerts.push((i, layer));
-                    });
-                    if walk.breached {
-                        out.counters.attacks_succeeded += 1;
-                        let last = *campaign.edges.last().expect("non-empty");
-                        cols.compromise(i, inputs.tick, graph.edges()[last].layer);
-                        cols.flagged[i] = walk.alerted;
-                    }
-                } else {
-                    out.counters.attacks_attempted += 1;
-                    let idx = (cols.rng[i].next_u64() % env.engine.step_count() as u64) as usize;
-                    let layer = env.engine.step_layer(idx);
-                    let ctx = PostureCtx {
-                        posture: &env.posture,
-                        faults: &inputs.active_faults[layer_index(layer)],
-                    };
-                    let outcome = env.engine.resolve(idx, &ctx, &mut cols.rng[i]);
-                    // Mixed fidelity: shadow this resolution with a
-                    // live replay on the drift stream. The shadow never
-                    // touches vehicle state or its RNG — snapshots stay
-                    // identical to pure calibrated mode.
-                    if let Some(probe) = &env.probe {
-                        let id = u64::from(cols.id(i));
-                        if (id + inputs.tick).is_multiple_of(probe.every) {
-                            let mut stream = probe.base.fork_idx(id).fork_idx(inputs.tick);
-                            let live_out = probe.live.resolve(idx, &ctx, &mut stream);
-                            out.drift.record(
-                                (outcome.succeeded, outcome.detected),
-                                (live_out.succeeded, live_out.detected),
-                            );
+                out.counters.attacks_attempted += 1;
+                match env.resolver {
+                    Resolver::Live(live) => step_attack(&**live, cols, i, env, inputs, out),
+                    Resolver::Table(table) => step_attack(table, cols, i, env, inputs, out),
+                    Resolver::Walk(pool) => {
+                        let si = (cols.rng[i].next_u64() % pool.len() as u64) as usize;
+                        let campaign = &pool[si];
+                        let walk =
+                            campaign.walk(env.graph, &env.posture, &mut cols.rng[i], |layer| {
+                                out.alerts.push((i, layer));
+                            });
+                        if walk.breached {
+                            out.counters.attacks_succeeded += 1;
+                            let last = *campaign.edges.last().expect("non-empty");
+                            cols.compromise(i, inputs.tick, env.graph.edges()[last].layer);
+                            cols.flagged[i] = walk.alerted;
                         }
-                    }
-                    if outcome.succeeded {
-                        out.counters.attacks_succeeded += 1;
-                        cols.compromise(i, inputs.tick, layer);
-                        cols.flagged[i] = outcome.detected;
-                    }
-                    if outcome.detected {
-                        out.alerts.push((i, layer));
                     }
                 }
             }
@@ -747,6 +628,34 @@ fn step_vehicle(
     }
 }
 
+/// A fixed-campaign attack: one uniformly drawn registry step,
+/// resolved by `engine` under the in-force posture and the attacked
+/// layer's active faults.
+fn step_attack(
+    engine: &dyn ScenarioEngine,
+    cols: &mut FleetColumns<'_>,
+    i: usize,
+    env: &StepEnv<'_>,
+    inputs: &TickInputs,
+    out: &mut ShardOutput,
+) {
+    let idx = (cols.rng[i].next_u64() % engine.step_count() as u64) as usize;
+    let layer = engine.step_layer(idx);
+    let ctx = PostureCtx {
+        posture: &env.posture,
+        faults: &inputs.active_faults[layer_index(layer)],
+    };
+    let outcome = engine.resolve(idx, &ctx, &mut cols.rng[i]);
+    if outcome.succeeded {
+        out.counters.attacks_succeeded += 1;
+        cols.compromise(i, inputs.tick, layer);
+        cols.flagged[i] = outcome.detected;
+    }
+    if outcome.detected {
+        out.alerts.push((i, layer));
+    }
+}
+
 /// What [`step_vehicle`] does once a `Compromised` or `Isolated`
 /// vehicle's one draw hits: the alert (flagging a silent compromise
 /// first), or the verified recovery.
@@ -771,31 +680,26 @@ fn one_draw_event(cols: &mut FleetColumns<'_>, i: usize, tick: u64, out: &mut Sh
 ///
 /// The engine is `Clone`, and cloning is cheap relative to
 /// construction: the columnar state copies dense arrays, while
-/// construction replays real fault adapters and (unless a table is
-/// shared) calibrates live models.
+/// construction replays real fault adapters and (for a calibrated
+/// fixed-campaign run without a shared table) calibrates live models.
 #[derive(Clone)]
 pub struct FleetEngine {
     cfg: FleetConfig,
     graph: AttackGraph,
-    /// The calibrated tier; `None` only in [`Fidelity::Live`] runs.
-    table: Option<StepOutcomeTable>,
+    resolver: Resolver,
     state: FleetState,
     plan: FaultPlan,
     /// `(onset_tick, reference injection)` per fault spec, resolved
     /// once at construction on the `fleet/faults/ref` stream.
     onsets: Vec<(u64, FaultOnset)>,
-    /// Generated campaign pool (empty in [`CampaignMode::Fixed`]) — a
-    /// pure function of `(graph topology, seed, count)`, composed at
-    /// construction.
-    sequences: Vec<GeneratedCampaign>,
     /// The fleet-wide defense policy (inert unless configured active).
     defender: FleetDefender,
 }
 
 impl FleetEngine {
-    /// Builds the engine, calibrating the attack graph — and, outside
-    /// [`Fidelity::Live`], the step outcome table — from the live
-    /// models (`calibration_trials` per edge/cell; `shards` only
+    /// Builds the engine, calibrating the attack graph — and, for a
+    /// calibrated fixed-campaign run, the step outcome table — from the
+    /// live models (`calibration_trials` per edge/cell; `shards` only
     /// parallelizes the calibration, never changes it).
     ///
     /// # Panics
@@ -809,27 +713,29 @@ impl FleetEngine {
 
     /// Builds the engine around a pre-calibrated graph (the graph
     /// carries both posture sides, so one calibration serves every
-    /// posture in a sweep). The outcome table, if the fidelity needs
-    /// one, is calibrated here.
+    /// posture in a sweep). The outcome table, if the run needs one, is
+    /// calibrated here.
     ///
     /// # Panics
     ///
-    /// Panics if `vehicles` or `ticks` is zero.
+    /// Panics if `vehicles` or `ticks` is zero, or if a generated
+    /// campaign pool comes out empty.
     pub fn with_graph(cfg: FleetConfig, graph: AttackGraph) -> Self {
         Self::with_parts(cfg, graph, None)
     }
 
     /// Builds the engine around a pre-calibrated graph and,
     /// optionally, a shared pre-calibrated [`StepOutcomeTable`] (one
-    /// depth-ladder table can serve a whole posture sweep). When
-    /// `table` is `None` and the fidelity is not [`Fidelity::Live`], a
-    /// single-posture table is calibrated on the `fleet/table`
-    /// substream.
+    /// depth-ladder table can serve a whole posture sweep). Only a
+    /// calibrated fixed-campaign run reads a table: when `table` is
+    /// `None` there, one is calibrated on the `fleet/table` substream;
+    /// a table passed to a live or generated-campaign run is dropped.
     ///
     /// # Panics
     ///
-    /// Panics if `vehicles` or `ticks` is zero, or if a
-    /// [`Fidelity::Mixed`] period is zero.
+    /// Panics if `vehicles` or `ticks` is zero, if a generated campaign
+    /// pool comes out empty, or if a closed-loop run is handed a table
+    /// that does not cover the postures its defender can reach.
     pub fn with_parts(
         mut cfg: FleetConfig,
         graph: AttackGraph,
@@ -837,9 +743,6 @@ impl FleetEngine {
     ) -> Self {
         assert!(cfg.vehicles > 0, "fleet needs at least one vehicle");
         assert!(cfg.ticks > 0, "fleet needs at least one tick");
-        if let Fidelity::Mixed { every } = cfg.fidelity {
-            assert!(every > 0, "mixed fidelity needs a positive probe period");
-        }
         // A static defender spends its whole budget hardening the
         // configured posture *now*, before calibration and fault
         // references, so the entire run sees the hardened posture. A
@@ -847,9 +750,22 @@ impl FleetEngine {
         let mut defender = FleetDefender::new(cfg.defender, cfg.defender_budget);
         defender.prespend_static(&mut cfg.posture);
         let root = SimRng::seed(cfg.seed);
-        let table = match cfg.fidelity {
-            Fidelity::Live => None,
-            _ => Some(match table {
+        let resolver = match (cfg.campaign, cfg.fidelity) {
+            // Generated-campaign pool: composed from the run's own
+            // calibrated graph, seeded by the fleet seed (generation
+            // derives its own substreams and touches no fleet stream).
+            (CampaignMode::Generated { count }, _) => {
+                let pool = generate(&graph, &GenConfig::new(count, GENERATED_MAX_LEN, cfg.seed));
+                assert!(
+                    !pool.is_empty(),
+                    "generated-campaign mode produced an empty pool"
+                );
+                Resolver::Walk(pool)
+            }
+            (CampaignMode::Fixed, Fidelity::Live) => {
+                Resolver::Live(Arc::new(LiveScenarioEngine::from_registry()))
+            }
+            (CampaignMode::Fixed, Fidelity::Calibrated) => Resolver::Table(match table {
                 Some(t) => {
                     if defender.is_closed_loop() {
                         assert!(
@@ -911,29 +827,13 @@ impl FleetEngine {
                 (onset_tick(s.onset, cfg.tick_ms), onset)
             })
             .collect();
-        // Generated-campaign pool: composed from the run's own
-        // calibrated graph, seeded by the fleet seed (generation
-        // derives its own substreams — nothing here touches a fleet
-        // stream, so fixed-mode runs are unchanged bit for bit).
-        let sequences = match cfg.campaign {
-            CampaignMode::Fixed => Vec::new(),
-            CampaignMode::Generated { count } => {
-                let pool = generate(&graph, &GenConfig::new(count, GENERATED_MAX_LEN, cfg.seed));
-                assert!(
-                    !pool.is_empty(),
-                    "generated-campaign mode produced an empty pool"
-                );
-                pool
-            }
-        };
         Self {
             cfg,
             graph,
-            table,
+            resolver,
             state,
             plan,
             onsets,
-            sequences,
             defender,
         }
     }
@@ -943,26 +843,15 @@ impl FleetEngine {
         let FleetEngine {
             cfg,
             graph,
-            table,
+            resolver,
             mut state,
             plan,
             onsets,
-            sequences,
             mut defender,
         } = self;
         let start = Instant::now();
         let _quiet = (cfg.chaos_lost_rate > 0.0).then(silence_panics);
 
-        let live = LiveScenarioEngine::from_registry();
-        let engine: &dyn ScenarioEngine = match cfg.fidelity {
-            Fidelity::Live => &live,
-            _ => table.as_ref().expect("non-live runs carry a table"),
-        };
-        let probe_every = match cfg.fidelity {
-            Fidelity::Mixed { every } => Some(every),
-            _ => None,
-        };
-        let drift_base = SimRng::seed(cfg.seed).fork("fleet/drift");
         // The posture in force; a closed-loop defender may harden it
         // between ticks, which recomputes the derived rates below.
         let mut posture = cfg.posture;
@@ -972,7 +861,6 @@ impl FleetEngine {
         let mut backend_rng = SimRng::seed(cfg.seed).fork("fleet/backend");
         let mut breached = false;
         let mut totals = FleetTotals::default();
-        let mut drift = DriftStats::default();
         let mut snapshots: Vec<FleetSnapshot> = Vec::new();
         let mut availability_sum = 0.0;
         let mut prev_census = Census::take(&state);
@@ -984,13 +872,8 @@ impl FleetEngine {
             let tick_late_detect_p = late_detect_p + defender.monitor_boost();
             let env = StepEnv {
                 cfg: &cfg,
-                engine,
-                probe: probe_every.map(|every| ProbeEnv {
-                    live: &live,
-                    base: drift_base.clone(),
-                    every,
-                }),
-                generated: (!sequences.is_empty()).then_some((&graph, sequences.as_slice())),
+                resolver: &resolver,
+                graph: &graph,
                 posture,
                 epi,
                 late_detect_p: tick_late_detect_p,
@@ -1006,7 +889,6 @@ impl FleetEngine {
             let mut layer_alerts = [0u32; 6];
             for out in &outs {
                 totals.absorb(&out.counters);
-                drift.absorb(&out.drift);
                 for &(_, layer) in &out.alerts {
                     layer_alerts[layer as usize] += 1;
                 }
@@ -1047,7 +929,7 @@ impl FleetEngine {
                 };
                 if defender.tick(&mut posture, &obs) {
                     debug_assert!(
-                        table.as_ref().is_none_or(|t| t.covers(&posture)),
+                        !matches!(&resolver, Resolver::Table(t) if !t.covers(&posture)),
                         "defender hardened into an uncalibrated posture"
                     );
                     (epi, late_detect_p, kc_success, kc_detect) = derived_rates(&graph, &posture);
@@ -1061,7 +943,6 @@ impl FleetEngine {
             config: cfg.clone(),
             snapshots,
             availability: availability_sum / cfg.ticks as f64,
-            drift,
             wall: start.elapsed(),
         }
     }
@@ -1128,8 +1009,8 @@ fn tick_inputs(
     }
 }
 
-/// The completed run: snapshots, availability, MTTR, drift, and
-/// wall-clock throughput.
+/// The completed run: snapshots, availability, MTTR and wall-clock
+/// throughput.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// The configuration that produced it.
@@ -1138,9 +1019,6 @@ pub struct FleetReport {
     pub snapshots: Vec<FleetSnapshot>,
     /// Mean fleet health over all ticks.
     pub availability: f64,
-    /// Mixed-fidelity drift accounting (all zero outside
-    /// [`Fidelity::Mixed`]).
-    pub drift: DriftStats,
     /// The defender after the run (`None` when inactive, keeping the
     /// artifact byte-identical to a defenderless run).
     pub defender: Option<FleetDefender>,
@@ -1186,7 +1064,6 @@ impl FleetReport {
             "vehicle_ticks_per_sec": self.throughput(),
             "availability": self.availability,
             "mttr_ms": self.mttr_ms(),
-            "drift": self.drift.to_json(),
             "snapshots": self.snapshots.iter().map(FleetSnapshot::to_json).collect::<Vec<_>>(),
         });
         if let (Value::Object(map), Some(d)) = (&mut v, &self.defender) {
@@ -1293,14 +1170,10 @@ mod tests {
 
     #[test]
     fn fidelity_labels_round_trip() {
-        for f in [
-            Fidelity::Live,
-            Fidelity::Calibrated,
-            Fidelity::Mixed { every: 7 },
-        ] {
-            assert_eq!(Fidelity::parse(&f.label()), Some(f));
+        for f in [Fidelity::Live, Fidelity::Calibrated] {
+            assert_eq!(Fidelity::parse(f.label()), Some(f));
         }
-        assert_eq!(Fidelity::parse("mixed:0"), None, "zero period is invalid");
+        assert_eq!(Fidelity::parse("mixed:4"), None, "no shadow tier");
         assert_eq!(Fidelity::parse("tables"), None);
     }
 
@@ -1346,32 +1219,47 @@ mod tests {
     }
 
     #[test]
-    fn live_runs_carry_no_table_and_no_drift() {
-        let mut cfg = tiny_cfg();
-        cfg.fidelity = Fidelity::Live;
-        let report = FleetEngine::new(cfg).run();
-        assert_eq!(report.drift, DriftStats::default());
-        assert!(report.totals().attacks_attempted > 0);
-    }
-
-    #[test]
-    fn mixed_runs_probe_and_mostly_agree() {
-        let mut cfg = tiny_cfg();
-        cfg.fidelity = Fidelity::Mixed { every: 1 };
-        cfg.attack_rate = 0.05;
-        cfg.calibration_trials = 16;
-        let report = FleetEngine::new(cfg).run();
-        assert!(report.drift.probes > 0, "every resolution is probed");
-        assert_eq!(
-            report.drift.probes,
-            report.totals().attacks_attempted,
-            "probe period 1 shadows every attack"
-        );
-        assert!(
-            report.drift.agreement_rate() > 0.25,
-            "table and live share the outcome distribution; agreement {}",
-            report.drift.agreement_rate()
-        );
+    fn each_run_holds_the_one_resolver_it_uses() {
+        let cfg = tiny_cfg();
+        let calib = CalibrationConfig::new(cfg.calibration_trials, 1);
+        let graph = calibrated_graph(&calib, &SimRng::seed(cfg.seed).fork("fleet/calibration"));
+        let resolver = |fidelity, campaign, defender| {
+            let cfg = FleetConfig {
+                fidelity,
+                campaign,
+                defender,
+                defender_budget: 3.0,
+                ..cfg.clone()
+            };
+            FleetEngine::with_graph(cfg, graph.clone()).resolver
+        };
+        let generated = CampaignMode::Generated { count: 6 };
+        for defender in [DefenderMode::Off, DefenderMode::ClosedLoop] {
+            let fixed = CampaignMode::Fixed;
+            assert!(matches!(
+                resolver(Fidelity::Calibrated, fixed, defender),
+                Resolver::Table(_)
+            ));
+            assert!(matches!(
+                resolver(Fidelity::Live, fixed, defender),
+                Resolver::Live(_)
+            ));
+            for fidelity in [Fidelity::Calibrated, Fidelity::Live] {
+                let Resolver::Walk(pool) = resolver(fidelity, generated, defender) else {
+                    panic!("a generated {} run walks its pool", fidelity.label());
+                };
+                assert!(!pool.is_empty());
+            }
+        }
+        // A shared table handed to a generated run is dropped.
+        let table = StepOutcomeTable::calibrate(&[cfg.posture], 2, 1, &SimRng::seed(1));
+        let cfg = FleetConfig {
+            campaign: generated,
+            ..cfg
+        };
+        let engine = FleetEngine::with_parts(cfg, graph, Some(table));
+        assert!(matches!(engine.resolver, Resolver::Walk(_)));
+        assert!(engine.run().totals().attacks_attempted > 0);
     }
 
     #[test]
@@ -1383,10 +1271,6 @@ mod tests {
             ..tiny_cfg()
         };
         let engine = FleetEngine::new(base.clone());
-        let table = engine
-            .table
-            .as_ref()
-            .expect("calibrated runs carry a table");
         let (epi, late_detect_p, _, _) = derived_rates(&engine.graph, &base.posture);
         let onset = FaultOnset {
             layer: ArchLayer::Network,
@@ -1421,9 +1305,8 @@ mod tests {
                         };
                         let env = StepEnv {
                             cfg: &cfg,
-                            engine: table,
-                            probe: None,
-                            generated: None,
+                            resolver: &engine.resolver,
+                            graph: &engine.graph,
                             posture: cfg.posture,
                             epi,
                             late_detect_p,

@@ -12,10 +12,10 @@
 //!   default against a
 //!   [`StepOutcomeTable`](autosec_core::engine::StepOutcomeTable)
 //!   calibrated from the live campaign models (table-lookup prices on
-//!   the hot path), with `--fidelity live` replaying every real
-//!   [`ScenarioStep`](autosec_core::scenario::ScenarioStep) end to end
-//!   and `--fidelity mixed:K` shadowing ~every Kth resolution with a
-//!   live replay that feeds a drift statistic ([`DriftStats`]);
+//!   the hot path), or with `--fidelity live` replaying every real
+//!   [`ScenarioStep`](autosec_core::scenario::ScenarioStep) end to end;
+//!   a generated-campaign run (`--campaign generated:N`) instead walks
+//!   a pool of composed multi-step campaigns over the attack graph;
 //! - epidemic V2X infection spreads through the fleet with pressure
 //!   proportional to the compromised fraction, resolved against the
 //!   calibrated ghost-object edge of the
@@ -42,10 +42,7 @@
 //! therefore **bit-identical at any `--shards`, in every fidelity
 //! mode** — `--shards` buys wall-clock time and nothing else, a
 //! property the integration tests and the CI smoke job verify
-//! byte-for-byte on canonical snapshots. Mixed
-//! fidelity keeps the contract because drift probes trigger on
-//! `(vehicle_id + tick)` arithmetic and draw from their own forked
-//! substream, never from a vehicle's.
+//! byte-for-byte on canonical snapshots.
 //!
 //! A vehicle whose state machine panics is quarantined
 //! ([`VehicleStatus::Lost`]) without poisoning its shard; its RNG
@@ -79,8 +76,8 @@ pub mod vehicle;
 
 pub use defender::{DefenderMode, FleetDefender, TickObservation, FLEET_PRIORITY};
 pub use engine::{
-    posture_label, CampaignMode, DriftStats, FaultOnset, Fidelity, FleetConfig, FleetEngine,
-    FleetReport, TickInputs,
+    posture_label, CampaignMode, FaultOnset, Fidelity, FleetConfig, FleetEngine, FleetReport,
+    TickInputs,
 };
 pub use shard::{run_tick_sharded, ShardOutput};
 pub use snapshot::{Census, FleetSnapshot, FleetTotals};

@@ -9,7 +9,7 @@
 //! vehicles raised (see [`run_tick_sharded`]). Escalation state is
 //! each vehicle's own [`FleetColumns::strikes`] entry, so no response
 //! ever reads or writes another vehicle. What a shard hands back is
-//! additive (counters, drift, the alerts it answered), so the merge
+//! additive (counters and the alerts it answered), so the merge
 //! order never matters. That, together with per-vehicle RNG
 //! substreams, is the whole shard-invariance contract: `--shards N`
 //! changes wall-clock time and nothing else.
@@ -22,7 +22,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use autosec_sim::ArchLayer;
 
-use crate::engine::DriftStats;
 use crate::snapshot::FleetTotals;
 use crate::state::{FleetColumns, FleetState};
 
@@ -39,8 +38,6 @@ pub struct ShardOutput {
     /// The shard's counter deltas (additive — merge order never
     /// matters).
     pub counters: FleetTotals,
-    /// Mixed-fidelity drift probe deltas (additive).
-    pub drift: DriftStats,
 }
 
 /// Runs one tick over the fleet with `shards` worker threads.

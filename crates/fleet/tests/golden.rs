@@ -56,7 +56,7 @@ fn assert_pinned(cfg: &FleetConfig, want: &str) -> FleetReport {
 
 #[test]
 fn breach_storm_fleet_is_pinned() {
-    let want = "9fb66083ef0829e90b691e6ee05f09dda1f56d40d81fc3f2180b1fa559479840";
+    let want = "f809c9a1e24dbc472c5fc613b66b7b028de7d109b4f175e818f3534d1a729d08";
     let t = *assert_pinned(&storm(), want).totals();
     assert!(t.responses_limp_home > 0, "the ladder reached limp-home");
     assert!(t.recoveries > 0 && t.alerts > 0);
@@ -68,7 +68,7 @@ fn chaos_fleet_is_pinned() {
         chaos_lost_rate: 1e-3,
         ..storm()
     };
-    let want = "5bbe84a742431e1980853e5ce8f7a57758adba1f5e9311f69757a95a5d9019c7";
+    let want = "dfebf2ab86face1da29fcbaa90314bd97629074bde015da4cfd18692cb6e2ee3";
     assert!(assert_pinned(&cfg, want).totals().lost > 0, "chaos struck");
 }
 
@@ -81,21 +81,22 @@ fn closed_loop_defender_fleet_is_pinned() {
         defender_budget: 6.0,
         ..pressured(5_000, 40)
     };
-    let want = "59480355635158a67855afa63ca3150d0b42cf8f1a42795e5a6cf33da0993d45";
+    let want = "4ceddb0e93b8f8b7bf45bd52b1b858e7dcb91d02e2fe86f96c1fb4211724b1f9";
     let defender = assert_pinned(&cfg, want).defender.expect("active");
     assert!(defender.to_json()["actions"].as_u64() > Some(0));
 }
 
 #[test]
-fn fixed_campaign_mixed_fidelity_fleet_is_pinned() {
+fn fixed_campaign_calibrated_fleet_is_pinned() {
     let cfg = FleetConfig {
         posture: DefensePosture::full(),
-        fidelity: Fidelity::Mixed { every: 7 },
+        fidelity: Fidelity::Calibrated,
         attack_rate: 2e-3,
         ..pressured(5_000, 40)
     };
-    let want = "236198c943aebc7945dc883a6b769b686cd1811fd90947a5b6c3800432f6027b";
-    assert!(assert_pinned(&cfg, want).drift.probes > 0, "probes ran");
+    let want = "ea04ec23cdb4895fa14d98506f5cebcee2791ed624fadccb37498a1a9fd32c90";
+    let t = *assert_pinned(&cfg, want).totals();
+    assert!(t.attacks_succeeded > 0 && t.alerts > 0, "attacks struck");
 }
 
 /// A fleet-service-shaped fleet: full posture, calibrated fixed
@@ -113,7 +114,7 @@ fn service() -> FleetConfig {
 
 #[test]
 fn service_fleet_is_pinned() {
-    let want = "f7c3016e639ae4de338bafcdd00ac3f6c1ba9d7dcecd1ae2239d4165c14e599c";
+    let want = "ceb5d3e9b067d5cde085f1eff9d0f86e6d1c1ccc2992ce90929117b7bb956f77";
     let t = *assert_pinned(&service(), want).totals();
     assert!(t.attacks_succeeded > 0, "attacks struck");
     assert!(t.fault_injections > 0, "fault onsets struck");
@@ -125,7 +126,7 @@ fn attackless_service_fleet_is_pinned() {
         attack_rate: 0.0,
         ..service()
     };
-    let want = "3ca6ba8ada6a0d596c1fcb1514c42d7bc4a775181638c3e141c5e855d2991c04";
+    let want = "31bb4483a09031a801bbef904a1e025e1137f46bc25e1454eef520be736f3786";
     let t = *assert_pinned(&cfg, want).totals();
     assert_eq!(t.attacks_attempted, 0);
     assert!(t.fault_injections > 0, "fault onsets struck");

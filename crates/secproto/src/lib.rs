@@ -19,8 +19,6 @@
 //! - [`canal`] — the CAN Adaptation Layer of Fig. 6 (AAL5-inspired),
 //!   tunneling Ethernet/MACsec frames over CAN XL so MACsec can run end
 //!   to end between CAN and 10BASE-T1S endpoints
-//! - [`key_agreement`] — MKA-style session-key derivation from pairwise
-//!   connectivity association keys
 //! - [`scenarios`] — the three deployment scenarios S1 (Fig. 4),
 //!   S2 (Fig. 5, end-to-end vs point-to-point) and S3 (Fig. 6), with the
 //!   per-message overhead / crypto-operation / key-storage accounting the
@@ -42,7 +40,6 @@ pub mod canal;
 pub mod cansec;
 pub mod dtls;
 pub mod ipsec;
-pub mod key_agreement;
 pub mod macsec;
 pub mod scenarios;
 pub mod secoc;
