@@ -156,7 +156,8 @@ impl<A> Flag<A> {
         Flag {
             names: &["--canonical"],
             help: "strip volatile keys (durations, jobs, throughput) so runs
-                   with different --jobs or --shards diff byte-identical",
+                   with different --jobs or --shards diff byte-identical.
+                   Implies --json",
             takes: Takes::Switch(set),
         }
     }
@@ -180,6 +181,9 @@ struct Grammar<A: 'static> {
     /// without this rejects them.
     positional: Option<Land<A>>,
     flags: &'static [Flag<A>],
+    /// A rule across flags, checked once every flag is read; `Err`
+    /// carries the whole reason.
+    check: fn(&A) -> Result<(), &'static str>,
     /// Prose printed after the flag entries.
     trailer: &'static str,
 }
@@ -310,7 +314,7 @@ const SUITE: Grammar<Args> = Grammar {
             }),
         },
         Flag::json(|a| a.json = true),
-        Flag::canonical(|a| a.canonical = true),
+        Flag::canonical(|a| (a.canonical, a.json) = (true, true)),
         Flag {
             names: &["--keep-going", "-k"],
             help: "record a panicking or overtime experiment in the manifest
@@ -375,6 +379,7 @@ const SUITE: Grammar<Args> = Grammar {
         },
         Flag::HELP,
     ],
+    check: |_| Ok(()),
     trailer: "Subcommands, each with its own --help:
   experiments fleet [FLAG...]      live-fleet service mode
   experiments generate [FLAG...]   generative scenario composer",
@@ -484,10 +489,16 @@ const FLEET: Grammar<FleetArgs> = Grammar {
             }),
         },
         Flag::json(|a| a.json = true),
-        Flag::canonical(|a| a.canonical = true),
+        Flag::canonical(|a| (a.canonical, a.json) = (true, true)),
         Flag::out(|a, v| set(&mut a.out, Ok(v.into()))),
         Flag::HELP,
     ],
+    check: |a| match (a.cfg.campaign, a.cfg.fidelity) {
+        (CampaignMode::Generated { .. }, Fidelity::Live) => {
+            Err("--fidelity applies to fixed campaigns only")
+        }
+        _ => Ok(()),
+    },
     trailer: "  Runs the live-fleet service mode: N per-vehicle state machines under
   continuous attack, fault and defense pressure for the given number of
   ticks. --fidelity picks the attack-resolution tier: 'calibrated'
@@ -498,8 +509,10 @@ const FLEET: Grammar<FleetArgs> = Grammar {
   (default) replays the paper's step catalog, 'generated:N'
   (1 <= N <= 4096, as for generate --count) composes a pool of N
   capability-consistent multi-step campaigns from the calibrated attack
-  graph (seeded by --seed) and replays those. Generated runs stay
-  bit-identical across --shards and --fidelity.
+  graph (seeded by --seed) and replays those. --fidelity applies to
+  fixed campaigns only: a generated run resolves every attack by walking
+  its pool, so it refuses --fidelity live. Generated runs stay
+  bit-identical across --shards.
 
   --defender arms the fleet-wide defense policy: 'static' spends
   --defender-budget up front hardening layers, 'closed-loop' holds it
@@ -507,8 +520,8 @@ const FLEET: Grammar<FleetArgs> = Grammar {
   A zero budget is the null defender, bit-identical to 'off'.
 
   On a single-core machine extra shards cost thread overhead instead of
-  buying wall-clock time (see benchmark/README.md). --json writes the
-  canonical-keyed fleet.json artifact.",
+  buying wall-clock time (see benchmark/README.md). --json (or
+  --canonical) writes the canonical-keyed fleet.json artifact.",
 };
 
 const GENERATE: Grammar<GenerateArgs> = Grammar {
@@ -576,10 +589,11 @@ const GENERATE: Grammar<GenerateArgs> = Grammar {
             }),
         },
         Flag::json(|a| a.json = true),
-        Flag::canonical(|a| a.canonical = true),
+        Flag::canonical(|a| (a.canonical, a.json) = (true, true)),
         Flag::out(|a, v| set(&mut a.out, Ok(v.into()))),
         Flag::HELP,
     ],
+    check: |_| Ok(()),
     trailer: "  Composes capability-consistent multi-step attack campaigns from the
   calibrated attack graph and replays each under the empty and full
   defense postures, then rolls the pool up into the STRIDE x layer
@@ -614,6 +628,7 @@ fn parse<A>(grammar: &Grammar<A>, raw: &[String]) -> Result<Option<A>, String> {
             Takes::Help => return Ok(None),
         }
     }
+    (grammar.check)(&args)?;
     Ok(Some(args))
 }
 
@@ -1196,6 +1211,9 @@ mod tests {
         assert_eq!(a.cfg.ticks, 200);
         assert!(!a.shards_given);
         assert_eq!(a.cfg.defender, DefenderMode::Off);
+        assert!(!a.json && !a.canonical);
+        let a = fleet(&["--canonical"]).unwrap();
+        assert!(a.json && a.canonical, "--canonical implies --json");
     }
 
     #[test]
@@ -1292,6 +1310,15 @@ mod tests {
     fn fleet_campaign_flag_parses_and_validates() {
         let ok = fleet(&["--campaign", "generated:12"]).unwrap();
         assert_eq!(ok.cfg.campaign, CampaignMode::Generated { count: 12 });
+        let ok = fleet(&["--campaign", "generated:12", "--fidelity", "calibrated"]).unwrap();
+        assert_eq!(ok.cfg.fidelity, Fidelity::Calibrated);
+        for args in [
+            ["--campaign", "generated:12", "--fidelity", "live"],
+            ["--fidelity", "live", "--campaign", "generated:12"],
+        ] {
+            let err = fleet(&args).unwrap_err();
+            assert_eq!(err, "--fidelity applies to fixed campaigns only");
+        }
         let ok = fleet(&["--campaign", "fixed"]).unwrap();
         assert_eq!(ok.cfg.campaign, CampaignMode::Fixed);
         for bad in ["generated:0", "generated:4097", "generated", "scripted"] {
@@ -1318,6 +1345,8 @@ mod tests {
         assert_eq!(a.jobs, 1);
         assert!(a.cfg.layer.is_none() && a.cfg.stride.is_none());
         assert!(!a.json && !a.canonical);
+        let a = gen(&["--canonical"]).unwrap();
+        assert!(a.json && a.canonical, "--canonical implies --json");
     }
 
     #[test]
@@ -1437,6 +1466,8 @@ mod tests {
             suite(&["--resume"]).unwrap().json,
             "--resume implies --json"
         );
+        let a = suite(&["--canonical"]).unwrap();
+        assert!(a.json && a.canonical, "--canonical implies --json");
         assert_eq!(suite(&["--help"]).unwrap_err(), "help");
     }
 

@@ -13,7 +13,7 @@ use crate::Table;
 ///
 /// Each cell folds 2000 [`cascade_trial`] masks into a
 /// [`CascadeAccumulator`] via [`par_trials`] — trial `i` on the
-/// `fork_idx(i)` stream, merged in trial order, so the table is
+/// `fork_idx(i)` stream, added in trial order, so the table is
 /// identical for any `ctx.jobs`.
 pub fn e10_cascade_table(ctx: &RunCtx) -> Table {
     let mut t = Table::new(

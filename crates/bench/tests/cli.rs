@@ -1,6 +1,7 @@
 //! Bad command lines end the `experiments` binary with exit 2 and a
 //! one-line reason on stderr — for the suite grammar and both
-//! subcommands — and never with a panic (exit 101).
+//! subcommands — and never with a panic (exit 101). One good command
+//! line checks that `--canonical` alone writes the artifact.
 
 use std::process::{Command, Output};
 
@@ -81,6 +82,48 @@ fn generate_rejects_zero_jobs() {
         &["generate", "--jobs", "1025"],
         "invalid --jobs \"1025\": expected a positive integer up to 1024",
     );
+}
+
+/// A generated pool resolves every attack by walking the graph, so a
+/// live fidelity would be recorded without changing anything.
+#[test]
+fn fleet_refuses_live_fidelity_for_generated_campaigns() {
+    let reason = "--fidelity applies to fixed campaigns only";
+    rejects(
+        &["fleet", "--campaign", "generated:8", "--fidelity", "live"],
+        reason,
+    );
+    rejects(
+        &["fleet", "--fidelity", "live", "--campaign", "generated:8"],
+        reason,
+    );
+}
+
+/// `--canonical` implies `--json`: without it the run printed its
+/// summary and wrote nothing.
+#[test]
+fn fleet_canonical_alone_writes_the_artifact() {
+    let dir = std::env::temp_dir().join("autosec-cli-fleet-canonical");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.to_str().expect("utf-8 temp dir");
+    let run = spawn(&[
+        "fleet",
+        "--vehicles",
+        "40",
+        "--ticks",
+        "5",
+        "--shards",
+        "1",
+        "--canonical",
+        "--out",
+        out,
+    ]);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    let artifact = std::fs::read_to_string(dir.join("fleet.json")).expect("fleet.json written");
+    assert!(artifact.contains("\"vehicles\": 40"), "{artifact}");
+    assert!(!artifact.contains("\"shards\""), "canonical strips shards");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sizes past their bound are refused while the arguments are read,

@@ -98,7 +98,7 @@ pub fn round_outcome(agents: &[Agent], round: usize, rng: &mut SimRng) -> RoundO
     }
 }
 
-/// Mergeable tally of round outcomes.
+/// Tally of round outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IntersectionAccumulator {
     crossings: [usize; 4],
@@ -121,21 +121,6 @@ impl IntersectionAccumulator {
             RoundOutcome::Deadlock => self.deadlocks += 1,
         }
         self.rounds += 1;
-    }
-
-    /// Merges another tally (all counts add).
-    pub fn merge(&mut self, other: &IntersectionAccumulator) {
-        for (c, o) in self.crossings.iter_mut().zip(&other.crossings) {
-            *c += o;
-        }
-        self.conflicts += other.conflicts;
-        self.deadlocks += other.deadlocks;
-        self.rounds += other.rounds;
-    }
-
-    /// Rounds folded in so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
     }
 
     /// Finalizes into a report for the given agent set.
@@ -233,33 +218,6 @@ mod tests {
         };
         let r = simulate(&[timid; 4], 4000, &mut SimRng::seed(4));
         assert!(r.deadlock_rate > 0.5, "{}", r.deadlock_rate);
-    }
-
-    #[test]
-    fn accumulator_merge_equals_single_pass() {
-        let mut agents = [Agent::cooperative(); 4];
-        agents[1] = Agent::selfish(0.4);
-        let rounds = 1000;
-        let root = SimRng::seed(11);
-        let mut whole = IntersectionAccumulator::new();
-        for r in 0..rounds {
-            let mut rng = root.fork_idx(r as u64);
-            whole.add(round_outcome(&agents, r, &mut rng));
-        }
-        let mut left = IntersectionAccumulator::new();
-        let mut right = IntersectionAccumulator::new();
-        for r in 0..rounds {
-            let mut rng = root.fork_idx(r as u64);
-            let out = round_outcome(&agents, r, &mut rng);
-            if r < rounds / 3 {
-                left.add(out);
-            } else {
-                right.add(out);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.rounds(), whole.rounds());
-        assert_eq!(left.report(&agents), whole.report(&agents));
     }
 
     #[test]

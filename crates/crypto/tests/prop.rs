@@ -6,7 +6,7 @@
 
 use autosec_crypto::shamir::{combine, split};
 use autosec_crypto::util::{from_hex, to_hex};
-use autosec_crypto::{Aes128, AesCtr, Cmac, Hkdf, WotsKeyPair};
+use autosec_crypto::{AesCtr, Cmac, Hkdf, WotsKeyPair};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -26,18 +26,6 @@ fn arr<const N: usize>(rng: &mut StdRng) -> [u8; N] {
     let mut a = [0u8; N];
     rng.fill_bytes(&mut a);
     a
-}
-
-/// AES decrypt ∘ encrypt is the identity for any key/block.
-#[test]
-fn aes_round_trip() {
-    for case in 0..CASES {
-        let mut rng = case_rng(0xAE5, case);
-        let key: [u8; 16] = arr(&mut rng);
-        let block: [u8; 16] = arr(&mut rng);
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
-    }
 }
 
 /// CTR is an involution for any data length.

@@ -102,6 +102,11 @@ const REALERT_P: f64 = 0.3;
 /// Infection-pressure multiplier while the backend is breached (bulk
 /// telemetry access lets the attacker target V2X sessions).
 const BREACH_PRESSURE_MULT: f64 = 2.0;
+/// Fraction of the fleet exposed to each fault onset.
+const FAULT_EXPOSURE: f64 = 0.01;
+/// Per-tick backend kill-chain attempt rate (scaled by the chain's
+/// calibrated success probability).
+const BREACH_ATTEMPT_RATE: f64 = 0.05;
 
 /// Which tier of the two-tier scenario engine resolves fixed-campaign
 /// attacks.
@@ -203,13 +208,8 @@ pub struct FleetConfig {
     /// Epidemic contact rate: infection pressure per unit compromised
     /// fraction.
     pub infection_beta: f64,
-    /// Fraction of the fleet exposed to each fault onset.
-    pub fault_exposure: f64,
     /// Whether the standard cross-layer fault plan rides along.
     pub faults_enabled: bool,
-    /// Per-tick backend kill-chain attempt rate (scaled by the chain's
-    /// calibrated success probability).
-    pub breach_attempt_rate: f64,
     /// Monte-Carlo trials per attack-graph edge and per outcome-table
     /// cell during calibration.
     pub calibration_trials: usize,
@@ -238,9 +238,7 @@ impl Default for FleetConfig {
             campaign: CampaignMode::Fixed,
             attack_rate: 5e-4,
             infection_beta: 0.35,
-            fault_exposure: 0.01,
             faults_enabled: true,
-            breach_attempt_rate: 0.05,
             calibration_trials: 12,
             chaos_lost_rate: 0.0,
             defender: DefenderMode::Off,
@@ -277,9 +275,9 @@ impl FleetConfig {
             "fidelity": self.fidelity.label(),
             "attack_rate": self.attack_rate,
             "infection_beta": self.infection_beta,
-            "fault_exposure": self.fault_exposure,
+            "fault_exposure": FAULT_EXPOSURE,
             "faults_enabled": self.faults_enabled,
-            "breach_attempt_rate": self.breach_attempt_rate,
+            "breach_attempt_rate": BREACH_ATTEMPT_RATE,
             "calibration_trials": self.calibration_trials as u64,
             "chaos_lost_rate": self.chaos_lost_rate,
         });
@@ -374,7 +372,6 @@ pub struct TickInputs {
 
 /// What resolves a run's direct attacks: chosen once in
 /// [`FleetEngine::with_parts`] from the campaign mode and fidelity.
-#[derive(Clone)]
 enum Resolver {
     /// A fixed-campaign [`Fidelity::Live`] run: every attack replays
     /// its step.
@@ -530,7 +527,7 @@ fn step_vehicle(
             // Fault onsets: an exposed subset suffers its own
             // dispersion around the fleet-level reference injection.
             for onset in &inputs.fault_onsets {
-                if !cols.rng[i].chance(env.cfg.fault_exposure) {
+                if !cols.rng[i].chance(FAULT_EXPOSURE) {
                     continue;
                 }
                 out.counters.fault_injections += 1;
@@ -677,12 +674,6 @@ fn one_draw_event(cols: &mut FleetColumns<'_>, i: usize, tick: u64, out: &mut Sh
 /// [`FleetEngine::with_graph`] (sharing a pre-calibrated graph) or
 /// [`FleetEngine::with_parts`] (sharing a pre-calibrated table too),
 /// then [`FleetEngine::run`].
-///
-/// The engine is `Clone`, and cloning is cheap relative to
-/// construction: the columnar state copies dense arrays, while
-/// construction replays real fault adapters and (for a calibrated
-/// fixed-campaign run without a shared table) calibrates live models.
-#[derive(Clone)]
 pub struct FleetEngine {
     cfg: FleetConfig,
     graph: AttackGraph,
@@ -900,7 +891,7 @@ impl FleetEngine {
                     breached = false;
                     totals.backend_patches += 1;
                 }
-            } else if backend_rng.chance(cfg.breach_attempt_rate * kc_success) {
+            } else if backend_rng.chance(BREACH_ATTEMPT_RATE * kc_success) {
                 breached = true;
                 totals.backend_breaches += 1;
             }
@@ -1193,15 +1184,41 @@ mod tests {
 
     #[test]
     fn fixed_mode_config_json_is_unchanged() {
-        let cfg = tiny_cfg();
-        let v = cfg.to_json();
-        assert!(
-            !v.to_string().contains("campaign"),
-            "fixed-mode artifacts stay byte-identical to pre-campaign builds"
+        // The exact bytes: `fault_exposure` and `breach_attempt_rate`
+        // render from the engine's constants, and the campaign and
+        // defender keys appear only off their defaults.
+        assert_eq!(
+            tiny_cfg().to_json().to_string(),
+            "{\"attack_rate\":0.02,\"breach_attempt_rate\":0.05,\"calibration_trials\":4,\
+             \"chaos_lost_rate\":0.0,\"fault_exposure\":0.01,\"faults_enabled\":true,\
+             \"fidelity\":\"calibrated\",\"infection_beta\":0.35,\"posture\":\"full\",\"seed\":7,\
+             \"snapshot_every\":4,\"tick_ms\":100,\"ticks\":12,\"vehicles\":120}"
         );
-        let mut cfg = tiny_cfg();
-        cfg.campaign = CampaignMode::Generated { count: 6 };
-        assert!(cfg.to_json().to_string().contains("\"generated:6\""));
+        let generated = FleetConfig {
+            campaign: CampaignMode::Generated { count: 8 },
+            ..tiny_cfg()
+        };
+        assert_eq!(
+            generated.to_json().to_string(),
+            "{\"attack_rate\":0.02,\"breach_attempt_rate\":0.05,\"calibration_trials\":4,\
+             \"campaign\":\"generated:8\",\"chaos_lost_rate\":0.0,\"fault_exposure\":0.01,\
+             \"faults_enabled\":true,\"fidelity\":\"calibrated\",\"infection_beta\":0.35,\
+             \"posture\":\"full\",\"seed\":7,\"snapshot_every\":4,\"tick_ms\":100,\"ticks\":12,\
+             \"vehicles\":120}"
+        );
+        let closed_loop = FleetConfig {
+            defender: DefenderMode::ClosedLoop,
+            defender_budget: 4.0,
+            ..tiny_cfg()
+        };
+        assert_eq!(
+            closed_loop.to_json().to_string(),
+            "{\"attack_rate\":0.02,\"breach_attempt_rate\":0.05,\"calibration_trials\":4,\
+             \"chaos_lost_rate\":0.0,\"defender\":\"closed-loop\",\"defender_budget\":4.0,\
+             \"fault_exposure\":0.01,\"faults_enabled\":true,\"fidelity\":\"calibrated\",\
+             \"infection_beta\":0.35,\"posture\":\"full\",\"seed\":7,\"snapshot_every\":4,\
+             \"tick_ms\":100,\"ticks\":12,\"vehicles\":120}"
+        );
     }
 
     #[test]

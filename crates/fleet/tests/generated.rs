@@ -7,7 +7,9 @@
 //!    straight off the calibrated graph, bypassing the fidelity
 //!    engine entirely, so vehicle-state snapshots are bit-identical
 //!    across live and calibrated runs (only the config's fidelity
-//!    label differs, hence per-snapshot comparison).
+//!    label differs, hence per-snapshot comparison). For that reason
+//!    the `fleet` command refuses `--fidelity live` with a generated
+//!    pool.
 //! 3. **Defender compatibility** — the walker reads edge
 //!    probabilities through the posture in force, so a closed-loop
 //!    defender composes with generated campaigns and stays

@@ -112,19 +112,6 @@ impl ResponseEngine {
         }
     }
 
-    /// Alerts recorded against `subject` so far.
-    pub fn strikes(&self, subject: u32) -> u32 {
-        self.strikes.get(&subject).copied().unwrap_or(0)
-    }
-
-    /// The action [`Self::handle`] would issue for `alert`, without
-    /// recording the strike or the response — lets an external
-    /// decision loop (the autodefense policy) preview the playbook's
-    /// escalation level before committing budget to it.
-    pub fn peek(&self, alert: &Alert) -> ResponseAction {
-        Self::playbook(alert.detector, self.strikes(alert.subject) + 1)
-    }
-
     /// Handles one alert, issuing a response.
     pub fn handle(&mut self, alert: &Alert) -> Response {
         let strikes = self.strikes.entry(alert.subject).or_insert(0);
@@ -259,23 +246,6 @@ mod tests {
                 assert_eq!(ResponseEngine::playbook(d, s), top, "{d} at {s} strikes");
             }
         }
-    }
-
-    #[test]
-    fn peek_previews_handle_without_mutating() {
-        let mut e = ResponseEngine::new();
-        for i in 0..2 {
-            e.handle(&alert("frequency", 9, i));
-        }
-        assert_eq!(e.strikes(9), 2);
-        let next = alert("frequency", 9, 30);
-        // Third strike escalates filter → isolate; peek sees it coming.
-        assert_eq!(e.peek(&next), ResponseAction::IsolateNode);
-        assert_eq!(e.strikes(9), 2, "peek records nothing");
-        assert_eq!(e.history().len(), 2);
-        // And handle then issues exactly what peek predicted.
-        assert_eq!(e.handle(&next).action, ResponseAction::IsolateNode);
-        assert_eq!(e.strikes(0xBEEF), 0, "unseen subjects have no strikes");
     }
 
     #[test]

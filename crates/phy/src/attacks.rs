@@ -220,7 +220,7 @@ mod tests {
         let mut legit = Waveform::zeros(4);
         legit.add_impulse(0, 1.0);
         let mut rx = Waveform::zeros(300);
-        rx.superimpose(&legit, 100);
+        rx.superimpose_scaled(&legit, 100, 1.0);
         let atk = OvershadowAttack {
             delay_m: 6.0,
             power: 4.0,
@@ -237,7 +237,7 @@ mod tests {
         let mut legit = Waveform::zeros(1);
         legit.add_impulse(0, 1.0);
         let mut rx = Waveform::zeros(200);
-        rx.superimpose(&legit, 50);
+        rx.superimpose_scaled(&legit, 50, 1.0);
         let atk = OvershadowAttack {
             delay_m: 3.0,
             power: 2.0,

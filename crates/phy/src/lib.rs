@@ -18,7 +18,6 @@
 //!   versus integrity-checked receivers (refs \[4\], \[8\])
 //! - [`lrp`] — Low-Rate-Pulse mode: logical-layer distance bounding plus
 //!   physical-layer distance commitment (refs \[5]–[7\])
-//! - [`ranging`] — two-way time-of-flight ranging sessions
 //! - [`attacks`] — relay, Cicada-style early-pulse injection, ghost-peak,
 //!   early-detect/late-commit, and distance-enlargement (jam/overshadow)
 //!   adversaries
@@ -51,7 +50,6 @@ pub mod faults;
 pub mod hrp;
 pub mod lrp;
 pub mod pkes;
-pub mod ranging;
 pub mod signal;
 pub mod vrange;
 

@@ -70,14 +70,9 @@ impl Waveform {
         }
     }
 
-    /// Superimposes `other` onto this waveform, offset by `offset` samples;
-    /// samples falling outside this waveform are dropped.
-    pub fn superimpose(&mut self, other: &Waveform, offset: isize) {
-        self.superimpose_scaled(other, offset, 1.0);
-    }
-
-    /// [`Waveform::superimpose`] of `other` with every sample multiplied
-    /// by `gain`, without building the scaled copy.
+    /// Superimposes `other`, every sample multiplied by `gain`, onto this
+    /// waveform, offset by `offset` samples; samples falling outside this
+    /// waveform are dropped.
     pub(crate) fn superimpose_scaled(&mut self, other: &Waveform, offset: isize, gain: f64) {
         for (i, &v) in other.samples.iter().enumerate() {
             let idx = i as isize + offset;
@@ -156,11 +151,11 @@ mod tests {
         let mut add = Waveform::zeros(2);
         add.add_impulse(0, 1.0);
         add.add_impulse(1, 2.0);
-        base.superimpose(&add, 3);
+        base.superimpose_scaled(&add, 3, 1.0);
         assert_eq!(base.samples(), &[0.0, 0.0, 0.0, 1.0, 2.0]);
-        base.superimpose(&add, -1); // first sample clipped
+        base.superimpose_scaled(&add, -1, 1.0); // first sample clipped
         assert_eq!(base.samples()[0], 2.0);
-        base.superimpose(&add, 4); // second sample clipped
+        base.superimpose_scaled(&add, 4, 1.0); // second sample clipped
         assert_eq!(base.samples()[4], 3.0);
     }
 
@@ -170,7 +165,7 @@ mod tests {
         template.add_impulse(0, 1.0);
         template.add_impulse(2, -1.0);
         let mut rx = Waveform::zeros(16);
-        rx.superimpose(&template, 7);
+        rx.superimpose_scaled(&template, 7, 1.0);
         let profile = rx.correlate(&template);
         let (best, _) = profile
             .iter()

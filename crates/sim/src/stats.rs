@@ -89,15 +89,9 @@ impl Summary {
     }
 }
 
-/// A mergeable moment accumulator (Welford / Chan et al.): mean,
-/// variance, min, max and count without storing samples.
-///
-/// Built for trial-partitioned parallel sweeps: each worker folds its
-/// trials into a local accumulator and the partials [`merge`] into the
-/// same moments the serial fold produces (up to float associativity;
-/// merging in a fixed partial order keeps results reproducible).
-///
-/// [`merge`]: RunningStats::merge
+/// A moment accumulator (Welford): mean, variance, min, max and count
+/// without storing samples. Callers fold per-trial results into it with
+/// [`push`](RunningStats::push) in trial order.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     n: u64,
@@ -128,26 +122,6 @@ impl RunningStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator in (Chan's parallel update).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples folded in.
@@ -261,39 +235,5 @@ mod tests {
         assert!((rs.stddev() - stddev(&xs)).abs() < 1e-12);
         assert_eq!(rs.min(), 2.0);
         assert_eq!(rs.max(), 9.0);
-    }
-
-    #[test]
-    fn running_stats_merge_equals_single_pass() {
-        let xs: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64 * 0.3).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut merged = RunningStats::new();
-        for chunk in xs.chunks(7) {
-            let mut part = RunningStats::new();
-            for &x in chunk {
-                part.push(x);
-            }
-            merged.merge(&part);
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-9);
-        assert!((merged.stddev() - whole.stddev()).abs() < 1e-9);
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-    }
-
-    #[test]
-    fn running_stats_empty_merge_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(3.0);
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 }

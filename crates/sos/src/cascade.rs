@@ -62,7 +62,7 @@ pub fn cascade_trial(graph: &SosGraph, entry: NodeId, rng: &mut SimRng) -> Vec<b
     compromised
 }
 
-/// Mergeable per-node hit counts over many cascade trials.
+/// Per-node hit counts over many cascade trials.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CascadeAccumulator {
     safety: Vec<NodeId>,
@@ -96,22 +96,6 @@ impl CascadeAccumulator {
             self.safety_hits += 1;
         }
         self.trials += 1;
-    }
-
-    /// Merges another accumulator (counts add; both must come from the
-    /// same graph).
-    pub fn merge(&mut self, other: &CascadeAccumulator) {
-        assert_eq!(other.hits.len(), self.hits.len(), "graph size mismatch");
-        for (h, o) in self.hits.iter_mut().zip(&other.hits) {
-            *h += o;
-        }
-        self.safety_hits += other.safety_hits;
-        self.trials += other.trials;
-    }
-
-    /// Trials folded in so far.
-    pub fn trials(&self) -> usize {
-        self.trials
     }
 
     /// Finalizes into a report.
@@ -231,34 +215,6 @@ mod tests {
         let r = simulate(&g, entry, 300, &SimRng::seed(5));
         assert_eq!(r.expected_compromised, 1.0);
         assert_eq!(r.safety_reach_probability, 0.0);
-    }
-
-    #[test]
-    fn accumulator_merge_equals_single_pass() {
-        let g = maas_reference();
-        let entry = g.find("cloud-backend").unwrap();
-        let trials = 400;
-        // Single pass.
-        let mut whole = CascadeAccumulator::new(&g);
-        for i in 0..trials {
-            let mut rng = SimRng::seed(77).fork_idx(i);
-            whole.add(&cascade_trial(&g, entry, &mut rng));
-        }
-        // Two partitions merged.
-        let mut left = CascadeAccumulator::new(&g);
-        let mut right = CascadeAccumulator::new(&g);
-        for i in 0..trials {
-            let mut rng = SimRng::seed(77).fork_idx(i);
-            let mask = cascade_trial(&g, entry, &mut rng);
-            if i % 2 == 0 {
-                left.add(&mask);
-            } else {
-                right.add(&mask);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.trials(), whole.trials());
-        assert_eq!(left.report(entry), whole.report(entry));
     }
 
     #[test]

@@ -47,10 +47,10 @@ impl RealtimeLink {
         rho * self.service_ms / (2.0 * (1.0 - rho))
     }
 
-    /// Whether one message misses its deadline — the per-message trial
-    /// behind [`Self::deadline_miss_rate`], exposed so harnesses can fan
-    /// messages out over independent per-trial streams. Saturated links
-    /// miss without consuming randomness.
+    /// Whether one message misses its deadline: an exponential queue
+    /// wait around the analytic mean, plus the service time. E10-realtime
+    /// runs one message per trial on its own stream. Saturated links miss
+    /// without consuming randomness.
     pub fn message_misses_deadline(&self, attack_msgs_per_s: f64, rng: &mut SimRng) -> bool {
         let mean_wait = self.expected_wait_ms(attack_msgs_per_s);
         if !mean_wait.is_finite() {
@@ -62,29 +62,25 @@ impl RealtimeLink {
         let wait = rng.exponential(1.0 / mean_wait);
         wait + self.service_ms > self.deadline_ms
     }
-
-    /// Monte-Carlo deadline-miss rate over `n` messages: exponential
-    /// queue-wait approximation around the analytic mean.
-    pub fn deadline_miss_rate(&self, attack_msgs_per_s: f64, n: usize, rng: &mut SimRng) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let missed = (0..n)
-            .filter(|_| self.message_misses_deadline(attack_msgs_per_s, rng))
-            .count();
-        missed as f64 / n as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Share of `n` messages on one stream that miss their deadline.
+    fn miss_rate(link: &RealtimeLink, attack_msgs_per_s: f64, n: usize, rng: &mut SimRng) -> f64 {
+        let missed = (0..n)
+            .filter(|_| link.message_misses_deadline(attack_msgs_per_s, rng))
+            .count();
+        missed as f64 / n as f64
+    }
+
     #[test]
     fn unattacked_link_meets_deadlines() {
         let link = RealtimeLink::control_stream();
         let mut rng = SimRng::seed(1);
-        let miss = link.deadline_miss_rate(0.0, 5000, &mut rng);
+        let miss = miss_rate(&link, 0.0, 5000, &mut rng);
         assert!(miss < 0.01, "{miss}");
     }
 
@@ -92,8 +88,13 @@ mod tests {
     fn saturation_kills_the_stream() {
         let link = RealtimeLink::control_stream();
         let mut rng = SimRng::seed(2);
-        assert_eq!(link.deadline_miss_rate(950.0, 100, &mut rng), 1.0);
+        assert_eq!(miss_rate(&link, 950.0, 100, &mut rng), 1.0);
         assert!(link.expected_wait_ms(900.0).is_infinite());
+        // Saturation decides without touching the rng.
+        let mut a = SimRng::seed(4).fork("sat");
+        assert!(link.message_misses_deadline(950.0, &mut a));
+        use rand::RngCore;
+        assert_eq!(a.next_u64(), SimRng::seed(4).fork("sat").next_u64());
     }
 
     #[test]
@@ -102,29 +103,11 @@ mod tests {
         let mut prev = -1.0;
         for attack in [0.0, 400.0, 700.0, 850.0] {
             let mut rng = SimRng::seed(3);
-            let m = link.deadline_miss_rate(attack, 4000, &mut rng);
+            let m = miss_rate(&link, attack, 4000, &mut rng);
             assert!(m >= prev, "attack {attack}: {m} < {prev}");
             prev = m;
         }
         assert!(prev > 0.05, "heavy flood should cause real misses: {prev}");
-    }
-
-    #[test]
-    fn per_message_trial_matches_batch_rate() {
-        // The batch rate is exactly the mean of per-message trials on
-        // the same stream.
-        let link = RealtimeLink::control_stream();
-        let batch = link.deadline_miss_rate(700.0, 500, &mut SimRng::seed(9));
-        let mut rng = SimRng::seed(9);
-        let singles = (0..500)
-            .filter(|_| link.message_misses_deadline(700.0, &mut rng))
-            .count();
-        assert_eq!(batch, singles as f64 / 500.0);
-        // Saturation decides without touching the rng.
-        let mut a = SimRng::seed(4).fork("sat");
-        assert!(link.message_misses_deadline(950.0, &mut a));
-        use rand::RngCore;
-        assert_eq!(a.next_u64(), SimRng::seed(4).fork("sat").next_u64());
     }
 
     #[test]
