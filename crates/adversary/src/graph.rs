@@ -216,16 +216,6 @@ pub struct ProbPoint {
     pub detect: f64,
 }
 
-impl ProbPoint {
-    /// A certain, silent step.
-    pub fn sure() -> Self {
-        Self {
-            success: 1.0,
-            detect: 0.0,
-        }
-    }
-}
-
 /// One attack step: an edge of the graph.
 #[derive(Debug, Clone)]
 pub struct AttackEdge {
@@ -268,8 +258,6 @@ pub struct AttackGraph {
 }
 
 impl AttackGraph {
-    /// The attacker's starting node.
-    pub const START: Capability = Capability::External;
     /// The attacker's goal node.
     pub const GOAL: Capability = Capability::SafetyImpact;
 
@@ -367,7 +355,10 @@ mod tests {
             layer: ArchLayer::Physical,
             stride: Stride::Tampering,
             source: EdgeSource::Scenario(name),
-            undefended: ProbPoint::sure(),
+            undefended: ProbPoint {
+                success: 1.0,
+                detect: 0.0,
+            },
             defended: ProbPoint {
                 success: 0.0,
                 detect: 1.0,

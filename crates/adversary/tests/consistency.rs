@@ -11,7 +11,7 @@ use autosec_adversary::calibrate::{
     calibrated_graph, cascade_point, killchain_points, scenario_point, CalibrationConfig,
     DECOUPLING_SCALE,
 };
-use autosec_adversary::graph::{AttackGraph, EdgeSource};
+use autosec_adversary::graph::{AttackGraph, Capability, EdgeSource};
 use autosec_core::campaign::DefensePosture;
 use autosec_core::scenario::scenario_registry;
 use autosec_data::killchain::KillChainStage;
@@ -100,7 +100,7 @@ fn graph_connects_start_to_goal() {
     let g = structural_graph();
     // Reachability over edges with any nonzero undefended success.
     let mut reached = [false; 15];
-    reached[AttackGraph::START.index()] = true;
+    reached[Capability::External.index()] = true;
     for _ in 0..g.len() {
         for e in g.edges() {
             if reached[e.from.index()] && e.undefended.success > 0.0 {

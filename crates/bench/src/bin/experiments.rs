@@ -22,9 +22,7 @@
 //! Tables are bit-identical for any `--jobs`. Each experiment runs under
 //! `catch_unwind` with a soft deadline from its cost class, and the
 //! manifest is rewritten after every experiment, so `--resume` can finish
-//! an interrupted run. `--isolate on` re-invokes this binary per entry in
-//! the hidden `--worker-one <slug>` mode, so a deadline or a resource
-//! budget kills the child for real.
+//! an interrupted run.
 //!
 //! The suite, `fleet` and `generate` each have one flag table (`SUITE`,
 //! `FLEET`, `GENERATE`) holding every flag's names, help text and where
@@ -32,19 +30,15 @@
 //! usage rendered from the table, so every flag is documented there. A
 //! bad command line exits 2 with a one-line reason and the usage.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use autosec_adversary::{calibrated_graph, CalibrationConfig};
 use autosec_bench::{registry, ArtifactStore, RunCtx, RunManifest};
 use autosec_core::campaign::DefensePosture;
 use autosec_fleet::{CampaignMode, DefenderMode, Fidelity, FleetConfig, FleetEngine};
 use autosec_runner::{
-    apply_worker_rlimits, panic_message, run_suite, silence_panics, worker_failure_path,
-    ExperimentRecord, IsolateMode, Isolation, ResourceBudgets, ResumeState, RunStatus,
-    SuiteOptions, WorkerSpec, DEFAULT_ARTIFACT_DIR,
+    run_suite, NoRun, ResumeState, RunStatus, SuiteOptions, DEFAULT_ARTIFACT_DIR,
 };
 use autosec_scengen::{evaluate_campaign, generate, CoverageMatrix, GenConfig};
 use autosec_sim::{ArchLayer, SimRng, Stride};
@@ -63,12 +57,6 @@ struct Args {
     deadline_secs: Option<u64>,
     resume: bool,
     out: String,
-    isolate: IsolateMode,
-    budgets: ResourceBudgets,
-    /// Hidden worker mode: run exactly one experiment and hand the
-    /// artifact back through `--out` (set by the supervising parent,
-    /// never by hand).
-    worker_one: Option<String>,
 }
 
 /// Parsed `fleet` subcommand arguments.
@@ -112,8 +100,7 @@ enum Takes<A> {
 struct Flag<A> {
     /// The long name, then the short alias if there is one.
     names: &'static [&'static str],
-    /// The usage entry, laid out as printed; empty hides the flag (the
-    /// supervisor's `--worker-one`).
+    /// The usage entry, laid out as printed.
     help: &'static str,
     takes: Takes<A>,
 }
@@ -294,8 +281,9 @@ const SUITE: Grammar<Args> = Grammar {
                    every experiment carrying that tag; stride:<class> (e.g.
                    stride:spoofing) selects by STRIDE threat-class annotation;
                    failed:<dir-or-manifest> re-selects the failed / timed-out
-                   entries of a prior manifest. May be repeated; overlapping
-                   filters never run an experiment twice",
+                   entries of a prior manifest (an unreadable manifest exits
+                   2). May be repeated; overlapping filters never run an
+                   experiment twice",
             takes: Takes::Value("F", push_filter),
         },
         Flag::seed(|a, v| set(&mut a.seed, unsigned(v))),
@@ -328,38 +316,6 @@ const SUITE: Grammar<Args> = Grammar {
             takes: Takes::Value("N", |a, v| set(&mut a.deadline_secs, positive(v).map(Some))),
         },
         Flag {
-            names: &["--isolate"],
-            help: "on: run each experiment in a supervised child process — a
-                   deadline SIGKILLs it for real and resource budgets are
-                   enforced. off: in-process threads (overtime workers are
-                   detached, flagged overtime_detached in the manifest).
-                   auto (default): on iff a budget flag is given",
-            takes: Takes::Value("on|off|auto", |a, v| {
-                set(
-                    &mut a.isolate,
-                    IsolateMode::parse(v).ok_or("on, off or auto"),
-                )
-            }),
-        },
-        Flag {
-            names: &["--rss-limit-mb"],
-            help: "kill a worker child whose peak resident set crosses N MiB
-                   (manifest status oom_killed); implies isolation under
-                   --isolate auto",
-            takes: Takes::Value("N", |a, v| {
-                set(&mut a.budgets.rss_limit_mb, positive(v).map(Some))
-            }),
-        },
-        Flag {
-            names: &["--cpu-limit-secs"],
-            help: "kill a worker child whose CPU time crosses N seconds
-                   (manifest status cpu_exceeded); default under --isolate
-                   on: the cost-derived deadline x --jobs",
-            takes: Takes::Value("N", |a, v| {
-                set(&mut a.budgets.cpu_limit_secs, positive(v).map(Some))
-            }),
-        },
-        Flag {
             names: &["--resume", "-r"],
             help: "skip experiments whose artifact a prior manifest in the
                    --out dir already covers for the same (seed, trials-scale,
@@ -371,11 +327,6 @@ const SUITE: Grammar<Args> = Grammar {
             names: &["--list", "-l"],
             help: "print the experiment catalogue and exit",
             takes: Takes::Switch(|a| a.list = true),
-        },
-        Flag {
-            names: &["--worker-one"],
-            help: "",
-            takes: Takes::Value("SLUG", |a, v| set(&mut a.worker_one, Ok(Some(v.into())))),
         },
         Flag::HELP,
     ],
@@ -633,14 +584,14 @@ fn parse<A>(grammar: &Grammar<A>, raw: &[String]) -> Result<Option<A>, String> {
 }
 
 /// The usage text, rendered from the grammar: a synopsis, one entry
-/// per flag that is not hidden, then the trailer.
+/// per flag, then the trailer.
 fn usage<A>(grammar: &Grammar<A>) -> String {
     let filters = grammar.positional.map_or("", |_| "[FILTER...] ");
     let mut text = format!(
         "usage: experiments {}{filters}[FLAG...]\n\n",
         grammar.command
     );
-    for flag in grammar.flags.iter().filter(|f| !f.help.is_empty()) {
+    for flag in grammar.flags {
         let names: Vec<&str> = flag.names.iter().rev().copied().collect();
         let mut lead = format!("  {}", names.join(", "));
         if let Takes::Value(placeholder, _) = flag.takes {
@@ -887,54 +838,6 @@ fn generate_main(args: GenerateArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The hidden `--worker-one <slug>` mode: run exactly one experiment
-/// in-process and hand the result back through the `--out` handoff
-/// directory. Exit 0 + `<slug>.json` on success; exit 101 +
-/// `<slug>.panic.txt` carrying the original panic message on panic.
-/// The supervising parent polls budgets and classifies kills — this
-/// child only installs the rlimit backstops and computes.
-fn worker_main(slug: &str, args: &Args) -> ExitCode {
-    apply_worker_rlimits(args.budgets);
-    let reg = registry();
-    let selected = reg.select(slug);
-    let Some(exp) = selected.first() else {
-        eprintln!("worker: unknown experiment slug {slug:?}");
-        return ExitCode::FAILURE;
-    };
-    let ctx = RunCtx::new(args.seed, args.jobs).with_trials_scale(args.trials_scale);
-    let store = match ArtifactStore::create(&args.out) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("worker: cannot create handoff dir {:?}: {e}", args.out);
-            return ExitCode::FAILURE;
-        }
-    };
-    // The parent reports the panic through the manifest; a default-hook
-    // stderr dump would interleave with the parent's own output.
-    let _quiet = silence_panics();
-    let start = Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| exp.run(&ctx))) {
-        Ok(table) => {
-            let record = ExperimentRecord::ok(exp.slug, exp.id, start.elapsed(), table);
-            match store.write_record(&record, ctx.seed, ctx.jobs, ctx.trials_scale) {
-                Ok(_) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("worker: artifact write failed for {}: {e}", exp.slug);
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Err(payload) => {
-            let message = panic_message(payload.as_ref());
-            let _ = std::fs::write(
-                worker_failure_path(Path::new(&args.out), exp.slug),
-                &message,
-            );
-            ExitCode::from(101)
-        }
-    }
-}
-
 fn main() -> ExitCode {
     // The `fleet` and `generate` subcommands have their own argument
     // grammars.
@@ -945,9 +848,6 @@ fn main() -> ExitCode {
         _ => {}
     }
     let args = parse_or_exit(&SUITE, &raw);
-    if let Some(slug) = args.worker_one.clone() {
-        return worker_main(&slug, &args);
-    }
     let reg = registry();
 
     if args.list {
@@ -979,19 +879,32 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let selected = if args.filters.is_empty() {
-        reg.all()
-    } else {
-        reg.select_many(&args.filters)
+    let selected = match reg.resolve(&args.filters) {
+        _ if args.filters.is_empty() => reg.all(),
+        Ok(selected) => selected,
+        Err(NoRun::BadManifest { filter, manifest }) => {
+            eprintln!(
+                "invalid --filter {filter:?}: expected a readable run manifest at {manifest:?}"
+            );
+            eprintln!("{}", usage(&SUITE));
+            return ExitCode::from(2);
+        }
+        Err(NoRun::NoFailures(manifest)) => {
+            eprintln!(
+                "nothing to re-run: {} records no failures",
+                manifest.display()
+            );
+            return ExitCode::SUCCESS;
+        }
+        Err(NoRun::NoMatch) => {
+            eprintln!(
+                "no experiment matched {:?}; available ids: {}\n(or pick a slug from --list)",
+                args.filters.join(","),
+                reg.group_ids().join(" ")
+            );
+            return ExitCode::FAILURE;
+        }
     };
-    if selected.is_empty() {
-        eprintln!(
-            "no experiment matched {:?}; available ids: {}\n(or pick a slug from --list)",
-            args.filters.join(","),
-            reg.group_ids().join(" ")
-        );
-        return ExitCode::FAILURE;
-    }
 
     let ctx = RunCtx::new(args.seed, args.jobs).with_trials_scale(args.trials_scale);
     let store = match args.json.then(|| open_store(&args.out, args.canonical)) {
@@ -1029,50 +942,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // Isolation: auto resolves to child processes exactly when a
-    // budget was requested (budgets are unenforceable in-process).
-    let budgets = args.budgets;
-    let isolate_on = match args.isolate {
-        IsolateMode::On => true,
-        IsolateMode::Off => false,
-        IsolateMode::Auto => budgets.any(),
-    };
-    let handoff_root = Path::new(&args.out).join(".workers");
-    let isolation = if isolate_on {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("--isolate on: cannot locate own binary: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        Some(Isolation {
-            spec: WorkerSpec {
-                exe,
-                base_args: vec![
-                    "--seed".into(),
-                    ctx.seed.to_string(),
-                    "--jobs".into(),
-                    ctx.jobs.to_string(),
-                    "--trials-scale".into(),
-                    ctx.trials_scale.to_string(),
-                ],
-            },
-            budgets,
-            handoff_root: handoff_root.clone(),
-        })
-    } else {
-        if budgets.any() {
-            eprintln!("note: resource budgets need a child process; ignored under --isolate off");
-        }
-        None
-    };
-
     let opts = SuiteOptions {
         keep_going: args.keep_going,
         deadline_override: args.deadline_secs.map(Duration::from_secs),
         skip,
-        isolation,
     };
 
     // The manifest grows record by record and is rewritten after every
@@ -1115,34 +988,10 @@ fn main() -> ExitCode {
                     record.duration.as_secs_f64(),
                     deadline.as_secs(),
                     if *detached {
-                        "worker detached (still running — use --isolate on for real kills)"
+                        "worker detached (still running)"
                     } else {
-                        "worker killed"
+                        "worker finished late"
                     }
-                );
-            }
-            RunStatus::OomKilled {
-                peak_rss_mb,
-                limit_mb,
-            } => {
-                eprintln!(
-                    "OOM-KILLED {} after {:.1} s (peak rss {} MiB, limit {} MiB)",
-                    record.slug,
-                    record.duration.as_secs_f64(),
-                    peak_rss_mb,
-                    limit_mb
-                );
-            }
-            RunStatus::CpuExceeded {
-                cpu_secs,
-                limit_secs,
-            } => {
-                eprintln!(
-                    "CPU-EXCEEDED {} after {:.1} s ({:.1} cpu-s, limit {} s)",
-                    record.slug,
-                    record.duration.as_secs_f64(),
-                    cpu_secs,
-                    limit_secs
                 );
             }
             RunStatus::Skipped => {
@@ -1156,11 +1005,6 @@ fn main() -> ExitCode {
             }
         }
     });
-
-    // The per-slug handoff dirs are removed as each verdict lands;
-    // dropping the (now empty) root keeps isolate-on artifact trees
-    // diffable against isolate-off ones.
-    let _ = std::fs::remove_dir(&handoff_root);
 
     if let Some(store) = &store {
         eprintln!(
@@ -1398,14 +1242,14 @@ mod tests {
     }
 
     #[test]
-    fn usage_lists_every_flag_but_the_hidden_worker() {
+    fn usage_lists_every_flag() {
         fn check<A>(g: &Grammar<A>) {
             let text = usage(g);
             for flag in g.flags {
                 let mut entries = text.lines().map(|l| l.split_whitespace().take(2));
                 let listed =
                     entries.any(|mut w| w.any(|w| w.trim_end_matches(',') == flag.names[0]));
-                assert_eq!(listed, flag.names[0] != "--worker-one", "{}", flag.names[0]);
+                assert!(listed, "{}", flag.names[0]);
             }
             assert!(text.contains(DEFAULT_ARTIFACT_DIR), "{text}");
             assert!(text.lines().all(|l| l.chars().count() <= 78), "{text}");
@@ -1492,9 +1336,6 @@ mod tests {
             ),
             ("", "--deadline-secs", "0", POSITIVE),
             ("", "--deadline-secs", "-1", POSITIVE),
-            ("", "--isolate", "maybe", "expected on, off or auto"),
-            ("", "--rss-limit-mb", "0", POSITIVE),
-            ("", "--cpu-limit-secs", "0", POSITIVE),
             ("fleet", "--vehicles", "x", POSITIVE),
             (
                 "fleet",
@@ -1596,7 +1437,7 @@ mod tests {
         }
         // Every value flag of the tables: a missing value under each of
         // its names, and a malformed-value row unless any text is valid.
-        let free_text = ["--filter", "--out", "--worker-one"];
+        let free_text = ["--filter", "--out"];
         for (grammar, names) in value_flags() {
             for name in names {
                 assert_eq!(

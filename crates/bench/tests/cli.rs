@@ -50,6 +50,37 @@ fn fleet_rejects_a_nan_attack_rate() {
     );
 }
 
+/// A `failed:` filter whose manifest is missing or corrupt is a bad
+/// input, not an empty selection.
+#[test]
+fn suite_rejects_an_unreadable_failed_manifest() {
+    rejects(
+        &["--filter", "failed:/nonexistent"],
+        "invalid --filter \"failed:/nonexistent\": expected a readable run manifest at \"/nonexistent\"",
+    );
+    let corrupt = std::env::temp_dir().join("autosec-cli-corrupt-manifest.json");
+    std::fs::write(&corrupt, "{ \"seed\": 4, ").expect("write");
+    let filter = format!("failed:{}", corrupt.display());
+    rejects(
+        &[filter.as_str()],
+        &format!("invalid --filter {filter:?}: expected a readable run manifest at {corrupt:?}"),
+    );
+    let _ = std::fs::remove_file(&corrupt);
+}
+
+/// The flags of the deleted process-isolation tier are unknown arguments.
+#[test]
+fn suite_rejects_the_removed_isolation_flags() {
+    for (flag, value) in [
+        ("--isolate", "on"),
+        ("--rss-limit-mb", "64"),
+        ("--cpu-limit-secs", "1"),
+        ("--worker-one", "e1-depth-sweep"),
+    ] {
+        rejects(&[flag, value], &format!("unknown argument {flag:?}"));
+    }
+}
+
 /// The rate is a probability, so a value above 1 is refused rather
 /// than run as 1.
 #[test]
@@ -170,10 +201,6 @@ fn every_flag_missing_its_value_and_every_help_exit_2() {
                 "--jobs",
                 "--trials-scale",
                 "--deadline-secs",
-                "--isolate",
-                "--rss-limit-mb",
-                "--cpu-limit-secs",
-                "--worker-one",
                 "--out",
             ],
         ),

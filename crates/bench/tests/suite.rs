@@ -1,14 +1,16 @@
 //! End-to-end fault tolerance of the `experiments` binary: a suite
 //! with a deterministically failing member must degrade (not abort)
 //! under `--keep-going`, leave healthy artifacts bit-identical to a
-//! clean run, and come back to green via `--resume` / `failed:`.
+//! clean run, and come back to green via `--resume` / `failed:` — also
+//! after the suite process itself was killed mid-entry.
 //!
 //! The failing member is the hidden `x0-chaos` probe, registered only
 //! when `AUTOSEC_CHAOS` is set — env vars are passed per child
 //! process, so these tests never mutate their own environment.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
@@ -173,6 +175,107 @@ fn failed_pseudo_filter_reselects_only_the_failures() {
 
     let _ = std::fs::remove_dir_all(&out);
     let _ = std::fs::remove_dir_all(&retry_out);
+}
+
+#[test]
+fn failed_pseudo_filter_on_a_clean_manifest_has_nothing_to_rerun() {
+    let out = tmp("failed-filter-clean");
+    assert_eq!(run("ok", &out, &["--keep-going"]).status.code(), Some(0));
+
+    let retry_out = tmp("failed-filter-clean-retry");
+    let retry = Command::new(bin())
+        .env("AUTOSEC_CHAOS", "ok")
+        .arg("--filter")
+        .arg(format!("failed:{}", out.display()))
+        .args(["--json", "--out"])
+        .arg(&retry_out)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&retry.stderr);
+    assert_eq!(retry.status.code(), Some(0), "{stderr}");
+    let expected = format!(
+        "nothing to re-run: {} records no failures",
+        out.join("manifest.json").display()
+    );
+    assert_eq!(stderr.trim_end(), expected);
+    assert!(retry.stdout.is_empty(), "nothing ran");
+    assert!(!retry_out.join("manifest.json").exists());
+
+    let _ = std::fs::remove_dir_all(&out);
+    let _ = std::fs::remove_dir_all(&retry_out);
+}
+
+#[test]
+fn a_suite_killed_mid_entry_resumes_to_green() {
+    let out = tmp("kill-resume");
+    // Healthy members first (registration order), then the sleeper;
+    // the incremental manifest is rewritten after every record.
+    let mut suite = Command::new(bin())
+        .env("AUTOSEC_CHAOS", "sleep:60000")
+        .args([
+            "--filter",
+            "e3-technologies",
+            "--filter",
+            "e4-protocol-matrix",
+            "--filter",
+            "x0-chaos",
+            "--json",
+            "--out",
+        ])
+        .arg(&out)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("suite starts");
+
+    // Wait until both healthy records are on disk — the sleeper is then
+    // the entry in flight — and SIGKILL the suite process. (Grepping
+    // the manifest text would trip on the `filter` field, which also
+    // names every slug; parse the records instead.)
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        assert!(Instant::now() < deadline, "suite never reached the sleeper");
+        let healthy_done = std::fs::read_to_string(out.join("manifest.json"))
+            .ok()
+            .and_then(|text| serde_json::from_str(&text).ok())
+            .is_some_and(|m: Value| {
+                let has = |slug| {
+                    m["experiments"]
+                        .as_array()
+                        .is_some_and(|a| a.iter().any(|e| e["slug"].as_str() == Some(slug)))
+                };
+                has("e3-technologies") && has("e4-protocol-matrix")
+            });
+        if healthy_done {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    suite.kill().expect("kill the suite");
+    suite.wait().expect("reap the suite");
+
+    // The interrupted manifest parses and already carries the healthy
+    // entries.
+    let m = manifest(&out);
+    for slug in ["e3-technologies", "e4-protocol-matrix"] {
+        assert_eq!(entry(&m, slug)["status"].as_str(), Some("ok"));
+    }
+
+    // Resume with the chaos healed: healthy artifacts are reused, only
+    // the interrupted entry re-runs, the suite goes green.
+    let resumed = run("ok", &out, &["--resume"]);
+    assert_eq!(resumed.status.code(), Some(0), "resume must finish green");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        stderr.contains("skipped e3-technologies"),
+        "healthy artifact not reused:\n{stderr}"
+    );
+    let m = manifest(&out);
+    assert_eq!(m["failures"].as_u64(), Some(0));
+    assert_eq!(entry(&m, "x0-chaos")["status"].as_str(), Some("ok"));
+    assert!(out.join("x0-chaos.json").exists());
+
+    let _ = std::fs::remove_dir_all(&out);
 }
 
 #[test]

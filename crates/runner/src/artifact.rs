@@ -8,11 +8,11 @@
 //!
 //! With the fault-tolerant suite runner, a manifest entry is no longer
 //! always a success: each carries a [`RunStatus`] (`ok`, `failed`,
-//! `timed_out`, `oom_killed`, `cpu_exceeded`, or `skipped`), failed
-//! entries record the panic message, budget kills record the observed
-//! peak RSS / CPU seconds against the limit, and [`ResumeState`] reads
-//! a prior manifest back so `--resume` can re-run only the failures
-//! and gaps — killed and budget-exceeded entries are all retryable.
+//! `timed_out`, or `skipped`), failed entries record the panic message,
+//! and [`ResumeState`] reads a prior manifest back so `--resume` can
+//! re-run only the failures and gaps. A status this build does not
+//! know — such as `oom_killed` or `cpu_exceeded`, which older builds
+//! wrote — counts as a failure, so it is retried too.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -40,27 +40,10 @@ pub enum RunStatus {
     TimedOut {
         /// The deadline that was in force.
         deadline: Duration,
-        /// In-process fallback only: the overtime worker thread was
-        /// still running when the suite moved on (Rust cannot kill a
-        /// thread, so it leaks until process exit). Always `false`
-        /// under `--isolate on`, where the child is SIGKILLed for
-        /// real.
+        /// The overtime worker thread was still running when the suite
+        /// moved on (Rust cannot kill a thread, so it leaks until
+        /// process exit).
         detached: bool,
-    },
-    /// Killed for crossing its peak-RSS budget (`--isolate on` only).
-    OomKilled {
-        /// Peak resident set observed before the kill (MiB).
-        peak_rss_mb: u64,
-        /// The budget in force (MiB).
-        limit_mb: u64,
-    },
-    /// Killed for crossing its CPU-seconds budget (`--isolate on`
-    /// only).
-    CpuExceeded {
-        /// CPU seconds observed before the kill.
-        cpu_secs: f64,
-        /// The budget in force (seconds).
-        limit_secs: u64,
     },
     /// Skipped under `--resume`: the canonical artifact from a prior
     /// run already covers it.
@@ -74,8 +57,6 @@ impl RunStatus {
             RunStatus::Ok => "ok",
             RunStatus::Failed { .. } => "failed",
             RunStatus::TimedOut { .. } => "timed_out",
-            RunStatus::OomKilled { .. } => "oom_killed",
-            RunStatus::CpuExceeded { .. } => "cpu_exceeded",
             RunStatus::Skipped => "skipped",
         }
     }
@@ -128,8 +109,8 @@ impl ExperimentRecord {
         Self::base(slug, id, duration, RunStatus::Failed { message })
     }
 
-    /// An overtime record. `detached` marks the in-process fallback's
-    /// leaked worker thread (see [`RunStatus::TimedOut`]).
+    /// An overtime record. `detached` marks a leaked worker thread
+    /// (see [`RunStatus::TimedOut`]).
     pub fn timed_out(
         slug: &str,
         id: &str,
@@ -142,44 +123,6 @@ impl ExperimentRecord {
             id,
             duration,
             RunStatus::TimedOut { deadline, detached },
-        )
-    }
-
-    /// A record for a child killed over its peak-RSS budget.
-    pub fn oom_killed(
-        slug: &str,
-        id: &str,
-        duration: Duration,
-        peak_rss_mb: u64,
-        limit_mb: u64,
-    ) -> Self {
-        Self::base(
-            slug,
-            id,
-            duration,
-            RunStatus::OomKilled {
-                peak_rss_mb,
-                limit_mb,
-            },
-        )
-    }
-
-    /// A record for a child killed over its CPU-seconds budget.
-    pub fn cpu_exceeded(
-        slug: &str,
-        id: &str,
-        duration: Duration,
-        cpu_secs: f64,
-        limit_secs: u64,
-    ) -> Self {
-        Self::base(
-            slug,
-            id,
-            duration,
-            RunStatus::CpuExceeded {
-                cpu_secs,
-                limit_secs,
-            },
         )
     }
 
@@ -241,20 +184,6 @@ impl ExperimentRecord {
                 if *detached {
                     pairs.push(("overtime_detached", Value::from(true)));
                 }
-            }
-            RunStatus::OomKilled {
-                peak_rss_mb,
-                limit_mb,
-            } => {
-                pairs.push(("peak_rss_mb", Value::from(*peak_rss_mb)));
-                pairs.push(("rss_limit_mb", Value::from(*limit_mb)));
-            }
-            RunStatus::CpuExceeded {
-                cpu_secs,
-                limit_secs,
-            } => {
-                pairs.push(("cpu_secs", Value::from(*cpu_secs)));
-                pairs.push(("cpu_limit_secs", Value::from(*limit_secs)));
             }
             RunStatus::Skipped => {
                 pairs.push(("artifact", Value::from(format!("{}.json", self.slug))));
@@ -426,8 +355,8 @@ pub struct ResumeState {
     /// artifact on disk is current).
     pub completed: BTreeSet<String>,
     /// Slugs recorded with any failure status (`failed`, `timed_out`,
-    /// `oom_killed`, `cpu_exceeded`, or a status this build does not
-    /// know), in manifest order. All of them are retryable.
+    /// or a status this build does not know, such as an older build's
+    /// `oom_killed`), in manifest order. All of them are retryable.
     pub failed: Vec<String>,
 }
 
@@ -664,13 +593,11 @@ mod tests {
                     false,
                 ),
                 ExperimentRecord::skipped("e2-lrp-rounds", "E2"),
-                ExperimentRecord::oom_killed("e5-mem", "E5", Duration::from_secs(2), 131, 64),
-                ExperimentRecord::cpu_exceeded("e6-cpu", "E6", Duration::from_secs(9), 8.5, 8),
             ],
         };
         let v = m.to_json();
         let exps = v["experiments"].as_array().expect("array");
-        assert_eq!(exps.len(), 6);
+        assert_eq!(exps.len(), 4);
         assert_eq!(exps[0]["status"].as_str(), Some("ok"));
         assert_eq!(exps[0]["artifact"].as_str(), Some("e9-demo.json"));
         assert_eq!(exps[1]["status"].as_str(), Some("failed"));
@@ -687,13 +614,7 @@ mod tests {
         );
         assert_eq!(exps[3]["status"].as_str(), Some("skipped"));
         assert_eq!(exps[3]["artifact"].as_str(), Some("e2-lrp-rounds.json"));
-        assert_eq!(exps[4]["status"].as_str(), Some("oom_killed"));
-        assert_eq!(exps[4]["peak_rss_mb"].as_u64(), Some(131));
-        assert_eq!(exps[4]["rss_limit_mb"].as_u64(), Some(64));
-        assert_eq!(exps[5]["status"].as_str(), Some("cpu_exceeded"));
-        assert_eq!(exps[5]["cpu_secs"].as_f64(), Some(8.5));
-        assert_eq!(exps[5]["cpu_limit_secs"].as_u64(), Some(8));
-        assert_eq!(v["failures"].as_u64(), Some(4));
+        assert_eq!(v["failures"].as_u64(), Some(2));
         assert_eq!(v["filter"].as_str(), Some("E9"));
     }
 
@@ -819,32 +740,26 @@ mod tests {
 
     #[test]
     fn resume_state_treats_killed_statuses_as_retryable() {
-        // A manifest carrying the isolation-era statuses round-trips:
-        // oom_killed / cpu_exceeded / timed_out(detached) entries all
-        // land in `failed` (so --resume re-runs them), never in
-        // `completed`.
+        // Older builds wrote oom_killed / cpu_exceeded entries, and a
+        // timed_out entry may carry overtime_detached: all land in
+        // `failed` (so --resume re-runs them), never in `completed`.
         let dir = tmp("resume-killed");
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::create(&dir).expect("create dir");
-        let m = RunManifest {
-            seed: 3,
-            jobs: 2,
-            trials_scale: 1.0,
-            filter: None,
-            records: vec![
-                record(1),
-                ExperimentRecord::oom_killed("e5-mem", "E5", Duration::from_secs(2), 131, 64),
-                ExperimentRecord::cpu_exceeded("e6-cpu", "E6", Duration::from_secs(9), 8.5, 8),
-                ExperimentRecord::timed_out(
-                    "e3-leak",
-                    "E3",
-                    Duration::from_secs(2),
-                    Duration::from_secs(1),
-                    true,
-                ),
-            ],
-        };
-        store.write_run(&m).expect("write");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(
+            dir.join("manifest.json"),
+            r#"{"seed": 3, "jobs": 2, "trials_scale": 1.0, "filter": null, "failures": 3,
+                "experiments": [
+                  {"slug": "e9-demo", "id": "E9", "status": "ok", "rows": 1,
+                   "artifact": "e9-demo.json", "duration_ms": 1.0},
+                  {"slug": "e5-mem", "id": "E5", "status": "oom_killed",
+                   "peak_rss_mb": 131, "rss_limit_mb": 64, "duration_ms": 2000.0},
+                  {"slug": "e6-cpu", "id": "E6", "status": "cpu_exceeded",
+                   "cpu_secs": 8.5, "cpu_limit_secs": 8, "duration_ms": 9000.0},
+                  {"slug": "e3-leak", "id": "E3", "status": "timed_out",
+                   "deadline_secs": 1.0, "overtime_detached": true, "duration_ms": 2000.0}]}"#,
+        )
+        .expect("write");
         let state = ResumeState::load(&dir).expect("loadable");
         assert_eq!(
             state.failed,

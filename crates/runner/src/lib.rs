@@ -27,11 +27,8 @@
 //!   [`TrialOutcome`]s instead of unwinding.
 //! - [`suite`] — the fault-tolerant suite runner: per-experiment
 //!   `catch_unwind`, cost-derived soft deadlines, keep-going
-//!   degradation, and resume skip sets.
-//! - [`proc`] — process-level supervision: suite entries in spawned
-//!   worker children that deadlines SIGKILL for real, with peak-RSS
-//!   and CPU-seconds budgets enforced by `/proc` polling plus rlimit
-//!   backstops.
+//!   degradation, and resume skip sets, all in one process.
+//! - [`proc`] — the `/proc` CPU-time probe the benchmark reads.
 //! - [`artifact`] — run manifest + per-experiment JSON artifacts, with
 //!   per-entry statuses and [`ResumeState`] for `--resume`.
 //!
@@ -62,9 +59,6 @@ pub use artifact::{
 };
 pub use ctx::{RunCtx, DEFAULT_SEED};
 pub use par::{panic_message, par_trials, silence_panics, try_par_trials, TrialOutcome};
-pub use proc::{
-    apply_worker_rlimits, worker_failure_path, IsolateMode, ResourceBudgets, WorkerSpec,
-};
-pub use registry::{Cost, Experiment, Registry};
-pub use suite::{run_suite, Isolation, SuiteOptions, SuiteReport};
+pub use registry::{Cost, Experiment, NoRun, Registry};
+pub use suite::{run_suite, SuiteOptions, SuiteReport};
 pub use table::Table;

@@ -1,6 +1,6 @@
 //! Experiments as data: id, slug, title, tags, cost, and a closure.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,14 +32,6 @@ impl Cost {
             Cost::Moderate => Duration::from_secs(120),
             Cost::Heavy => Duration::from_secs(600),
         }
-    }
-
-    /// The default CPU-seconds ceiling for a supervised child of this
-    /// class (override with `--cpu-limit-secs`): the wall deadline
-    /// times the worker count, since a child legitimately saturating
-    /// `jobs` threads burns up to `jobs` CPU-seconds per wall second.
-    pub fn cpu_budget_secs(self, jobs: usize) -> u64 {
-        self.deadline().as_secs() * jobs.max(1) as u64
     }
 }
 
@@ -120,6 +112,24 @@ impl std::fmt::Debug for Experiment {
     }
 }
 
+/// Why a filter list leaves nothing to run (see [`Registry::resolve`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NoRun {
+    /// A `failed:` filter names a manifest that is missing or
+    /// unparsable.
+    BadManifest {
+        /// The filter as given.
+        filter: String,
+        /// The manifest path it read.
+        manifest: PathBuf,
+    },
+    /// Every filter is `failed:`, and the manifests record no failures;
+    /// carries the first manifest.
+    NoFailures(PathBuf),
+    /// No experiment matched.
+    NoMatch,
+}
+
 /// The ordered experiment registry.
 ///
 /// Experiments are stored behind [`Arc`] so the suite runner can hand
@@ -184,54 +194,76 @@ impl Registry {
     /// - `failed:<dir-or-manifest>` re-selects the experiments a prior
     ///   run's manifest recorded as `failed` or `timed_out` (an empty
     ///   path reads the default artifact directory). An unreadable or
-    ///   corrupt manifest selects nothing.
+    ///   corrupt manifest selects nothing; [`Registry::resolve`] tells
+    ///   that case apart.
     pub fn select(&self, filter: &str) -> Vec<Arc<Experiment>> {
         self.select_many(&[filter])
     }
 
     /// Experiments matching **any** of `filters` (same syntax as
-    /// [`Registry::select`]), in registration order.
+    /// [`Registry::select`]), in registration order; empty wherever
+    /// [`Registry::resolve`] says why nothing runs.
+    pub fn select_many<S: AsRef<str>>(&self, filters: &[S]) -> Vec<Arc<Experiment>> {
+        self.resolve(filters).unwrap_or_default()
+    }
+
+    /// The experiments `filters` select, or why there is nothing to
+    /// run.
     ///
     /// The registry is walked once and each experiment is tested
     /// against all filters, so an experiment matched by several of them
     /// — say a `tag:` filter plus its own slug — appears exactly once
     /// and never runs twice in one invocation.
-    pub fn select_many<S: AsRef<str>>(&self, filters: &[S]) -> Vec<Arc<Experiment>> {
+    pub fn resolve<S: AsRef<str>>(&self, filters: &[S]) -> Result<Vec<Arc<Experiment>>, NoRun> {
         let mut lowered: Vec<String> = Vec::new();
+        let mut first_manifest = None;
+        let mut only_failed = true;
         for f in filters {
             let f = f.as_ref();
-            if let Some(path) = f.strip_prefix("failed:") {
-                // Paths stay case-sensitive; the slugs read from the
-                // manifest fold like ordinary slug filters.
-                lowered.extend(Self::failed_slugs(path).iter().map(|s| s.to_lowercase()));
-            } else {
+            let Some(path) = f.strip_prefix("failed:") else {
+                only_failed = false;
                 lowered.push(f.to_lowercase());
-            }
+                continue;
+            };
+            let manifest = Self::manifest_path(path);
+            let Some(state) = ResumeState::load_manifest(&manifest) else {
+                let filter = f.to_owned();
+                return Err(NoRun::BadManifest { filter, manifest });
+            };
+            // Paths stay case-sensitive; the slugs read from the
+            // manifest fold like ordinary slug filters.
+            lowered.extend(state.failed.iter().map(|s| s.to_lowercase()));
+            first_manifest.get_or_insert(manifest);
         }
-        self.experiments
+        let selected: Vec<_> = self
+            .experiments
             .iter()
             .filter(|e| lowered.iter().any(|f| Self::matches(e, f)))
             .cloned()
-            .collect()
+            .collect();
+        if !selected.is_empty() {
+            return Ok(selected);
+        }
+        match first_manifest {
+            Some(manifest) if only_failed && lowered.is_empty() => Err(NoRun::NoFailures(manifest)),
+            _ => Err(NoRun::NoMatch),
+        }
     }
 
-    /// Slugs a prior manifest recorded as failed or timed out. `path`
-    /// may name the artifact directory or the manifest file itself;
-    /// empty means [`DEFAULT_ARTIFACT_DIR`].
-    fn failed_slugs(path: &str) -> Vec<String> {
+    /// The manifest a `failed:` filter reads: `path` may name the
+    /// artifact directory or the manifest file itself; empty means
+    /// [`DEFAULT_ARTIFACT_DIR`].
+    fn manifest_path(path: &str) -> PathBuf {
         let p = if path.is_empty() {
             Path::new(DEFAULT_ARTIFACT_DIR)
         } else {
             Path::new(path)
         };
-        let manifest = if p.is_dir() {
+        if p.is_dir() {
             p.join("manifest.json")
         } else {
             p.to_path_buf()
-        };
-        ResumeState::load_manifest(&manifest)
-            .map(|s| s.failed)
-            .unwrap_or_default()
+        }
     }
 
     /// Whether one already-lowercased filter selects `e`.
@@ -426,6 +458,45 @@ mod tests {
     }
 
     #[test]
+    fn resolve_tells_a_bad_manifest_from_a_clean_one() {
+        let dir = std::env::temp_dir().join("autosec-runner-resolve");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::create(&dir).expect("create dir");
+        let r = sample();
+        let filter = format!("failed:{}", dir.display());
+        let manifest = dir.join("manifest.json");
+        let why = |filters: &[&str]| r.resolve(filters).unwrap_err();
+        let bad = NoRun::BadManifest {
+            filter: filter.clone(),
+            manifest: manifest.clone(),
+        };
+        assert_eq!(why(&[&filter]), bad, "missing");
+        std::fs::write(&manifest, "{ \"seed\": 4, ").expect("write");
+        assert_eq!(why(&[&filter]), bad, "corrupt");
+
+        let table = Table::new("E1", "t", &["a"]);
+        let clean = RunManifest {
+            seed: 42,
+            jobs: 1,
+            trials_scale: 1.0,
+            filter: None,
+            records: vec![ExperimentRecord::ok(
+                "e1-depth",
+                "E1",
+                Duration::ZERO,
+                table,
+            )],
+        };
+        store.write_manifest(&clean).expect("write");
+        assert_eq!(why(&[&filter]), NoRun::NoFailures(manifest));
+        // A plain filter beside it still runs; an unmatched one says so.
+        assert_eq!(r.resolve(&[filter.as_str(), "E1"]).unwrap().len(), 1);
+        assert_eq!(why(&[&filter, "E99"]), NoRun::NoMatch);
+        assert_eq!(why(&["E99"]), NoRun::NoMatch);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn group_ids_are_unique_in_order() {
         assert_eq!(sample().group_ids(), vec!["E1", "E10"]);
     }
@@ -448,13 +519,5 @@ mod tests {
     fn deadlines_grow_with_cost() {
         assert!(Cost::Cheap.deadline() < Cost::Moderate.deadline());
         assert!(Cost::Moderate.deadline() < Cost::Heavy.deadline());
-    }
-
-    #[test]
-    fn cpu_budget_scales_with_jobs() {
-        assert_eq!(Cost::Cheap.cpu_budget_secs(1), 30);
-        assert_eq!(Cost::Cheap.cpu_budget_secs(4), 120);
-        assert_eq!(Cost::Heavy.cpu_budget_secs(2), 1200);
-        assert_eq!(Cost::Cheap.cpu_budget_secs(0), 30, "jobs clamped to 1");
     }
 }

@@ -5,8 +5,7 @@ use serde_json::{json, Map, Value};
 /// A rendered experiment table.
 ///
 /// `id`/`title` are owned strings so a table can round-trip through
-/// its JSON artifact — the process-isolated suite runner parses a
-/// worker child's artifact back into the parent's records.
+/// its JSON artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment group id, e.g. `"E2"` (shared by related tables).
@@ -73,11 +72,8 @@ impl Table {
         Some((headers, rows))
     }
 
-    /// Full table parsed back from [`Self::to_json`] output.
-    ///
-    /// Used by the process-isolated runner to reconstruct a worker
-    /// child's result from its handoff artifact. `None` on any shape
-    /// mismatch.
+    /// Full table parsed back from [`Self::to_json`] output. `None` on
+    /// any shape mismatch.
     pub fn from_json(v: &Value) -> Option<Table> {
         let id = v.get("id")?.as_str()?.to_owned();
         let title = v.get("title")?.as_str()?.to_owned();
