@@ -3,7 +3,7 @@
 //!
 //! Each tick runs three phases:
 //!
-//! 1. **Parallel vehicle phase** ([`run_tick_sharded`]) — every alive
+//! 1. **Parallel vehicle phase** ([`crate::shard`]) — every alive
 //!    vehicle ingests one telemetry frame and steps its state machine:
 //!    fault onsets from the [`FaultPlan`] hit an exposed subset through
 //!    the real per-layer [`target_for`] adapters; rare direct attacks
@@ -15,18 +15,25 @@
 //!
 //!    Almost every vehicle-tick changes nothing: every Bernoulli draw
 //!    the vehicle's status calls for misses. Per status, those draws
-//!    are: `Healthy`, a direct attack then infection; `Degraded`, the
-//!    same two then repair if flagged; `Compromised`, late detection
-//!    if unflagged or re-alert if flagged; `Isolated`, verification.
-//!    On a tick with no chaos draw and no fault onset (both draw per
-//!    vehicle first), such a vehicle is finished inline: it draws on a
-//!    copy of its RNG against integer thresholds computed once per
-//!    tick ([`SimRng::chance_threshold`], one draw each, exactly as
-//!    `chance` would) and, when every draw misses, the copy is
-//!    committed and the telemetry frame counted. A hit discards the
-//!    copy and runs the one full per-vehicle step, which redraws from
-//!    the untouched stream. The inline path only ever commits "nothing
-//!    happened", so its outputs are the full step's, bit for bit.
+//!    are, in the full step's order: `Healthy`, one fault-exposure draw
+//!    per onset this tick, then a direct attack, then infection;
+//!    `Degraded`, the same, then repair if flagged; `Compromised`, late
+//!    detection if unflagged or re-alert if flagged; `Isolated`,
+//!    verification; `Lost`, none. Each tick turns those lists into
+//!    integer thresholds ([`SimRng::chance_threshold`], one draw each,
+//!    exactly as `chance` would), one list per status and flag, and
+//!    each shard sweeps its window against them eight vehicles at a
+//!    time ([`SweepTable`], see [`crate::shard`]). A vehicle whose
+//!    draws all miss has its advanced stream committed and its frame
+//!    counted. A `Compromised` or `Isolated` vehicle's one draw decides
+//!    its whole step, so a hit there commits the draw and finishes the
+//!    step (the alert, or the verified recovery); any other hit leaves
+//!    the stream untouched and runs the one full per-vehicle step,
+//!    which redraws from the start. The sweep only ever commits what
+//!    the full step would have, so its outputs are the full step's,
+//!    bit for bit. It is off on ticks with a chaos draw, where every
+//!    alive vehicle runs the full step, and on ticks whose longest list
+//!    outgrows [`SweepTable::MAX_DRAWS`].
 //!
 //!    Once its vehicles have all stepped, each shard answers their
 //!    alerts in the order they were raised: each is one more strike in
@@ -82,14 +89,14 @@ use autosec_core::scenario::PostureCtx;
 use autosec_faults::{target_for, FaultPlan};
 use autosec_runner::{silence_panics, strip_volatile};
 use autosec_scengen::{generate, GenConfig, GeneratedCampaign};
-use autosec_sim::{ArchLayer, FaultEffect, SimDuration, SimRng, SimTime};
+use autosec_sim::{ArchLayer, FaultEffect, SimDuration, SimRng, SimTime, SweepTable};
 use rand::RngCore as _;
 use serde_json::{json, Value};
 
 use crate::defender::{DefenderMode, FleetDefender, TickObservation};
-use crate::shard::{run_tick_sharded, ShardOutput};
+use crate::shard::{run_tick_swept, ShardOutput};
 use crate::snapshot::{Census, FleetSnapshot, FleetTotals};
-use crate::state::{FleetColumns, FleetState};
+use crate::state::{sweep_class, FleetColumns, FleetState};
 use crate::vehicle::VehicleStatus;
 
 /// Per-tick probability an isolated vehicle's repair verifies.
@@ -402,110 +409,86 @@ struct StepEnv<'a> {
     /// Per-tick probability a silent compromise is flagged after the
     /// fact (grows with defense depth and bought monitoring).
     late_detect_p: f64,
-    /// Present on ticks where a vehicle's step can end inline once
-    /// its every draw misses (see [`calm_step`]).
-    calm: Option<Calm>,
+    /// The tick's sweep (see [`sweep_table`]); `None` on ticks where
+    /// every alive vehicle runs [`step_vehicle`].
+    sweep: Option<SweepTable>,
 }
 
-/// The [`SimRng::chance_threshold`]s of a calm tick: one per draw
-/// [`step_vehicle`] can make once the chaos and fault-onset draws are
-/// off. `attack` and `infection` are `None` exactly when
-/// [`step_vehicle`] skips that draw.
+/// The sweep of one tick: per status and flag, the thresholds of the
+/// draws [`step_vehicle`] makes, in its order (the module docs list
+/// them), with `Lost` skipped. A `Compromised` or `Isolated` vehicle
+/// makes one draw, and a hit there commits it (see [`step_hit`]).
+/// `late_detect_p` is the tick's, monitoring boost included.
 ///
-/// The all-miss contract, per status — the draws [`step_vehicle`]
-/// makes, in its order:
-///
-/// - `Healthy`: attack, then infection;
-/// - `Degraded`: the same two, then repair if flagged;
-/// - `Compromised`: late detection if unflagged, else re-alert;
-/// - `Isolated`: verify;
-/// - `Lost`: none.
-///
-/// When every one of a vehicle's draws misses, its step changes
-/// nothing but its RNG and the frame count. A `Compromised` or
-/// `Isolated` vehicle's one draw decides its whole step, so a hit
-/// there finishes through [`one_draw_event`].
-#[derive(Clone, Copy)]
-struct Calm {
-    attack: Option<u64>,
-    infection: Option<u64>,
-    repair: u64,
-    late_detect: u64,
-    realert: u64,
-    verify: u64,
-}
-
-impl Calm {
-    /// `None` when the chaos draw is on or a fault onset strikes this
-    /// tick: both draw per vehicle before any other draw.
-    /// `late_detect_p` is the tick's, monitoring boost included.
-    fn for_tick(cfg: &FleetConfig, inputs: &TickInputs, late_detect_p: f64) -> Option<Self> {
-        (cfg.chaos_lost_rate == 0.0 && inputs.fault_onsets.is_empty()).then(|| Calm {
-            attack: (cfg.attack_rate > 0.0).then(|| SimRng::chance_threshold(cfg.attack_rate)),
-            infection: (inputs.infection_pressure > 0.0)
-                .then(|| SimRng::chance_threshold(inputs.infection_pressure)),
-            repair: SimRng::chance_threshold(REPAIR_P),
-            late_detect: SimRng::chance_threshold(late_detect_p),
-            realert: SimRng::chance_threshold(REALERT_P),
-            verify: SimRng::chance_threshold(VERIFY_P),
-        })
+/// `None` when the chaos draw is on (it draws per vehicle before any
+/// other draw, and every step must run under the quarantine path) or
+/// when so many fault onsets coincide that a list outgrows the sweep.
+fn sweep_table(cfg: &FleetConfig, inputs: &TickInputs, late_detect_p: f64) -> Option<SweepTable> {
+    if cfg.chaos_lost_rate > 0.0 {
+        return None;
     }
-
-    /// Whether the attack or the infection draw hits.
-    #[inline(always)]
-    fn exposed(&self, rng: &mut SimRng) -> bool {
-        self.attack.is_some_and(|t| rng.below(t)) || self.infection.is_some_and(|t| rng.below(t))
+    let mut exposed = vec![SimRng::chance_threshold(FAULT_EXPOSURE); inputs.fault_onsets.len()];
+    if cfg.attack_rate > 0.0 {
+        exposed.push(SimRng::chance_threshold(cfg.attack_rate));
     }
+    if inputs.infection_pressure > 0.0 {
+        exposed.push(SimRng::chance_threshold(inputs.infection_pressure));
+    }
+    let repair = [&exposed[..], &[SimRng::chance_threshold(REPAIR_P)]].concat();
+    if repair.len() > SweepTable::MAX_DRAWS {
+        return None;
+    }
+    let mut table = SweepTable::new();
+    for flagged in [false, true] {
+        table.set_draws(
+            sweep_class(VehicleStatus::Healthy, flagged),
+            &exposed,
+            false,
+        );
+        let degraded = if flagged { &repair } else { &exposed };
+        table.set_draws(
+            sweep_class(VehicleStatus::Degraded, flagged),
+            degraded,
+            false,
+        );
+        let compromised = if flagged { REALERT_P } else { late_detect_p };
+        let one_draw = [
+            (VehicleStatus::Compromised, compromised),
+            (VehicleStatus::Isolated, VERIFY_P),
+        ];
+        for (status, p) in one_draw {
+            table.set_draws(
+                sweep_class(status, flagged),
+                &[SimRng::chance_threshold(p)],
+                true,
+            );
+        }
+    }
+    Some(table)
 }
 
-/// One vehicle's tick, finished inline when nothing happens: on a calm
-/// tick, a vehicle whose every draw misses (the per-status contract on
-/// [`Calm`]) only emits its frame. The draws run on a copy of its RNG,
-/// committed on an all-miss or after a one-draw event; any other hit
-/// discards the copy and goes to [`step_vehicle`], which redraws from
-/// the untouched stream.
-#[inline(always)]
-fn calm_step(
+/// One vehicle's tick when the sweep did not finish it: a `Compromised`
+/// or `Isolated` vehicle's hit is already committed, so it finishes
+/// through [`one_draw_event`]; every other vehicle runs
+/// [`step_vehicle`] from its untouched stream.
+fn step_hit(
     cols: &mut FleetColumns<'_>,
     i: usize,
     env: &StepEnv<'_>,
     inputs: &TickInputs,
     out: &mut ShardOutput,
 ) {
-    if let Some(calm) = env.calm {
-        let mut rng = cols.rng[i].clone();
-        let hit = match cols.status[i] {
-            VehicleStatus::Healthy => calm.exposed(&mut rng),
-            VehicleStatus::Degraded => {
-                calm.exposed(&mut rng) || (cols.flagged[i] && rng.below(calm.repair))
-            }
-            VehicleStatus::Compromised => rng.below(if cols.flagged[i] {
-                calm.realert
-            } else {
-                calm.late_detect
-            }),
-            VehicleStatus::Isolated => rng.below(calm.verify),
-            VehicleStatus::Lost => false,
-        };
-        if !hit {
-            cols.rng[i] = rng;
-            out.counters.telemetry_frames += 1;
-            return;
-        }
-        // One draw is a `Compromised` or `Isolated` vehicle's whole
-        // step, so a hit there finishes on the copy too. Checked after
-        // the all-miss return so that path's code stays as it was.
-        if matches!(
+    if env.sweep.is_some()
+        && matches!(
             cols.status[i],
             VehicleStatus::Compromised | VehicleStatus::Isolated
-        ) {
-            cols.rng[i] = rng;
-            out.counters.telemetry_frames += 1;
-            one_draw_event(cols, i, inputs.tick, out);
-            return;
-        }
+        )
+    {
+        out.counters.telemetry_frames += 1;
+        one_draw_event(cols, i, inputs.tick, out);
+    } else {
+        step_vehicle(cols, i, env, inputs, out);
     }
-    step_vehicle(cols, i, env, inputs, out);
 }
 
 /// One vehicle's tick: state machine + private RNG only. See the
@@ -519,7 +502,8 @@ fn step_vehicle(
     out: &mut ShardOutput,
 ) {
     out.counters.telemetry_frames += 1;
-    if env.cfg.chaos_lost_rate > 0.0 && cols.rng[i].chance(env.cfg.chaos_lost_rate) {
+    let mut rng = cols.rng.get(i);
+    if env.cfg.chaos_lost_rate > 0.0 && rng.chance(env.cfg.chaos_lost_rate) {
         panic!("chaos: vehicle {} state machine corrupted", cols.id(i));
     }
     match cols.status[i] {
@@ -527,13 +511,13 @@ fn step_vehicle(
             // Fault onsets: an exposed subset suffers its own
             // dispersion around the fleet-level reference injection.
             for onset in &inputs.fault_onsets {
-                if !cols.rng[i].chance(FAULT_EXPOSURE) {
+                if !rng.chance(FAULT_EXPOSURE) {
                     continue;
                 }
                 out.counters.fault_injections += 1;
                 // Each vehicle takes between 0.5x and 1.5x of the
                 // reference health deficit.
-                let u = (cols.rng[i].next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
                 let mult = 1.0 - (1.0 - onset.ref_health) * (0.5 + u);
                 cols.health[i] = (cols.health[i] * mult.clamp(0.0, 1.0)).max(0.0);
                 if cols.health[i] < 1.0 && cols.status[i] == VehicleStatus::Healthy {
@@ -541,7 +525,7 @@ fn step_vehicle(
                     cols.since[i] = inputs.tick;
                     cols.incident_layer[i] = onset.layer;
                 }
-                if cols.rng[i].chance(onset.detect_p) {
+                if rng.chance(onset.detect_p) {
                     cols.flagged[i] = true;
                     out.alerts.push((i, onset.layer));
                 }
@@ -551,18 +535,21 @@ fn step_vehicle(
             // posture — per-vehicle draws only, no fidelity engine, so
             // snapshots are identical across fidelity modes and shard
             // counts by the same argument as every other vehicle draw.
-            if env.cfg.attack_rate > 0.0 && cols.rng[i].chance(env.cfg.attack_rate) {
+            if env.cfg.attack_rate > 0.0 && rng.chance(env.cfg.attack_rate) {
                 out.counters.attacks_attempted += 1;
                 match env.resolver {
-                    Resolver::Live(live) => step_attack(&**live, cols, i, env, inputs, out),
-                    Resolver::Table(table) => step_attack(table, cols, i, env, inputs, out),
+                    Resolver::Live(live) => {
+                        step_attack(&**live, cols, i, &mut rng, env, inputs, out)
+                    }
+                    Resolver::Table(table) => {
+                        step_attack(table, cols, i, &mut rng, env, inputs, out)
+                    }
                     Resolver::Walk(pool) => {
-                        let si = (cols.rng[i].next_u64() % pool.len() as u64) as usize;
+                        let si = (rng.next_u64() % pool.len() as u64) as usize;
                         let campaign = &pool[si];
-                        let walk =
-                            campaign.walk(env.graph, &env.posture, &mut cols.rng[i], |layer| {
-                                out.alerts.push((i, layer));
-                            });
+                        let walk = campaign.walk(env.graph, &env.posture, &mut rng, |layer| {
+                            out.alerts.push((i, layer));
+                        });
                         if walk.breached {
                             out.counters.attacks_succeeded += 1;
                             let last = *campaign.edges.last().expect("non-empty");
@@ -577,21 +564,19 @@ fn step_vehicle(
                 cols.status[i],
                 VehicleStatus::Healthy | VehicleStatus::Degraded
             ) && inputs.infection_pressure > 0.0
-                && cols.rng[i].chance(inputs.infection_pressure)
-                && cols.rng[i].chance(env.epi.success)
+                && rng.chance(inputs.infection_pressure)
+                && rng.chance(env.epi.success)
             {
                 out.counters.infections += 1;
                 cols.compromise(i, inputs.tick, ArchLayer::Collaboration);
-                if cols.rng[i].chance(env.epi.detect) {
+                if rng.chance(env.epi.detect) {
                     cols.flagged[i] = true;
                     out.alerts.push((i, ArchLayer::Collaboration));
                 }
             }
             // Flagged degraded vehicles self-repair (reconfigure +
             // verify) without needing isolation.
-            if cols.status[i] == VehicleStatus::Degraded
-                && cols.flagged[i]
-                && cols.rng[i].chance(REPAIR_P)
+            if cols.status[i] == VehicleStatus::Degraded && cols.flagged[i] && rng.chance(REPAIR_P)
             {
                 out.counters.recoveries += 1;
                 out.counters.mttr_ticks += inputs.tick - cols.since[i];
@@ -603,18 +588,18 @@ fn step_vehicle(
             if !cols.flagged[i] {
                 // Continuous IDS sweep: silent compromises surface
                 // eventually, faster under deeper postures.
-                if cols.rng[i].chance(env.late_detect_p) {
+                if rng.chance(env.late_detect_p) {
                     cols.flagged[i] = true;
                     out.alerts.push((i, cols.incident_layer[i]));
                 }
-            } else if cols.rng[i].chance(REALERT_P) {
+            } else if rng.chance(REALERT_P) {
                 // Known-compromised vehicles keep alerting until the
                 // playbook escalates to isolation.
                 out.alerts.push((i, cols.incident_layer[i]));
             }
         }
         VehicleStatus::Isolated => {
-            if cols.rng[i].chance(VERIFY_P) {
+            if rng.chance(VERIFY_P) {
                 out.counters.recoveries += 1;
                 out.counters.mttr_ticks += inputs.tick - cols.since[i];
                 cols.restore(i);
@@ -623,6 +608,7 @@ fn step_vehicle(
         }
         VehicleStatus::Lost => {}
     }
+    cols.rng.set(i, &rng);
 }
 
 /// A fixed-campaign attack: one uniformly drawn registry step,
@@ -632,17 +618,18 @@ fn step_attack(
     engine: &dyn ScenarioEngine,
     cols: &mut FleetColumns<'_>,
     i: usize,
+    rng: &mut SimRng,
     env: &StepEnv<'_>,
     inputs: &TickInputs,
     out: &mut ShardOutput,
 ) {
-    let idx = (cols.rng[i].next_u64() % engine.step_count() as u64) as usize;
+    let idx = (rng.next_u64() % engine.step_count() as u64) as usize;
     let layer = engine.step_layer(idx);
     let ctx = PostureCtx {
         posture: &env.posture,
         faults: &inputs.active_faults[layer_index(layer)],
     };
-    let outcome = engine.resolve(idx, &ctx, &mut cols.rng[i]);
+    let outcome = engine.resolve(idx, &ctx, rng);
     if outcome.succeeded {
         out.counters.attacks_succeeded += 1;
         cols.compromise(i, inputs.tick, layer);
@@ -868,13 +855,17 @@ impl FleetEngine {
                 posture,
                 epi,
                 late_detect_p: tick_late_detect_p,
-                calm: Calm::for_tick(&cfg, &inputs, tick_late_detect_p),
+                sweep: sweep_table(&cfg, &inputs, tick_late_detect_p),
             };
 
             // Phase 1: parallel vehicle phase.
-            let outs = run_tick_sharded(&mut state, cfg.shards, tick, |cols, i, out| {
-                calm_step(cols, i, &env, &inputs, out)
-            });
+            let outs = run_tick_swept(
+                &mut state,
+                cfg.shards,
+                tick,
+                env.sweep.as_ref(),
+                |cols, i, out| step_hit(cols, i, &env, &inputs, out),
+            );
 
             // Phase 2: additive merge of the shard outputs.
             let mut layer_alerts = [0u32; 6];
@@ -1279,10 +1270,52 @@ mod tests {
         assert!(engine.run().totals().attacks_attempted > 0);
     }
 
+    /// Runs one tick of `state` through the sweep and through the plain
+    /// step alone, and checks that both leave the same columns (every
+    /// RNG's state included), the same counters, and the same alerts
+    /// and recoveries for every vehicle.
+    fn assert_sweep_matches_plain(
+        env: &StepEnv<'_>,
+        inputs: &TickInputs,
+        state: &FleetState,
+        case: &str,
+    ) {
+        assert!(env.sweep.is_some(), "{case}: the tick is swept");
+        let (mut swept, mut plain) = (state.clone(), state.clone());
+        let swept_out =
+            run_tick_swept(&mut swept, 1, inputs.tick, env.sweep.as_ref(), |c, i, o| {
+                step_hit(c, i, env, inputs, o)
+            });
+        let plain_out = run_tick_swept(&mut plain, 1, inputs.tick, None, |c, i, o| {
+            step_vehicle(c, i, env, inputs, o)
+        });
+        // Debug covers every column, each RNG's state included.
+        assert_eq!(
+            format!("{swept:?}"),
+            format!("{plain:?}"),
+            "{case}: columns"
+        );
+        let per_vehicle = |outs: &[ShardOutput]| {
+            let out = &outs[0];
+            let mut alerts = vec![Vec::new(); state.len()];
+            for &(i, layer) in &out.alerts {
+                alerts[i].push(layer);
+            }
+            let mut recovered = out.recovered.clone();
+            recovered.sort_unstable();
+            (out.counters, alerts, recovered)
+        };
+        assert_eq!(
+            per_vehicle(&swept_out),
+            per_vehicle(&plain_out),
+            "{case}: outputs"
+        );
+    }
+
     #[test]
-    fn calm_step_matches_a_plain_step() {
+    fn sweep_matches_a_plain_step() {
         // An undefended engine, so attacks and infections succeed often
-        // enough for the fallback to reach every branch.
+        // enough for the full step to reach every branch.
         let base = FleetConfig {
             posture: DefensePosture::none(),
             ..tiny_cfg()
@@ -1301,72 +1334,102 @@ mod tests {
             VehicleStatus::Isolated,
             VehicleStatus::Lost,
         ];
+        // A mixed window: every status and flag, a `len % 8` tail and
+        // `Lost` lanes inside the groups of eight.
+        let mut mixed = FleetState::new(2_003, &SimRng::seed(4).fork("fleet/vehicles"));
+        let mut pick = SimRng::seed(5);
+        for i in 0..mixed.len() {
+            mixed.status[i] = statuses[(pick.next_u64() % 5) as usize];
+            mixed.flagged[i] = pick.chance(0.5);
+            mixed.since[i] = 2;
+            mixed.strikes[i] = (pick.next_u64() % 4) as u8;
+            if mixed.status[i] != VehicleStatus::Healthy {
+                mixed.health[i] = 0.5;
+            }
+        }
         // The posture's late-detection rate, the same plus a bought
         // monitoring boost, and a sweep that always fires. Only a
         // `Compromised` vehicle reads it, and it never draws for an
         // attack, so the two rates sweep together.
         let late_detect_ps = [late_detect_p, late_detect_p + 0.15, 1.0];
-        for status in statuses {
-            for (attack_rate, late_detect_p) in [0.0, 5e-4, 1.0].into_iter().zip(late_detect_ps) {
-                for infection_pressure in [0.0, 1e-9, 0.3] {
-                    for fault_onsets in [vec![], vec![onset]] {
-                        let cfg = FleetConfig {
-                            attack_rate,
-                            ..base.clone()
-                        };
-                        let inputs = TickInputs {
-                            tick: 5,
-                            infection_pressure,
-                            fault_onsets,
-                            active_faults: Default::default(),
-                        };
-                        let env = StepEnv {
-                            cfg: &cfg,
-                            resolver: &engine.resolver,
-                            graph: &engine.graph,
-                            posture: cfg.posture,
-                            epi,
-                            late_detect_p,
-                            calm: Calm::for_tick(&cfg, &inputs, late_detect_p),
-                        };
-                        assert_eq!(env.calm.is_some(), inputs.fault_onsets.is_empty());
-                        let mut calm =
+        for (attack_rate, late_detect_p) in [0.0, 5e-4, 1.0].into_iter().zip(late_detect_ps) {
+            for infection_pressure in [0.0, 1e-9, 0.3] {
+                for fault_onsets in [vec![], vec![onset], vec![onset; 3]] {
+                    let cfg = FleetConfig {
+                        attack_rate,
+                        ..base.clone()
+                    };
+                    let inputs = TickInputs {
+                        tick: 5,
+                        infection_pressure,
+                        fault_onsets,
+                        active_faults: Default::default(),
+                    };
+                    let env = StepEnv {
+                        cfg: &cfg,
+                        resolver: &engine.resolver,
+                        graph: &engine.graph,
+                        posture: cfg.posture,
+                        epi,
+                        late_detect_p,
+                        sweep: sweep_table(&cfg, &inputs, late_detect_p),
+                    };
+                    let case = format!(
+                        "attack {attack_rate}, pressure {infection_pressure}, \
+                         onsets {}, late detect {late_detect_p}",
+                        inputs.fault_onsets.len()
+                    );
+                    for status in statuses {
+                        let mut state =
                             FleetState::new(2_000, &SimRng::seed(3).fork("fleet/vehicles"));
-                        for i in 0..calm.len() {
-                            calm.status[i] = status;
-                            calm.flagged[i] = i % 2 == 0;
-                            calm.since[i] = 2;
+                        for i in 0..state.len() {
+                            state.status[i] = status;
+                            state.flagged[i] = i % 2 == 0;
+                            state.since[i] = 2;
                             if status != VehicleStatus::Healthy {
-                                calm.health[i] = 0.5;
+                                state.health[i] = 0.5;
                             }
                         }
-                        let mut plain = calm.clone();
-                        let (mut calm_out, mut plain_out) =
-                            (ShardOutput::default(), ShardOutput::default());
-                        let n = calm.len();
-                        let mut cols = calm.shard_views(n).pop().expect("one window");
-                        for i in 0..n {
-                            calm_step(&mut cols, i, &env, &inputs, &mut calm_out);
-                        }
-                        let mut cols = plain.shard_views(n).pop().expect("one window");
-                        for i in 0..n {
-                            step_vehicle(&mut cols, i, &env, &inputs, &mut plain_out);
-                        }
-                        let case = format!(
-                            "{status:?}, attack {attack_rate}, pressure {infection_pressure}, \
-                             onsets {}, late detect {late_detect_p}",
-                            inputs.fault_onsets.len()
+                        assert_sweep_matches_plain(
+                            &env,
+                            &inputs,
+                            &state,
+                            &format!("{status:?}, {case}"),
                         );
-                        // Debug covers every column, each RNG's state included.
-                        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
-                            format!("{a:?}") == format!("{b:?}")
-                        };
-                        assert!(same(&calm, &plain), "{case}: columns differ");
-                        assert!(same(&calm_out, &plain_out), "{case}: outputs differ");
                     }
+                    assert_sweep_matches_plain(&env, &inputs, &mixed, &format!("mixed, {case}"));
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_sweep_is_off_under_chaos_and_past_its_longest_list() {
+        let cfg = FleetConfig {
+            attack_rate: 5e-4,
+            ..tiny_cfg()
+        };
+        let onset = FaultOnset {
+            layer: ArchLayer::Data,
+            ref_health: 0.9,
+            detect_p: FAULT_DETECT_P_MISSED,
+        };
+        let inputs = |onsets: usize| TickInputs {
+            tick: 1,
+            infection_pressure: 0.01,
+            fault_onsets: vec![onset; onsets],
+            active_faults: Default::default(),
+        };
+        // A flagged degraded vehicle draws once per onset, then attack,
+        // infection and repair.
+        let longest = SweepTable::MAX_DRAWS - 3;
+        assert!(sweep_table(&cfg, &inputs(longest), 0.1).is_some());
+        assert!(sweep_table(&cfg, &inputs(longest + 1), 0.1).is_none());
+        let chaos = FleetConfig {
+            chaos_lost_rate: 0.01,
+            ..cfg
+        };
+        assert!(sweep_table(&chaos, &inputs(0), 0.1).is_none());
     }
 
     #[test]

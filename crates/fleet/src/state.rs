@@ -4,10 +4,12 @@
 //! population scale the tick loop is a columnar walk — check a status,
 //! draw from an RNG, bump a health — so the state now lives as one
 //! array per field ([`FleetState`]): the common no-event path touches
-//! the status and RNG columns only, and a census pass streams two
-//! dense arrays instead of striding through padded structs. The layout
-//! is also what a batched-RNG vehicle phase would want to vectorize
-//! over.
+//! the status, flag and RNG columns only, and a census pass streams two
+//! dense arrays instead of striding through padded structs. The RNG
+//! column is itself struct-of-arrays ([`RngColumn`]: four xoshiro256**
+//! state words and a seed per vehicle), which is what lets the vehicle
+//! phase sweep eight vehicles' draws at a time
+//! ([`RngColumnMut::sweep`], see [`crate::shard`]).
 //!
 //! Mutable access goes through [`FleetColumns`], a borrowed columnar
 //! window over a contiguous id range. [`FleetState::shard_views`]
@@ -18,7 +20,7 @@
 
 use autosec_faults::detector_for;
 use autosec_ids::response::{ResponseAction, ResponseEngine};
-use autosec_sim::{ArchLayer, SimRng};
+use autosec_sim::{ArchLayer, RngColumn, RngColumnMut, SimRng};
 
 use crate::snapshot::FleetTotals;
 use crate::vehicle::{VehicleStatus, COMPROMISED_HEALTH, ISOLATED_HEALTH, LIMP_HOME_HEALTH};
@@ -50,7 +52,7 @@ pub struct FleetState {
     pub strikes: Vec<u8>,
     /// Private RNG substream per vehicle
     /// (`root.fork("fleet/vehicles").fork_idx(i)`).
-    pub rng: Vec<SimRng>,
+    pub rng: RngColumn,
 }
 
 impl FleetState {
@@ -64,7 +66,7 @@ impl FleetState {
             flagged: vec![false; n],
             incident_layer: vec![ArchLayer::Physical; n],
             strikes: vec![0; n],
-            rng: (0..n).map(|i| fleet_base.fork_idx(i as u64)).collect(),
+            rng: RngColumn::forks(fleet_base, n),
         }
     }
 
@@ -94,7 +96,7 @@ impl FleetState {
         let mut flagged = self.flagged.as_mut_slice();
         let mut incident_layer = self.incident_layer.as_mut_slice();
         let mut strikes = self.strikes.as_mut_slice();
-        let mut rng = self.rng.as_mut_slice();
+        let mut rng = self.rng.view_mut();
         while !status.is_empty() {
             let take = chunk.min(status.len());
             let (s, s_rest) = std::mem::take(&mut status).split_at_mut(take);
@@ -103,7 +105,7 @@ impl FleetState {
             let (f, f_rest) = std::mem::take(&mut flagged).split_at_mut(take);
             let (l, l_rest) = std::mem::take(&mut incident_layer).split_at_mut(take);
             let (k, k_rest) = std::mem::take(&mut strikes).split_at_mut(take);
-            let (r, r_rest) = std::mem::take(&mut rng).split_at_mut(take);
+            let (r, r_rest) = rng.split_at_mut(take);
             status = s_rest;
             health = h_rest;
             since = t_rest;
@@ -127,6 +129,13 @@ impl FleetState {
     }
 }
 
+/// A vehicle's lane class in the sweep: `2 · status + flagged`, the
+/// status in declaration order, so that the ten classes fit a
+/// [`SweepTable`](autosec_sim::SweepTable).
+pub(crate) fn sweep_class(status: VehicleStatus, flagged: bool) -> usize {
+    (status as usize) << 1 | usize::from(flagged)
+}
+
 /// A mutable columnar window over the contiguous vehicle range
 /// `base .. base + len`. Index `i` within the window is vehicle
 /// `base + i` of the fleet.
@@ -146,7 +155,7 @@ pub struct FleetColumns<'a> {
     /// Response strike column.
     pub strikes: &'a mut [u8],
     /// Private RNG column.
-    pub rng: &'a mut [SimRng],
+    pub rng: RngColumnMut<'a>,
 }
 
 impl FleetColumns<'_> {
@@ -164,6 +173,18 @@ impl FleetColumns<'_> {
     /// subject).
     pub fn id(&self, i: usize) -> u32 {
         self.base + i as u32
+    }
+
+    /// Writes the [`sweep_class`] of window indices `start ..
+    /// start + classes.len()` into `classes`.
+    pub(crate) fn sweep_classes(&self, start: usize, classes: &mut [u8]) {
+        let end = start + classes.len();
+        let vehicles = self.status[start..end]
+            .iter()
+            .zip(&self.flagged[start..end]);
+        for (class, (&status, &flagged)) in classes.iter_mut().zip(vehicles) {
+            *class = sweep_class(status, flagged) as u8;
+        }
     }
 
     /// Whether vehicle `i` still emits telemetry.
@@ -266,13 +287,13 @@ mod tests {
     #[test]
     fn vehicles_draw_decorrelated_streams() {
         let base = SimRng::seed(1).fork("fleet/vehicles");
-        let mut state = FleetState::new(2, &base);
-        let a = state.rng[0].next_u64();
-        let b = state.rng[1].next_u64();
+        let state = FleetState::new(2, &base);
+        let a = state.rng.get(0).next_u64();
+        let b = state.rng.get(1).next_u64();
         assert_ne!(a, b);
         // Rebuilding the fleet replays vehicle 0's stream exactly.
-        let mut again = FleetState::new(2, &base);
-        assert_eq!(again.rng[0].next_u64(), a);
+        let again = FleetState::new(2, &base);
+        assert_eq!(again.rng.get(0).next_u64(), a);
     }
 
     #[test]

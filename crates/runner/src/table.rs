@@ -1,11 +1,8 @@
-//! The rendered experiment table and its canonical JSON codec.
+//! The rendered experiment table and its canonical JSON form.
 
 use serde_json::{json, Map, Value};
 
 /// A rendered experiment table.
-///
-/// `id`/`title` are owned strings so a table can round-trip through
-/// its JSON artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment group id, e.g. `"E2"` (shared by related tables).
@@ -56,42 +53,6 @@ impl Table {
             "rows": rows,
         })
     }
-
-    /// Row data parsed back from [`Self::to_json`] output.
-    ///
-    /// Returns the dynamic parts only: `(headers, rows)`. `None` on any
-    /// shape mismatch.
-    pub fn rows_from_json(v: &Value) -> Option<(Vec<String>, Vec<Vec<String>>)> {
-        let headers = string_array(v.get("headers")?)?;
-        let rows = v
-            .get("rows")?
-            .as_array()?
-            .iter()
-            .map(string_array)
-            .collect::<Option<Vec<_>>>()?;
-        Some((headers, rows))
-    }
-
-    /// Full table parsed back from [`Self::to_json`] output. `None` on
-    /// any shape mismatch.
-    pub fn from_json(v: &Value) -> Option<Table> {
-        let id = v.get("id")?.as_str()?.to_owned();
-        let title = v.get("title")?.as_str()?.to_owned();
-        let (headers, rows) = Self::rows_from_json(v)?;
-        Some(Table {
-            id,
-            title,
-            headers,
-            rows,
-        })
-    }
-}
-
-fn string_array(v: &Value) -> Option<Vec<String>> {
-    v.as_array()?
-        .iter()
-        .map(|c| c.as_str().map(str::to_owned))
-        .collect()
 }
 
 /// Convenience: a sorted-key JSON object from `(key, value)` pairs.
@@ -149,32 +110,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new("EX", "demo", &["a"]);
         t.push_row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut t = Table::new("EX", "demo", &["a", "b"]);
-        t.push_row(vec!["1".into(), "x".into()]);
-        t.push_row(vec!["2".into(), "y".into()]);
-        let v = t.to_json();
-        assert_eq!(v["id"].as_str(), Some("EX"));
-        let (headers, rows) = Table::rows_from_json(&v).expect("well-formed");
-        assert_eq!(headers, t.headers);
-        assert_eq!(rows, t.rows);
-        let full = Table::from_json(&v).expect("well-formed");
-        assert_eq!(full, t);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed() {
-        assert!(Table::from_json(&json!({"id": "EX"})).is_none());
-        assert!(
-            Table::from_json(&json!({"id": 3, "title": "t", "headers": [], "rows": []})).is_none()
-        );
-        assert!(Table::from_json(
-            &json!({"id": "EX", "title": "t", "headers": ["a"], "rows": [[1]]})
-        )
-        .is_none());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 pub mod inject;
 pub mod layer;
 pub mod rng;
+pub mod rng_column;
 pub mod stats;
 pub mod stride;
 pub mod time;
@@ -35,6 +36,7 @@ pub mod time;
 pub use inject::{ChannelFault, FaultEffect, FaultTarget, FrameAction, InjectionRecord};
 pub use layer::ArchLayer;
 pub use rng::SimRng;
+pub use rng_column::{RngColumn, RngColumnMut, SweepTable};
 pub use stats::{mean, percentile, stddev, RunningStats, Summary};
 pub use stride::Stride;
 pub use time::{SimDuration, SimTime};

@@ -84,6 +84,20 @@ impl SimRng {
         }
     }
 
+    /// The raw generator state and the seed this stream was created
+    /// from: what a struct-of-arrays column stores per stream.
+    pub fn to_parts(&self) -> ([u64; 4], u64) {
+        (self.inner.state(), self.seed)
+    }
+
+    /// The stream [`SimRng::to_parts`] took apart, exactly.
+    pub fn from_parts(state: [u64; 4], seed: u64) -> Self {
+        Self {
+            inner: StdRng::from_state(state),
+            seed,
+        }
+    }
+
     /// Samples a standard-normal value (Box–Muller, polar-free variant).
     pub fn normal(&mut self) -> f64 {
         // Marsaglia polar method.
