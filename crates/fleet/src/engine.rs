@@ -42,8 +42,15 @@
 //!    the action, and the action is applied back (filter/rekey relief,
 //!    isolation, limp-home). A verified repair clears the strikes after
 //!    that tick's responses.
-//! 2. **Merge** — the shards' outputs are additive: totals and the
-//!    answered alerts, tallied per layer for the closed-loop defender.
+//! 2. **Merge** — the shards' outputs are additive integers: totals,
+//!    the answered alerts per layer (the closed-loop defender's input),
+//!    and each window's census change. The engine scans the fleet once,
+//!    at run start, and from then on keeps the census by adding those
+//!    changes ([`CensusTally`]): every status or health write goes
+//!    through [`FleetColumns::set`], which records it, so a tick's
+//!    census costs one add per shard, not one pass over the fleet.
+//!    Debug builds check the kept census against a full scan after
+//!    every tick.
 //! 3. **Backend phase** — the Fig. 8 kill chain runs as a live breach
 //!    process on its own fleet-level RNG stream: while the backend is
 //!    breached, infection pressure doubles (bulk telemetry access).
@@ -74,7 +81,9 @@
 //! Vehicle `i` draws only from `root.fork("fleet/vehicles").fork_idx(i)`;
 //! tick inputs are pure functions of the *previous* tick's census;
 //! a vehicle's alerts are answered in order against its own strikes
-//! only; shard outputs merge by addition; the backend stream is
+//! only; shard outputs merge by integer addition, the census included
+//! (`mean_health` is the mean of exact fixed-point health units, so no
+//! float sum is reassociated by a shard split); the backend stream is
 //! engine-level. Therefore a run is bit-identical at any `--shards`
 //! count — in every fidelity and campaign mode — the property
 //! [`FleetReport::canonical_json`] exposes and CI diffs.
@@ -95,7 +104,7 @@ use serde_json::{json, Value};
 
 use crate::defender::{DefenderMode, FleetDefender, TickObservation};
 use crate::shard::{run_tick_swept, ShardOutput};
-use crate::snapshot::{Census, FleetSnapshot, FleetTotals};
+use crate::snapshot::{Census, CensusTally, FleetSnapshot, FleetTotals};
 use crate::state::{sweep_class, FleetColumns, FleetState};
 use crate::vehicle::VehicleStatus;
 
@@ -480,7 +489,7 @@ fn step_hit(
 ) {
     if env.sweep.is_some()
         && matches!(
-            cols.status[i],
+            cols.status(i),
             VehicleStatus::Compromised | VehicleStatus::Isolated
         )
     {
@@ -506,7 +515,7 @@ fn step_vehicle(
     if env.cfg.chaos_lost_rate > 0.0 && rng.chance(env.cfg.chaos_lost_rate) {
         panic!("chaos: vehicle {} state machine corrupted", cols.id(i));
     }
-    match cols.status[i] {
+    match cols.status(i) {
         VehicleStatus::Healthy | VehicleStatus::Degraded => {
             // Fault onsets: an exposed subset suffers its own
             // dispersion around the fleet-level reference injection.
@@ -519,12 +528,14 @@ fn step_vehicle(
                 // reference health deficit.
                 let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
                 let mult = 1.0 - (1.0 - onset.ref_health) * (0.5 + u);
-                cols.health[i] = (cols.health[i] * mult.clamp(0.0, 1.0)).max(0.0);
-                if cols.health[i] < 1.0 && cols.status[i] == VehicleStatus::Healthy {
-                    cols.status[i] = VehicleStatus::Degraded;
+                let health = (cols.health(i) * mult.clamp(0.0, 1.0)).max(0.0);
+                let mut status = cols.status(i);
+                if health < 1.0 && status == VehicleStatus::Healthy {
+                    status = VehicleStatus::Degraded;
                     cols.since[i] = inputs.tick;
                     cols.incident_layer[i] = onset.layer;
                 }
+                cols.set(i, status, health);
                 if rng.chance(onset.detect_p) {
                     cols.flagged[i] = true;
                     out.alerts.push((i, onset.layer));
@@ -561,7 +572,7 @@ fn step_vehicle(
             }
             // Epidemic V2X infection from the compromised population.
             if matches!(
-                cols.status[i],
+                cols.status(i),
                 VehicleStatus::Healthy | VehicleStatus::Degraded
             ) && inputs.infection_pressure > 0.0
                 && rng.chance(inputs.infection_pressure)
@@ -576,7 +587,7 @@ fn step_vehicle(
             }
             // Flagged degraded vehicles self-repair (reconfigure +
             // verify) without needing isolation.
-            if cols.status[i] == VehicleStatus::Degraded && cols.flagged[i] && rng.chance(REPAIR_P)
+            if cols.status(i) == VehicleStatus::Degraded && cols.flagged[i] && rng.chance(REPAIR_P)
             {
                 out.counters.recoveries += 1;
                 out.counters.mttr_ticks += inputs.tick - cols.since[i];
@@ -645,7 +656,7 @@ fn step_attack(
 /// first), or the verified recovery.
 #[inline(never)]
 fn one_draw_event(cols: &mut FleetColumns<'_>, i: usize, tick: u64, out: &mut ShardOutput) {
-    if cols.status[i] == VehicleStatus::Isolated {
+    if cols.status(i) == VehicleStatus::Isolated {
         out.counters.recoveries += 1;
         out.counters.mttr_ticks += tick - cols.since[i];
         cols.restore(i);
@@ -841,7 +852,10 @@ impl FleetEngine {
         let mut totals = FleetTotals::default();
         let mut snapshots: Vec<FleetSnapshot> = Vec::new();
         let mut availability_sum = 0.0;
-        let mut prev_census = Census::take(&state);
+        // The one full scan of the run: from here on the census is
+        // kept, each tick adding the shards' exact integer changes.
+        let mut kept = CensusTally::scan(&state);
+        let mut prev_census = kept.census();
 
         for tick in 1..=cfg.ticks {
             let inputs = tick_inputs(&cfg, &plan, &onsets, tick, &prev_census, breached);
@@ -871,10 +885,12 @@ impl FleetEngine {
             let mut layer_alerts = [0u32; 6];
             for out in &outs {
                 totals.absorb(&out.counters);
-                for &(_, layer) in &out.alerts {
-                    layer_alerts[layer as usize] += 1;
+                kept.absorb(&out.census);
+                for (sum, count) in layer_alerts.iter_mut().zip(out.layer_alerts) {
+                    *sum += count;
                 }
             }
+            debug_check_census(&kept, &state, tick);
 
             // Phase 3: the backend breach process (fleet-level stream).
             if breached {
@@ -888,7 +904,7 @@ impl FleetEngine {
             }
 
             // Census, availability integral, periodic snapshot.
-            let census = Census::take(&state);
+            let census = kept.census();
             availability_sum += census.mean_health;
             let periodic = cfg.snapshot_every > 0 && tick % cfg.snapshot_every == 0;
             if periodic || tick == cfg.ticks {
@@ -928,6 +944,17 @@ impl FleetEngine {
             wall: start.elapsed(),
         }
     }
+}
+
+/// Checks the kept census against a full scan of the fleet, in debug
+/// builds (the tests): every status or health write must have gone
+/// through [`FleetColumns::set`] and reached a shard's census change.
+fn debug_check_census(kept: &CensusTally, state: &FleetState, tick: u64) {
+    debug_assert_eq!(
+        *kept,
+        CensusTally::scan(state),
+        "kept census drifted from the scan at tick {tick}"
+    );
 }
 
 /// The posture-derived rates the tick loop consumes: the calibrated
@@ -1430,6 +1457,16 @@ mod tests {
             ..cfg
         };
         assert!(sweep_table(&chaos, &inputs(0), 0.1).is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "kept census drifted from the scan at tick 3")]
+    fn the_kept_census_check_is_live() {
+        let state = FleetState::new(3, &SimRng::seed(1).fork("fleet/vehicles"));
+        let mut kept = CensusTally::scan(&state);
+        kept.units -= 1;
+        debug_check_census(&kept, &state, 3);
     }
 
     #[test]

@@ -80,6 +80,6 @@ pub use engine::{
     TickInputs,
 };
 pub use shard::{run_tick_sharded, ShardOutput};
-pub use snapshot::{Census, FleetSnapshot, FleetTotals};
+pub use snapshot::{Census, CensusTally, FleetSnapshot, FleetTotals};
 pub use state::{FleetColumns, FleetState};
 pub use vehicle::VehicleStatus;

@@ -23,10 +23,12 @@
 //! vehicles raised (see [`run_tick_sharded`]). Escalation state is
 //! each vehicle's own [`FleetColumns::strikes`] entry, so no response
 //! ever reads or writes another vehicle. What a shard hands back is
-//! additive (counters and the alerts it answered), so the merge
-//! order never matters. That, together with per-vehicle RNG
-//! substreams, is the whole shard-invariance contract: `--shards N`
-//! changes wall-clock time and nothing else.
+//! additive: counters, the answered alerts tallied per layer, and its
+//! window's integer census change ([`CensusTally`], recorded by every
+//! status or health write), so the merge order never matters. That,
+//! together with per-vehicle RNG substreams, is the whole
+//! shard-invariance contract: `--shards N` changes wall-clock time and
+//! nothing else.
 //!
 //! A vehicle whose step panics is quarantined on the spot
 //! ([`FleetColumns::quarantine`]) and the shard moves on — one bad
@@ -36,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use autosec_sim::{ArchLayer, SweepTable};
 
-use crate::snapshot::FleetTotals;
+use crate::snapshot::{CensusTally, FleetTotals};
 use crate::state::{FleetColumns, FleetState};
 
 /// Vehicles per sweep block: a shard sweeps its window this many
@@ -60,6 +62,12 @@ pub struct ShardOutput {
     /// The shard's counter deltas (additive — merge order never
     /// matters).
     pub counters: FleetTotals,
+    /// The answered alerts per layer (`ArchLayer as usize`), the
+    /// closed-loop defender's input.
+    pub layer_alerts: [u32; 6],
+    /// What the window's status and health writes changed in the fleet
+    /// census this tick (additive, exact).
+    pub census: CensusTally,
 }
 
 /// Runs one tick over the fleet with `shards` worker threads, stepping
@@ -70,9 +78,10 @@ pub struct ShardOutput {
 /// vehicle's column entries plus the shard output — the engine upholds
 /// that by construction. Once every vehicle of a window has stepped,
 /// its shard answers the window's alerts in the order they were raised
-/// (one more strike each, the playbook's action applied back), then
-/// clears the strikes of the vehicles listed in `recovered`. Returns
-/// one [`ShardOutput`] per window, in window (= vehicle) order.
+/// (one more strike each, the playbook's action applied back, the
+/// alert tallied in `layer_alerts`), then clears the strikes of the
+/// vehicles listed in `recovered`. Returns one [`ShardOutput`] per
+/// window, in window (= vehicle) order.
 ///
 /// Panics inside `per_vehicle` are caught per vehicle: the vehicle is
 /// quarantined (status `Lost`, RNG retired) and `counters.lost` is
@@ -154,10 +163,12 @@ where
         // only a vehicle's own alerts touch its strikes.
         for &(i, layer) in &out.alerts {
             cols.respond(i, layer, tick, &mut out.counters);
+            out.layer_alerts[layer as usize] += 1;
         }
         for &id in &out.recovered {
             cols.strikes[(id - cols.id(0)) as usize] = 0;
         }
+        out.census = cols.census_change();
         out
     };
 

@@ -5,10 +5,98 @@
 //! wall-clock time. The JSON codec rides on the vendored `serde_json`
 //! whose object map is a `BTreeMap`, so equal snapshots always render
 //! to identical bytes — the property the CI artifact diff checks.
+//!
+//! The census is integer state ([`CensusTally`]): vehicles per status,
+//! and the fleet's health summed in fixed-point units of 2⁻⁶²
+//! ([`health_units`]). Integer sums are exact in any order, so a
+//! shard's change to the census adds into the fleet's exactly, and
+//! [`Census::mean_health`] is the mean of those exact units whatever
+//! the shard count. The engine keeps the tally at each transition;
+//! [`Census::take`] is the reference scan under the same definition.
 
 use serde_json::{json, Value};
 
 use crate::state::FleetState;
+use crate::vehicle::VehicleStatus;
+
+/// Fixed-point health units per unit of health: 2⁶².
+const UNITS_PER_HEALTH: f64 = (1u64 << 62) as f64;
+
+/// A health level in fixed-point units of 2⁻⁶², truncated toward zero.
+///
+/// Exact for every health of at least 2⁻¹⁰ (its `f64` bits below 2⁻⁶²
+/// are all zero), and full health is 2⁶², so a sum over the CLI's
+/// 10 000 000-vehicle cap stays below 2⁸⁶ in an `i128`. `f64` to `i64`
+/// is one instruction; `f64` to `i128` or `u128` would be a software
+/// call at every transition.
+pub fn health_units(health: f64) -> i64 {
+    (health * UNITS_PER_HEALTH) as i64
+}
+
+/// Integer census: vehicles per status ([`VehicleStatus`] declaration
+/// order) and the fleet's summed [`health_units`].
+///
+/// The same type holds a change and a whole. A shard's
+/// [`ShardOutput::census`](crate::shard::ShardOutput::census) is the
+/// change its window's transitions made this tick (a count may be
+/// negative); the engine's kept census is the sum of every change since
+/// its run-start [`scan`](Self::scan). Both add exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CensusTally {
+    /// Vehicles per status.
+    pub counts: [i64; 5],
+    /// Summed health, in units of 2⁻⁶².
+    pub units: i128,
+}
+
+impl CensusTally {
+    /// Counts the fleet: one pass, one status count and one unit sum
+    /// per vehicle.
+    pub fn scan(state: &FleetState) -> Self {
+        let mut tally = Self::default();
+        for (&status, &health) in state.status.iter().zip(&state.health) {
+            tally.counts[status as usize] += 1;
+            tally.units += i128::from(health_units(health));
+        }
+        tally
+    }
+
+    /// Records one vehicle moving from `(status, health)` `from` to
+    /// `to`.
+    pub(crate) fn shift(&mut self, from: (VehicleStatus, f64), to: (VehicleStatus, f64)) {
+        self.counts[from.0 as usize] -= 1;
+        self.counts[to.0 as usize] += 1;
+        self.units += i128::from(health_units(to.1) - health_units(from.1));
+    }
+
+    /// Adds another tally in (shard merge: integer addition, so the
+    /// order never matters).
+    pub fn absorb(&mut self, other: &CensusTally) {
+        for (count, other) in self.counts.iter_mut().zip(other.counts) {
+            *count += other;
+        }
+        self.units += other.units;
+    }
+
+    /// The census this tally describes: its counts, and `mean_health`
+    /// = units / 2⁶² / vehicles (1.0 for an empty fleet).
+    pub fn census(&self) -> Census {
+        let [healthy, degraded, compromised, isolated, lost] = self.counts.map(|c| c as u64);
+        let n = healthy + degraded + compromised + isolated + lost;
+        Census {
+            healthy,
+            degraded,
+            compromised,
+            isolated,
+            lost,
+            mean_health: if n == 0 {
+                1.0
+            } else {
+                self.units as f64 / UNITS_PER_HEALTH / n as f64
+            },
+        }
+    }
+}
 
 /// Point-in-time fleet census: how many vehicles sit in each status,
 /// plus the mean residual health (the availability integrand).
@@ -24,51 +112,16 @@ pub struct Census {
     pub isolated: u64,
     /// Quarantined (panicked) vehicles.
     pub lost: u64,
-    /// Mean residual health over the whole fleet.
+    /// Mean residual health over the whole fleet: the mean of the
+    /// vehicles' exact [`health_units`].
     pub mean_health: f64,
 }
 
 impl Census {
-    /// Counts the fleet — two dense column scans (status, then
-    /// health).
-    ///
-    /// The status count is branch-free: per block of 255 vehicles,
-    /// the count of the `k`-th status (declaration order) is a sum of
-    /// `status == k` bytes, a `u8` that cannot overflow and that
-    /// vectorizes, then widened into the totals. A `match` per vehicle
-    /// mispredicts on every mixed-status fleet.
-    ///
-    /// The health sum stays one serial left-to-right scan in vehicle
-    /// order: `mean_health` is printed bit for bit, and any split of
-    /// the sum (per shard, per block, per SIMD lane) would reassociate
-    /// the float additions and change those bits.
+    /// Counts the fleet by a full scan ([`CensusTally::scan`]): the
+    /// reference the engine's kept census must equal.
     pub fn take(state: &FleetState) -> Self {
-        let mut counts = [0u64; 5];
-        for block in state.status.chunks(usize::from(u8::MAX)) {
-            let mut block_counts = [0u8; 5];
-            for &status in block {
-                for (k, count) in block_counts.iter_mut().enumerate() {
-                    *count += u8::from(status as usize == k);
-                }
-            }
-            for (count, block_count) in counts.iter_mut().zip(block_counts) {
-                *count += u64::from(block_count);
-            }
-        }
-        let [healthy, degraded, compromised, isolated, lost] = counts;
-        let health_sum: f64 = state.health.iter().sum();
-        Census {
-            healthy,
-            degraded,
-            compromised,
-            isolated,
-            lost,
-            mean_health: if state.is_empty() {
-                1.0
-            } else {
-                health_sum / state.len() as f64
-            },
-        }
+        CensusTally::scan(state).census()
     }
 
     /// Total vehicles counted.
@@ -228,9 +281,7 @@ mod tests {
         let expected = (1.0 + 0.0 + crate::vehicle::COMPROMISED_HEALTH + 1.0) / 4.0;
         assert!((c.mean_health - expected).abs() < 1e-12);
 
-        // Seeded mixed columns around the 255-vehicle block edge, plus
-        // single-status columns longer than a block (a per-block `u8`
-        // counter overflowing would show there).
+        // Seeded mixed columns, plus single-status columns.
         let statuses = [
             VehicleStatus::Healthy,
             VehicleStatus::Degraded,
@@ -265,15 +316,73 @@ mod tests {
                 }
             }
             let n = fleet.len();
+            let units: i128 = fleet
+                .health
+                .iter()
+                .map(|&h| i128::from(health_units(h)))
+                .sum();
             reference.mean_health = if n == 0 {
                 1.0
             } else {
-                fleet.health.iter().sum::<f64>() / n as f64
+                units as f64 / (1u64 << 62) as f64 / n as f64
             };
             let c = Census::take(fleet);
             assert_eq!(c, reference, "{n} vehicles");
             assert_eq!(c.mean_health.to_bits(), reference.mean_health.to_bits());
         }
+    }
+
+    #[test]
+    fn health_units_are_exact_and_never_overflow() {
+        use crate::vehicle::{COMPROMISED_HEALTH, ISOLATED_HEALTH, LIMP_HOME_HEALTH};
+        assert_eq!(health_units(0.0), 0);
+        assert_eq!(health_units(1.0), 1 << 62);
+        for health in [
+            COMPROMISED_HEALTH,
+            ISOLATED_HEALTH,
+            LIMP_HOME_HEALTH,
+            2f64.powi(-10),
+        ] {
+            let units = health_units(health);
+            assert_eq!(
+                units as f64 / (1u64 << 62) as f64,
+                health,
+                "{health} is exact"
+            );
+        }
+        assert_eq!(health_units(COMPROMISED_HEALTH), 1 << 60);
+        // A whole fleet at full health, at the CLI's 10 000 000-vehicle
+        // cap: 10^7 · 2^62 < 2^86, far inside an i128.
+        let tally = CensusTally {
+            counts: [10_000_000, 0, 0, 0, 0],
+            units: (0..10_000_000).map(|_| i128::from(health_units(1.0))).sum(),
+        };
+        assert_eq!(tally.units, 10_000_000 * (1i128 << 62));
+        assert_eq!(tally.census().mean_health, 1.0);
+    }
+
+    #[test]
+    fn tallies_shift_and_absorb_exactly() {
+        let mut a = CensusTally::default();
+        a.shift(
+            (VehicleStatus::Healthy, 1.0),
+            (
+                VehicleStatus::Compromised,
+                crate::vehicle::COMPROMISED_HEALTH,
+            ),
+        );
+        assert_eq!(a.counts, [-1, 0, 1, 0, 0]);
+        assert_eq!(a.units, -(3i128 << 60));
+        let mut b = CensusTally::default();
+        b.shift(
+            (
+                VehicleStatus::Compromised,
+                crate::vehicle::COMPROMISED_HEALTH,
+            ),
+            (VehicleStatus::Healthy, 1.0),
+        );
+        a.absorb(&b);
+        assert_eq!(a, CensusTally::default(), "a change and its undoing cancel");
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! ([`RngColumnMut::sweep`], see [`crate::shard`]).
 //!
 //! Mutable access goes through [`FleetColumns`], a borrowed columnar
-//! window over a contiguous id range. [`FleetState::shard_views`]
+//! window over a contiguous id range. Its status and health columns
+//! are written through one setter ([`FleetColumns::set`]), which also
+//! records the change in the window's [`CensusTally`], so the engine
+//! keeps the fleet census at its transitions instead of scanning it
+//! every tick. [`FleetState::shard_views`]
 //! splits the fleet into per-shard windows the same way the old code
 //! split the vehicle vector — contiguous chunks, so shard merge order
 //! *is* vehicle order and the shard-invariance contract carries over
@@ -22,7 +26,7 @@ use autosec_faults::detector_for;
 use autosec_ids::response::{ResponseAction, ResponseEngine};
 use autosec_sim::{ArchLayer, RngColumn, RngColumnMut, SimRng};
 
-use crate::snapshot::FleetTotals;
+use crate::snapshot::{CensusTally, FleetTotals};
 use crate::vehicle::{VehicleStatus, COMPROMISED_HEALTH, ISOLATED_HEALTH, LIMP_HOME_HEALTH};
 
 /// Fraction of a degraded vehicle's health deficit removed by a
@@ -115,6 +119,7 @@ impl FleetState {
             rng = r_rest;
             views.push(FleetColumns {
                 base,
+                census: CensusTally::default(),
                 status: s,
                 health: h,
                 since: t,
@@ -142,10 +147,12 @@ pub(crate) fn sweep_class(status: VehicleStatus, flagged: bool) -> usize {
 #[derive(Debug)]
 pub struct FleetColumns<'a> {
     base: u32,
-    /// Lifecycle status column.
-    pub status: &'a mut [VehicleStatus],
-    /// Residual health column.
-    pub health: &'a mut [f64],
+    /// The census change of every [`set`](Self::set) on this window.
+    census: CensusTally,
+    /// Lifecycle status column, written only through `set`.
+    status: &'a mut [VehicleStatus],
+    /// Residual health column, written only through `set`.
+    health: &'a mut [f64],
     /// Incident-start tick column.
     pub since: &'a mut [u64],
     /// IDS-flagged column.
@@ -187,9 +194,37 @@ impl FleetColumns<'_> {
         }
     }
 
+    /// Vehicle `i`'s lifecycle status.
+    pub fn status(&self, i: usize) -> VehicleStatus {
+        self.status[i]
+    }
+
+    /// Vehicle `i`'s residual health.
+    pub fn health(&self, i: usize) -> f64 {
+        self.health[i]
+    }
+
     /// Whether vehicle `i` still emits telemetry.
     pub fn alive(&self, i: usize) -> bool {
         self.status[i] != VehicleStatus::Lost
+    }
+
+    /// Sets vehicle `i`'s status and health: the one write path of both
+    /// columns. The change is added to the window's census change
+    /// (handed back as [`ShardOutput::census`](crate::ShardOutput::census))
+    /// before either column is written, so a step that panics after some
+    /// `set` calls leaves the two in agreement.
+    pub fn set(&mut self, i: usize, status: VehicleStatus, health: f64) {
+        self.census
+            .shift((self.status[i], self.health[i]), (status, health));
+        self.status[i] = status;
+        self.health[i] = health;
+    }
+
+    /// What every [`set`](Self::set) on this window has changed in the
+    /// fleet census.
+    pub(crate) fn census_change(&self) -> CensusTally {
+        self.census
     }
 
     /// Marks vehicle `i` compromised at `tick` via `layer`.
@@ -200,8 +235,7 @@ impl FleetColumns<'_> {
         ) {
             self.since[i] = tick;
         }
-        self.status[i] = VehicleStatus::Compromised;
-        self.health[i] = COMPROMISED_HEALTH;
+        self.set(i, VehicleStatus::Compromised, COMPROMISED_HEALTH);
         self.flagged[i] = false;
         self.incident_layer[i] = layer;
     }
@@ -213,15 +247,13 @@ impl FleetColumns<'_> {
         if self.status[i] == VehicleStatus::Healthy {
             self.since[i] = tick;
         }
-        self.status[i] = VehicleStatus::Lost;
-        self.health[i] = 0.0;
+        self.set(i, VehicleStatus::Lost, 0.0);
         self.flagged[i] = false;
     }
 
     /// Restores vehicle `i` to full service after a verified repair.
     pub fn restore(&mut self, i: usize) {
-        self.status[i] = VehicleStatus::Healthy;
-        self.health[i] = 1.0;
+        self.set(i, VehicleStatus::Healthy, 1.0);
         self.flagged[i] = false;
     }
 
@@ -251,7 +283,8 @@ impl FleetColumns<'_> {
                 // Filter/rekey relieve fault degradation; they cannot
                 // evict an attacker (escalation handles that).
                 if self.status[i] == VehicleStatus::Degraded {
-                    self.health[i] = 1.0 - (1.0 - self.health[i]) * (1.0 - CONTAINMENT_RELIEF);
+                    let relieved = 1.0 - (1.0 - self.health[i]) * (1.0 - CONTAINMENT_RELIEF);
+                    self.set(i, VehicleStatus::Degraded, relieved);
                 }
             }
             ResponseAction::IsolateNode | ResponseAction::LimpHome => {
@@ -271,8 +304,7 @@ impl FleetColumns<'_> {
                         // escalation) still opens an incident window.
                         self.since[i] = tick;
                     }
-                    self.status[i] = VehicleStatus::Isolated;
-                    self.health[i] = health;
+                    self.set(i, VehicleStatus::Isolated, health);
                 }
             }
         }
@@ -314,11 +346,38 @@ mod tests {
         assert_eq!(cols.health[3], 0.0);
         // Compromising a degraded vehicle restarts the incident clock:
         // the compromise is the incident that containment must resolve.
-        cols.status[4] = VehicleStatus::Degraded;
-        cols.health[4] = 0.8;
+        cols.set(4, VehicleStatus::Degraded, 0.8);
         cols.since[4] = 2;
         cols.compromise(4, 5, ArchLayer::Network);
         assert_eq!(cols.since[4], 5, "degraded->compromised restarts the clock");
+    }
+
+    #[test]
+    fn every_write_lands_in_the_window_census_change() {
+        let base = SimRng::seed(6).fork("fleet/vehicles");
+        let mut state = FleetState::new(8, &base);
+        let mut kept = CensusTally::scan(&state);
+        let mut totals = FleetTotals::default();
+        {
+            let mut views = state.shard_views(4);
+            let cols = &mut views[1];
+            cols.compromise(0, 1, ArchLayer::Data);
+            cols.set(1, VehicleStatus::Degraded, 0.5);
+            // Strike one on a degraded vehicle relieves half its
+            // deficit; strike three isolates a compromised one.
+            cols.respond(1, ArchLayer::Network, 1, &mut totals);
+            assert_eq!(cols.health[1], 0.75);
+            for _ in 0..3 {
+                cols.respond(0, ArchLayer::Network, 1, &mut totals);
+            }
+            assert_eq!(cols.status[0], VehicleStatus::Isolated);
+            cols.quarantine(2, 1);
+            cols.restore(0);
+            kept.absorb(&cols.census_change());
+            assert_eq!(views[0].census_change(), CensusTally::default());
+        }
+        assert_eq!(kept, CensusTally::scan(&state));
+        assert_eq!(kept.counts, [6, 1, 0, 0, 1]);
     }
 
     #[test]

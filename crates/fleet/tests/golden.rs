@@ -56,7 +56,7 @@ fn assert_pinned(cfg: &FleetConfig, want: &str) -> FleetReport {
 
 #[test]
 fn breach_storm_fleet_is_pinned() {
-    let want = "f809c9a1e24dbc472c5fc613b66b7b028de7d109b4f175e818f3534d1a729d08";
+    let want = "0fa54177fd4bcde68d5daf841d0cb95b3b907af6a0096c2531ee7c0b5c4ab2ae";
     let t = *assert_pinned(&storm(), want).totals();
     assert!(t.responses_limp_home > 0, "the ladder reached limp-home");
     assert!(t.recoveries > 0 && t.alerts > 0);
@@ -68,7 +68,7 @@ fn chaos_fleet_is_pinned() {
         chaos_lost_rate: 1e-3,
         ..storm()
     };
-    let want = "dfebf2ab86face1da29fcbaa90314bd97629074bde015da4cfd18692cb6e2ee3";
+    let want = "ca8bb3895e44acd44cf4cf09ab45b87fd4decbc72d57a12dcb995c6a9d1b83a9";
     assert!(assert_pinned(&cfg, want).totals().lost > 0, "chaos struck");
 }
 
@@ -81,7 +81,7 @@ fn closed_loop_defender_fleet_is_pinned() {
         defender_budget: 6.0,
         ..pressured(5_000, 40)
     };
-    let want = "4ceddb0e93b8f8b7bf45bd52b1b858e7dcb91d02e2fe86f96c1fb4211724b1f9";
+    let want = "9a61df31e03c1777e2865b5e6aa054ae623754e4737012d338b59fdbb254b489";
     let defender = assert_pinned(&cfg, want).defender.expect("active");
     assert!(defender.to_json()["actions"].as_u64() > Some(0));
 }
@@ -94,7 +94,7 @@ fn fixed_campaign_calibrated_fleet_is_pinned() {
         attack_rate: 2e-3,
         ..pressured(5_000, 40)
     };
-    let want = "ea04ec23cdb4895fa14d98506f5cebcee2791ed624fadccb37498a1a9fd32c90";
+    let want = "d7dfceb2b3876c9c91f46116e9be15a7a8426d736407ce7ef7e70c707bbf5332";
     let t = *assert_pinned(&cfg, want).totals();
     assert!(t.attacks_succeeded > 0 && t.alerts > 0, "attacks struck");
 }
@@ -114,7 +114,7 @@ fn service() -> FleetConfig {
 
 #[test]
 fn service_fleet_is_pinned() {
-    let want = "ceb5d3e9b067d5cde085f1eff9d0f86e6d1c1ccc2992ce90929117b7bb956f77";
+    let want = "80f6064151d78b43781e3a9ecaa37448bffbc9e7e5a8b88ea4f57c06df2e848d";
     let t = *assert_pinned(&service(), want).totals();
     assert!(t.attacks_succeeded > 0, "attacks struck");
     assert!(t.fault_injections > 0, "fault onsets struck");
@@ -126,7 +126,7 @@ fn attackless_service_fleet_is_pinned() {
         attack_rate: 0.0,
         ..service()
     };
-    let want = "31bb4483a09031a801bbef904a1e025e1137f46bc25e1454eef520be736f3786";
+    let want = "3eb0bddda686e3cf86365cd29cee0ad8005b2540461ca7c4f4d2461bf581179f";
     let t = *assert_pinned(&cfg, want).totals();
     assert_eq!(t.attacks_attempted, 0);
     assert!(t.fault_injections > 0, "fault onsets struck");
